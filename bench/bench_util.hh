@@ -73,9 +73,6 @@ struct Options
     std::string traceKinds;
     std::size_t traceLimit = std::size_t{1} << 16;
     Tick metricsInterval = 0;
-    /** --shard-domains: event-kernel domains per job (DESIGN.md §8;
-     *  1 = serial kernel, byte-identical output either way). */
-    std::uint32_t shardDomains = 1;
     /** --fault/--fault-seed: armed on every job (docs/HARDENING.md). */
     guard::FaultSchedule faults;
     // Trace record/replay + result cache (DESIGN.md §10). Empty dirs
@@ -159,10 +156,6 @@ usage(const char *argv0)
                 "kinds (default: all)\n"
                 "  --metrics-interval N   sample gauges every N "
                 "ticks into the JSON report\n"
-                "  --shard-domains N      event-kernel domains per "
-                "job (default 1 = serial;\n"
-                "               output is byte-identical for every "
-                "N; DESIGN.md §8)\n"
                 "  --fault KIND[:after[:delay[:prob]]]  arm a fault "
                 "on every job (repeatable;\n"
                 "               kinds: leak-mshr, drop-writeback, "
@@ -299,13 +292,6 @@ parseArgs(int argc, char **argv,
                 fusion_fatal("--metrics-interval must be >= 1");
             }
             opt.metricsInterval = static_cast<Tick>(n);
-        } else if (a == "--shard-domains") {
-            long n = std::atol(next().c_str());
-            if (n < 1) {
-                usage(argv[0]);
-                fusion_fatal("--shard-domains must be >= 1");
-            }
-            opt.shardDomains = static_cast<std::uint32_t>(n);
         } else if (a == "--trace-dir") {
             opt.traceDir = next();
         } else if (a == "--cache-dir") {
@@ -440,8 +426,7 @@ runSweep(const char *sweepName,
     // byte-identical.
     std::vector<sweep::SweepJob> guarded;
     const std::vector<sweep::SweepJob> *list = &jobs;
-    if (opt.guard || opt.telemetry() || opt.faultsArmed() ||
-        opt.shardDomains > 1) {
+    if (opt.guard || opt.telemetry() || opt.faultsArmed()) {
         guarded = jobs;
         for (auto &j : guarded) {
             if (opt.guard)
@@ -450,8 +435,6 @@ runSweep(const char *sweepName,
                 j.cfg.guard.schedule = opt.faults;
             if (opt.telemetry())
                 j.cfg.obs = obsConfig(opt);
-            if (opt.shardDomains > 1)
-                j.cfg.shardDomains = opt.shardDomains;
         }
         list = &guarded;
     }

@@ -28,22 +28,6 @@
  * geometric mean of the per-row speedups plus the min/max row, so a
  * single outlier config can't hide behind the mean.
  *
- * --compare switches to the *sharded kernel* comparison
- * (DESIGN.md §8): the same logical workload — one host domain plus
- * --tiles accelerator tiles running self-rescheduling chains with
- * periodic cross-domain host round trips — executes once on the
- * serial EventQueue and once on the conservative-window
- * shard::DomainScheduler at --shard-domains physical domains, with
- * per-row events/sec, per-config speedup, and the geomean/min/max
- * summary. Both sides must execute identical event counts and
- * produce identical checksums (asserted), so the speedup is
- * apples-to-apples. Real speedup needs >= --shard-domains hardware
- * threads; the banner prints the machine's concurrency.
- *
- *   micro_kernel --compare [--shard-domains N] [--tiles A,B,..]
- *                [--chains N] [--work N] [--workers N]
- *                [--lookahead N] [--ops N] [--repeat N] [--json F]
- *
  * With --json the report carries the same "perf" object shape
  * (hostSeconds / events / eventsPerSecond) the sweep reports emit.
  */
@@ -59,12 +43,10 @@
 #include <functional>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/shard/scheduler.hh"
 
 namespace
 {
@@ -204,199 +186,8 @@ struct Row
     double legacySec = 0.0;
 };
 
-// ----------------------------------------------------------------
-// --compare: serial kernel vs sharded conservative-window engine.
-// ----------------------------------------------------------------
-
-/**
- * The logical topology of one shard-compare row: logical domain 0 is
- * the host, 1..tiles are accelerator tiles. Each tile runs `chains`
- * self-rescheduling chains; every `crossEvery`-th step a chain sends
- * a fire-and-forget request to the host, which replies back — both
- * legs at >= lookahead delay, the shape a tile<->LLC ring link
- * produces. `work` xorshift rounds per event stand in for the
- * component model a real event executes.
- */
-struct ShardTopo
-{
-    std::uint32_t tiles = 4;
-    std::size_t chains = 128;
-    std::uint64_t steps = 0; ///< self-reschedules per chain
-    int work = 32;
-    Cycles lookahead = 3;
-    std::uint32_t crossEvery = 16;
-};
-
-/** Serial side: everything on one EventQueue (--shard-domains=1). */
-struct SerialExec
-{
-    EventQueue q;
-
-    SerialExec(const ShardTopo &, std::uint32_t, std::size_t) {}
-
-    template <class F>
-    void
-    local(std::uint32_t, Cycles d, F &&fn)
-    {
-        q.scheduleIn(d, std::forward<F>(fn));
-    }
-    template <class F>
-    void
-    cross(std::uint32_t, std::uint32_t, Cycles d, F &&fn)
-    {
-        q.scheduleIn(d, std::forward<F>(fn));
-    }
-    void
-    run()
-    {
-        while (q.step()) {
-        }
-    }
-    std::uint64_t executed() const { return q.executed(); }
-};
-
-/** Sharded side: the DomainScheduler, logical domains folded onto
- *  the physical ones round-robin (host stays on domain 0). */
-struct ShardExec
-{
-    shard::DomainScheduler ds;
-    std::uint32_t nphys;
-
-    static shard::DomainScheduler::Params
-    params(const ShardTopo &t, std::uint32_t domains,
-           std::size_t workers)
-    {
-        shard::DomainScheduler::Params p;
-        p.domains = domains;
-        p.lookahead = t.lookahead;
-        p.workers = workers;
-        return p;
-    }
-
-    ShardExec(const ShardTopo &t, std::uint32_t domains,
-              std::size_t workers)
-        : ds(params(t, domains, workers)), nphys(domains)
-    {
-    }
-
-    shard::DomainId
-    phys(std::uint32_t logical) const
-    {
-        if (nphys == 1 || logical == 0)
-            return 0;
-        return 1 + (logical - 1) % (nphys - 1);
-    }
-
-    template <class F>
-    void
-    local(std::uint32_t l, Cycles d, F &&fn)
-    {
-        ds.queueOf(phys(l)).scheduleIn(d, std::forward<F>(fn));
-    }
-    template <class F>
-    void
-    cross(std::uint32_t from, std::uint32_t to, Cycles d, F &&fn)
-    {
-        ds.sendCross(phys(from), phys(to), d, std::forward<F>(fn));
-    }
-    void run() { ds.run(); }
-    std::uint64_t executed() const { return ds.totalExecuted(); }
-};
-
-/**
- * The workload itself, identical through either executor: per-tile
- * chains plus host round trips, with per-logical-domain checksums so
- * the two sides can be compared exactly (the checksum updates are
- * commutative, so they are independent of the physical partition).
- */
-template <class Exec>
-struct ShardBench
-{
-    const ShardTopo &topo;
-    Exec ex;
-    std::vector<std::uint64_t> sink; ///< per logical domain
-
-    ShardBench(const ShardTopo &t, std::uint32_t domains,
-               std::size_t workers)
-        : topo(t), ex(t, domains, workers), sink(t.tiles + 1, 0)
-    {
-    }
-
-    static std::uint64_t
-    burn(std::uint64_t x, int iters)
-    {
-        for (int i = 0; i < iters; ++i)
-            x = nextState(x);
-        return x;
-    }
-
-    void
-    chainStep(std::uint32_t tile, std::uint64_t state,
-              std::uint64_t left)
-    {
-        state = burn(state, topo.work);
-        sink[tile] += state & 0xff;
-        if (left == 0)
-            return;
-        if (topo.crossEvery != 0 &&
-            left % topo.crossEvery == 0) {
-            std::uint64_t rs = state * 0x9e3779b97f4a7c15ull;
-            ex.cross(tile, 0, topo.lookahead,
-                     [this, tile, rs] {
-                         std::uint64_t h = burn(rs, topo.work);
-                         sink[0] += h & 0xff;
-                         ex.cross(0, tile, topo.lookahead,
-                                  [this, tile, h] {
-                                      sink[tile] +=
-                                          burn(h, 4) & 0xff;
-                                  });
-                     });
-        }
-        ex.local(tile, 1 + (state & 3),
-                 [this, tile, state, left] {
-                     chainStep(tile, nextState(state), left - 1);
-                 });
-    }
-
-    double
-    measure()
-    {
-        std::uint64_t seed = 0x2545f4914f6cdd1dull;
-        for (std::uint32_t t = 1; t <= topo.tiles; ++t) {
-            for (std::size_t c = 0; c < topo.chains; ++c) {
-                seed = nextState(seed);
-                std::uint64_t s = seed;
-                std::uint64_t n = topo.steps;
-                ex.local(t, 1 + (s & 3), [this, t, s, n] {
-                    chainStep(t, s, n);
-                });
-            }
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        ex.run();
-        auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count();
-    }
-};
-
-struct ShardRow
-{
-    std::uint32_t tiles = 0;
-    std::uint64_t events = 0;
-    double serialSec = 0.0;
-    double shardSec = 0.0;
-
-    double
-    speedup() const
-    {
-        return (serialSec > 0.0 && shardSec > 0.0)
-                   ? serialSec / shardSec
-                   : 0.0;
-    }
-};
-
-/** Geomean plus the min/max row of a speedup list (satellite of the
- *  sharded-kernel PR: variance must print beside the mean). */
+/** Geomean plus the min/max row of a speedup list, so the spread
+ *  prints beside the mean. */
 struct SpeedupSummary
 {
     double geomean = 0.0;
@@ -424,137 +215,12 @@ struct SpeedupSummary
     }
 };
 
-int
-runShardCompare(const ShardTopo &base,
-                const std::vector<std::uint32_t> &tile_list,
-                std::uint32_t domains, std::size_t workers,
-                std::uint64_t ops, int repeat,
-                const std::string &jsonPath)
-{
-    std::printf("=== sharded kernel throughput (--compare) ===\n");
-    std::printf("serial EventQueue vs conservative-window "
-                "DomainScheduler, identical workload\n");
-    std::printf("domains=%u workers=%zu lookahead=%llu "
-                "chains/tile=%zu work=%d (hw threads: %u)\n\n",
-                domains, workers,
-                static_cast<unsigned long long>(base.lookahead),
-                base.chains, base.work,
-                std::thread::hardware_concurrency());
-    std::printf("%8s %12s %14s %14s %8s\n", "tiles", "events",
-                "serial ev/s", "shard ev/s", "speedup");
-
-    std::vector<ShardRow> rows;
-    for (std::uint32_t tiles : tile_list) {
-        ShardTopo topo = base;
-        topo.tiles = tiles;
-        std::uint64_t per_tile =
-            static_cast<std::uint64_t>(topo.chains) * tiles;
-        topo.steps = per_tile ? std::max<std::uint64_t>(
-                                    1, ops / per_tile)
-                              : 1;
-        ShardRow row;
-        row.tiles = tiles;
-        for (int rep = 0; rep < repeat; ++rep) {
-            ShardBench<SerialExec> serial(topo, 1, 1);
-            double ss = serial.measure();
-            row.serialSec =
-                rep ? std::min(row.serialSec, ss) : ss;
-            ShardBench<ShardExec> shard(topo, domains, workers);
-            double hs = shard.measure();
-            row.shardSec = rep ? std::min(row.shardSec, hs) : hs;
-            // Same workload on both sides or the speedup is
-            // meaningless: identical event counts, identical
-            // checksums.
-            fusion_assert(serial.ex.executed() ==
-                              shard.ex.executed(),
-                          "executed-count mismatch: serial=",
-                          serial.ex.executed(),
-                          " shard=", shard.ex.executed());
-            fusion_assert(serial.sink == shard.sink,
-                          "checksum mismatch between serial and "
-                          "sharded execution");
-            row.events = serial.ex.executed();
-        }
-        auto rate = [&](double sec) {
-            return sec > 0.0
-                       ? static_cast<double>(row.events) / sec
-                       : 0.0;
-        };
-        std::printf("%8u %12llu %14.3e %14.3e %7.2fx\n",
-                    row.tiles,
-                    static_cast<unsigned long long>(row.events),
-                    rate(row.serialSec), rate(row.shardSec),
-                    row.speedup());
-        rows.push_back(row);
-    }
-
-    SpeedupSummary sum;
-    for (const ShardRow &r : rows)
-        sum.add(r.speedup());
-    if (sum.finish()) {
-        std::printf("\ngeomean speedup: %.2fx (min %.2fx, max "
-                    "%.2fx over %zu configs)\n",
-                    sum.geomean, sum.min, sum.max, sum.n);
-    }
-
-    if (!jsonPath.empty()) {
-        std::FILE *f = std::fopen(jsonPath.c_str(), "w");
-        if (!f)
-            fusion_fatal("cannot open ", jsonPath);
-        std::fprintf(
-            f,
-            "{\"bench\":\"micro_kernel\",\"mode\":\"shard\","
-            "\"domains\":%u,\"workers\":%zu,\"lookahead\":%llu,"
-            "\"chains\":%zu,\"work\":%d,\"repeat\":%d,\"rows\":[",
-            domains, workers,
-            static_cast<unsigned long long>(base.lookahead),
-            base.chains, base.work, repeat);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const ShardRow &r = rows[i];
-            std::fprintf(f, "%s{\"tiles\":%u", i ? "," : "",
-                         r.tiles);
-            auto put = [&](const char *name, double sec) {
-                if (sec <= 0.0)
-                    return;
-                std::fprintf(
-                    f,
-                    ",\"%s\":{\"hostSeconds\":%.17g,"
-                    "\"events\":%llu,\"eventsPerSecond\":%.17g}",
-                    name, sec,
-                    static_cast<unsigned long long>(r.events),
-                    static_cast<double>(r.events) / sec);
-            };
-            put("perf", r.shardSec);
-            put("serialPerf", r.serialSec);
-            std::fprintf(f, ",\"speedup\":%.17g}", r.speedup());
-        }
-        if (sum.n > 0) {
-            std::fprintf(f,
-                         "],\"geomeanSpeedup\":%.17g,"
-                         "\"minSpeedup\":%.17g,"
-                         "\"maxSpeedup\":%.17g}\n",
-                         sum.geomean, sum.min, sum.max);
-        } else {
-            std::fprintf(f, "]}\n");
-        }
-        std::fclose(f);
-        std::fprintf(stderr,
-                     "shard bench report written to %s\n",
-                     jsonPath.c_str());
-    }
-    return 0;
-}
-
 void
 usage(const char *argv0)
 {
     std::printf(
         "usage: %s [--ops N] [--pending A,B,...] "
         "[--impl both|kernel|legacy] [--repeat N] [--json FILE]\n"
-        "       %s --compare [--shard-domains N] [--tiles A,B,...] "
-        "[--chains N]\n"
-        "                [--work N] [--workers N] [--lookahead N] "
-        "[--ops N] [--repeat N]\n"
         "  --ops N        dispatches per pending-set size "
         "(default 2000000)\n"
         "  --pending L    comma-separated pending-set sizes "
@@ -564,20 +230,8 @@ usage(const char *argv0)
         "  --repeat N     samples per row, best kept "
         "(default 3)\n"
         "  --json FILE    write machine-readable results with "
-        "perf objects\n"
-        "  --compare      serial kernel vs sharded "
-        "conservative-window engine (DESIGN.md 8)\n"
-        "  --shard-domains N  physical domains for --compare "
-        "(default 4)\n"
-        "  --tiles L      logical tile counts per row "
-        "(default 4,8)\n"
-        "  --chains N     chains per tile (default 128)\n"
-        "  --work N       xorshift rounds per event (default 32)\n"
-        "  --workers N    worker threads (default 0 = one per "
-        "domain, capped at hw)\n"
-        "  --lookahead N  conservative lookahead in ticks "
-        "(default 3)\n",
-        argv0, argv0);
+        "perf objects\n",
+        argv0);
 }
 
 } // namespace
@@ -590,11 +244,6 @@ main(int argc, char **argv)
     std::string impl = "both";
     std::string jsonPath;
     int repeat = 3;
-    bool compare = false;
-    ShardTopo topo;
-    std::vector<std::uint32_t> tile_list{4, 8};
-    std::uint32_t shard_domains = 4;
-    std::size_t shard_workers = 0;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -620,49 +269,6 @@ main(int argc, char **argv)
                                   nullptr, 10)));
                 pos = comma + 1;
             }
-        } else if (a == "--compare") {
-            compare = true;
-        } else if (a == "--shard-domains") {
-            shard_domains = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
-            if (shard_domains < 1)
-                fusion_fatal("--shard-domains must be >= 1");
-        } else if (a == "--tiles") {
-            tile_list.clear();
-            std::string list = next();
-            for (std::size_t pos = 0; pos < list.size();) {
-                std::size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                tile_list.push_back(static_cast<std::uint32_t>(
-                    std::strtoul(list.substr(pos, comma - pos)
-                                     .c_str(),
-                                 nullptr, 10)));
-                pos = comma + 1;
-            }
-            for (std::uint32_t t : tile_list)
-                if (t == 0)
-                    fusion_fatal("--tiles entries must be >= 1");
-            if (tile_list.empty())
-                fusion_fatal("--tiles: empty list");
-        } else if (a == "--chains") {
-            topo.chains = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
-            if (topo.chains == 0)
-                fusion_fatal("--chains must be >= 1");
-        } else if (a == "--work") {
-            topo.work = static_cast<int>(
-                std::strtol(next().c_str(), nullptr, 10));
-            if (topo.work < 0)
-                fusion_fatal("--work must be >= 0");
-        } else if (a == "--workers") {
-            shard_workers = static_cast<std::size_t>(
-                std::strtoull(next().c_str(), nullptr, 10));
-        } else if (a == "--lookahead") {
-            topo.lookahead = static_cast<Cycles>(
-                std::strtoull(next().c_str(), nullptr, 10));
-            if (topo.lookahead < 1)
-                fusion_fatal("--lookahead must be >= 1");
         } else if (a == "--impl") {
             impl = next();
             if (impl != "both" && impl != "kernel" &&
@@ -688,12 +294,6 @@ main(int argc, char **argv)
     for (std::size_t p : pendings)
         if (p == 0)
             fusion_fatal("--pending sizes must be >= 1");
-
-    if (compare) {
-        return runShardCompare(topo, tile_list, shard_domains,
-                               shard_workers, ops, repeat,
-                               jsonPath);
-    }
 
     std::printf("=== kernel dispatch throughput ===\n");
     std::printf("%llu dispatches per row; closures capture ~48 B\n\n",

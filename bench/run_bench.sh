@@ -1,16 +1,16 @@
 #!/bin/sh
-# Kernel-throughput bench driver: runs micro_kernel's sharded-kernel
-# comparison at 1, 2 and 4 domains plus the micro_txn end-to-end
-# rows, and folds the per-run reports into one BENCH_kernel.json.
+# Kernel-throughput bench driver: runs micro_kernel's production-
+# vs-legacy EventQueue comparison plus the micro_txn end-to-end rows,
+# and folds the per-run reports into one BENCH_kernel.json.
 #
 #   bench/run_bench.sh [BUILD_DIR] [OUT_JSON] [CACHE_OUT_JSON]
 #
 # Defaults: BUILD_DIR=build, OUT_JSON=BENCH_kernel.json and
 # CACHE_OUT_JSON=BENCH_sweep_cache.json (in the current directory).
 # Shell + the bench binaries only — no python.
-# The per-domain events/sec come from the "perf" objects micro_kernel
-# --compare emits (the sharded side; "serialPerf" carries the serial
-# baseline), so the 4-vs-1 speedup is readable straight off the file.
+# The kernel events/sec come from the "perf" objects micro_kernel
+# emits ("legacyPerf" carries the pre-overhaul baseline), so the
+# speedup is readable straight off the file.
 # BENCH_sweep_cache.json records the cold-vs-warm wall clock of one
 # identical sweep re-run against the result cache (DESIGN.md §10).
 set -eu
@@ -32,15 +32,11 @@ done
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# Sharded-kernel rows: same workload at 1, 2 and 4 physical domains.
-# Repeat=3 best-kept inside the harness; tiles 4 and 8 cover the
-# >=4-tile FUSION-shaped topologies.
-for d in 1 2 4; do
-    echo "== micro_kernel --compare --shard-domains $d ==" >&2
-    "$KERNEL" --compare --shard-domains "$d" --tiles 4,8 \
-        --ops 1000000 --repeat 3 \
-        --json "$TMP/kernel_d$d.json" >&2
-done
+# Kernel dispatch rows: production EventQueue vs the embedded legacy
+# queue at every default pending-set size, repeat=3 best-kept inside
+# the harness.
+echo "== micro_kernel ==" >&2
+"$KERNEL" --ops 1000000 --repeat 3 --json "$TMP/kernel.json" >&2
 
 # End-to-end transaction path (serial kernel; per-workload rows).
 echo "== micro_txn ==" >&2
@@ -50,14 +46,9 @@ echo "== micro_txn ==" >&2
 # Fold the reports into one file. Each per-run report is a complete
 # JSON object; BENCH_kernel.json nests them verbatim.
 {
-    printf '{"bench":"BENCH_kernel","shardDomains":{'
-    sep=''
-    for d in 1 2 4; do
-        printf '%s"%s":' "$sep" "$d"
-        cat "$TMP/kernel_d$d.json"
-        sep=','
-    done
-    printf '},"txn":'
+    printf '{"bench":"BENCH_kernel","kernel":'
+    cat "$TMP/kernel.json"
+    printf ',"txn":'
     cat "$TMP/txn.json"
     printf '}\n'
 } | tr -d '\n' > "$OUT"

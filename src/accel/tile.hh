@@ -51,7 +51,6 @@ class FusionTile
     vm::AxTlb &tlb() { return *_tlb; }
     vm::AxRmap &rmap() { return *_rmap; }
     interconnect::Link &tileLink() { return *_tileLink; }
-    interconnect::Link &llcLink() { return *_llcLink; }
     interconnect::Link &fwdLink() { return *_fwdLink; }
     std::uint32_t numAccels() const { return _p.numAccels; }
     bool dxEnabled() const { return _p.enableDx; }

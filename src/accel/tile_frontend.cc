@@ -19,7 +19,6 @@
 #include "host/host_l1.hh"
 #include "mem/scratchpad.hh"
 #include "sim/logging.hh"
-#include "sim/shard/router.hh"
 #include "trace/analysis.hh"
 
 namespace fusion::accel
@@ -175,7 +174,7 @@ class SharedFrontend final : public TileFrontend
   public:
     explicit SharedFrontend(const FrontendEnv &e)
         : TileFrontend(core::SystemKind::Shared), _ctx(e.ctx),
-          _prog(e.prog), _llc(e.llc), _numAccels(e.numAccels)
+          _prog(e.prog), _llc(e.llc)
     {
         _tileLink = std::make_unique<interconnect::Link>(
             _ctx, interconnect::LinkParams{
@@ -226,16 +225,6 @@ class SharedFrontend final : public TileFrontend
         r.l1xHits += _l1x->hits();
         r.l1xMisses += _l1x->misses();
         r.fwdsToTile += _llc.fwdsToAgent(_l1x->agentId());
-    }
-
-    void
-    bindShard(shard::Router &router) override
-    {
-        // One tile: cores, L0X link and the MESI L1X all live in
-        // domain 1; only the L1X<->LLC ring link crosses.
-        _llcLink->bindShardEdge(&router, 0, 1);
-        for (std::uint32_t a = 0; a < _numAccels; ++a)
-            router.setAccelDomain(a, 1);
     }
 
   private:
@@ -294,7 +283,6 @@ class SharedFrontend final : public TileFrontend
     SimContext &_ctx;
     const trace::Program &_prog;
     host::Llc &_llc;
-    std::uint32_t _numAccels = 0;
     std::unique_ptr<interconnect::Link> _tileLink;
     std::unique_ptr<interconnect::Link> _llcLink;
     std::unique_ptr<host::HostL1> _l1x;
@@ -360,16 +348,6 @@ class MesiFrontend final : public TileFrontend
             r.l0xWritebacks += l0.writebacks();
         }
         r.fwdsToTile += _llc.fwdsToAgent(_tile->l1x().agentId());
-    }
-
-    void
-    bindShard(shard::Router &router) override
-    {
-        // Like SHARED: one directory tile in domain 1, crossing to
-        // the host complex over the L1X<->LLC ring link only.
-        _tile->llcLink().bindShardEdge(&router, 0, 1);
-        for (std::uint32_t a = 0; a < _tile->numAccels(); ++a)
-            router.setAccelDomain(a, 1);
     }
 
   private:
@@ -526,27 +504,6 @@ class FusionFrontend final : public TileFrontend
     fusionTiles() override
     {
         return &_tiles;
-    }
-
-    void
-    bindShard(shard::Router &router) override
-    {
-        // Each ACC tile is a domain's worth of components (cores,
-        // L0Xs, Dx forwarding, the tile L1X): tile t maps onto
-        // domain tileDomain(t) — round-robin when the partition has
-        // fewer domains than tiles — and its LLC ring link is the
-        // one cross-domain edge. Dx pushes are intra-tile by
-        // construction (launch() filters the plan to same-tile
-        // consumers), so they never cross.
-        for (std::uint32_t t = 0; t < _tiles.size(); ++t) {
-            _tiles[t]->llcLink().bindShardEdge(
-                &router, 0, router.tileDomain(t));
-        }
-        for (std::size_t a = 0; a < _tileOf.size(); ++a) {
-            router.setAccelDomain(
-                static_cast<std::uint32_t>(a),
-                router.tileDomain(_tileOf[a]));
-        }
     }
 
   private:

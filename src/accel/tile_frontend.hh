@@ -38,14 +38,6 @@
 #include "trace/trace.hh"
 #include "vm/page_table.hh"
 
-namespace fusion
-{
-namespace shard
-{
-class Router;
-}
-} // namespace fusion
-
 namespace fusion::accel
 {
 
@@ -124,16 +116,6 @@ class TileFrontend
 
     /** Cycles accelerators sat blocked on DMA (SCRATCH only). */
     virtual Tick dmaWaitCycles() const { return 0; }
-
-    /**
-     * Sharded kernel (DESIGN.md §8): partition this organization
-     * onto @p router's domains — declare each tile's LLC ring link a
-     * cross-domain edge and record which domain every accelerator
-     * executes in. Default: everything stays in domain 0 (SCRATCH —
-     * its DMA engine talks to the LLC synchronously, so it degrades
-     * to the serial partition).
-     */
-    virtual void bindShard(shard::Router &router) { (void)router; }
 
     /** The FUSION tile set, or null (System::tiles() accessor). */
     virtual std::vector<std::unique_ptr<FusionTile>> *fusionTiles()

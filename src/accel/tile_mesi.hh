@@ -246,9 +246,6 @@ class MesiTile
     L1xMesi &l1x() { return *_l1x; }
     vm::AxTlb &tlb() { return *_tlb; }
     vm::AxRmap &rmap() { return *_rmap; }
-    /** The tile's L1X<->LLC ring link (the sharded kernel's only
-     *  cross-domain edge for this tile). */
-    interconnect::Link &llcLink() { return *_llcLink; }
     std::uint32_t numAccels() const
     {
         return static_cast<std::uint32_t>(_l0xs.size());

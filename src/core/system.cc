@@ -60,36 +60,6 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
         return static_cast<double>(_ctx.eq.executed());
     });
 
-    // Sharded kernel (DESIGN.md §8): install the domain router
-    // before any component constructs, so construction-time events
-    // (DRAM refresh, telemetry samplers) land in domain 0 with the
-    // exact sequence numbers the serial kernel would have handed
-    // them. Only organizations with an asynchronous tile<->LLC ring
-    // link get tile-side domains; SCRATCH (synchronous DMA into the
-    // LLC) and AUTO (frontend switching spans the partition) degrade
-    // to the serial kernel.
-    if (cfg.shardDomains > 1 && cfg.kind != SystemKind::Auto) {
-        std::uint32_t accels = std::max(1u, prog.accelCount());
-        std::uint32_t tile_domains = 0;
-        switch (cfg.kind) {
-          case SystemKind::Shared:
-          case SystemKind::FusionMesi:
-            tile_domains = 1;
-            break;
-          case SystemKind::Fusion:
-          case SystemKind::FusionDx:
-            tile_domains =
-                std::min(std::max(1u, cfg.numTiles), accels);
-            break;
-          default:
-            break;
-        }
-        std::uint32_t d =
-            std::min(cfg.shardDomains, 1 + tile_domains);
-        if (d >= 2)
-            _shard = std::make_unique<shard::Router>(_ctx, d);
-    }
-
     _stOverlapLaunches =
         &_ctx.stats.root().child("scheduler").scalar(
             "overlap_launches");
@@ -171,14 +141,6 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
         _frontends.push_back(
             accel::makeTileFrontend(cfg.kind, env));
         _active = _frontends.front().get();
-    }
-
-    // Partition the accelerator side onto the router's domains:
-    // each frontend declares its tiles' LLC ring links cross-domain
-    // edges and records which domain every accelerator runs in.
-    if (_shard) {
-        for (auto &f : _frontends)
-            f->bindShard(*_shard);
     }
 }
 
@@ -352,31 +314,13 @@ System::launchInvocation(std::size_t idx,
         cb();
     };
 
-    auto do_launch = [this, idx, &core, accel = meta.accel,
+    auto do_launch = [this, idx, &core,
                       completion =
                           std::move(completion)]() mutable {
         ++_invInFlight;
         if (_orch)
             _orch->beforeLaunch(idx, _active->counters());
-        if (_shard == nullptr) {
-            _active->launch(idx, core, std::move(completion));
-            return;
-        }
-        // Sharded: the launch runs on the accelerator's domain so
-        // the invocation's event chain schedules there, and the
-        // completion hops back to the host domain so inter-
-        // invocation glue (host code, the next launch) does too.
-        // onDomain is synchronous — it only re-points which queue
-        // receives the closures' schedule calls, so the executed
-        // order (and the serialized output) is untouched.
-        shard::Router &sh = *_shard;
-        auto done = sim::SmallFn<void()>(
-            [&sh, completion = std::move(completion)]() mutable {
-                sh.onDomain(0, [&completion] { completion(); });
-            });
-        sh.onDomain(
-            sh.accelDomain(static_cast<std::uint32_t>(accel)),
-            [&] { _active->launch(idx, core, std::move(done)); });
+        _active->launch(idx, core, std::move(completion));
     };
 
     if (!_orch) {

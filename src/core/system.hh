@@ -30,7 +30,6 @@
 #include "host/host_l1.hh"
 #include "host/llc.hh"
 #include "mem/dram.hh"
-#include "sim/shard/router.hh"
 #include "trace/analysis.hh"
 #include "trace/trace.hh"
 #include "vm/page_table.hh"
@@ -100,12 +99,6 @@ class System
     const trace::Program &_prog;
     SimContext _ctx;
     vm::PageTable _pt;
-
-    // Sharded kernel (DESIGN.md §8). Non-null only when
-    // cfg.shardDomains > 1 resolves to >= 2 domains for this kind;
-    // installed on the EventQueue facade before any component
-    // constructs so every event lands in a domain queue.
-    std::unique_ptr<shard::Router> _shard;
 
     // Host tile.
     std::unique_ptr<mem::Dram> _dram;

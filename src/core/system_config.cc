@@ -153,8 +153,6 @@ SystemConfig::validate() const
 
     if (numTiles == 0)
         err("numTiles must be nonzero");
-    if (shardDomains == 0)
-        err("shardDomains must be nonzero (1 = serial kernel)");
     if (datapathWidth == 0)
         err("datapathWidth must be nonzero");
     if (accelStoreBuffer == 0)
@@ -281,9 +279,6 @@ SystemConfig::canonicalHash() const
     h.mix(std::uint64_t{guard.noProgressTicks});
     h.mix(std::uint64_t{guard.invariantPeriod});
     h.mix(guard.invariantsAtEnd);
-    h.mix(guard.fault.kind);
-    h.mix(guard.fault.triggerAfter);
-    h.mix(std::uint64_t{guard.fault.delay});
     h.mix(guard.schedule.seed);
     h.mix(std::uint64_t{guard.schedule.faults.size()});
     for (const guard::ArmedFault &f : guard.schedule.faults) {
@@ -308,7 +303,6 @@ SystemConfig::canonicalHash() const
     h.mix(orchestrator.switchPjPerLine);
     h.mix(orchestrator.dxForwardFraction);
     h.mix(orchestrator.scratchFootprintRatio);
-    h.mix(std::uint64_t{shardDomains});
     return h.digest();
 }
 

@@ -155,16 +155,6 @@ struct SystemConfig
     obs::ObsConfig obs;
     /// AUTO-mode orchestrator (kind == SystemKind::Auto only).
     OrchestratorConfig orchestrator;
-    /// Sharded event kernel (DESIGN.md §8 "Sharded kernel"): number
-    /// of scheduling domains the simulation is partitioned into.
-    /// 1 (default) = the classic serial kernel, byte-for-byte
-    /// untouched. N > 1 = domain 0 hosts the host+LLC+DMA complex
-    /// and accelerator tiles round-robin over domains 1..N-1, with
-    /// the tile<->LLC ring links as the only cross-domain edges.
-    /// Clamped to the partition the kind supports (SCRATCH and AUTO
-    /// degrade to serial); output stays byte-identical at any value
-    /// (anchored by ShardDeterminism).
-    std::uint32_t shardDomains = 1;
 
     /**
      * Check the configuration for structural mistakes (non-power-
@@ -207,7 +197,7 @@ struct SystemConfig
     std::uint64_t canonicalHash() const;
 
     /** Salt/version of canonicalHash(); bump on any field change. */
-    static constexpr std::uint32_t kConfigHashVersion = 1;
+    static constexpr std::uint32_t kConfigHashVersion = 2;
 };
 
 /** CLI spelling of a preset ("paper", "axc-large"). */

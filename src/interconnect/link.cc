@@ -1,7 +1,5 @@
 #include "interconnect/link.hh"
 
-#include "sim/shard/router.hh"
-
 namespace fusion::interconnect
 {
 
@@ -71,47 +69,13 @@ Link::Link(SimContext &ctx, const LinkParams &p)
 }
 
 void
-Link::bindShardEdge(shard::Router *router, std::uint32_t a,
-                    std::uint32_t b)
-{
-    fusion_assert(_p.latency >= 1,
-                  "cross-domain link '", _p.name,
-                  "' needs latency >= 1 for conservative lookahead");
-    _shardRouter = router;
-    _shardDomA = a;
-    _shardDomB = b;
-}
-
-void
-Link::deliverSharded(Cycles latency, EventFn &&deliver)
-{
-    std::uint32_t cur = _shardRouter->current();
-    fusion_assert(cur == _shardDomA || cur == _shardDomB,
-                  "link '", _p.name,
-                  "' used from domain ", cur,
-                  " but its endpoints live in ", _shardDomA, "/",
-                  _shardDomB);
-    std::uint32_t dst = cur == _shardDomA ? _shardDomB : _shardDomA;
-    _shardRouter->scheduleCross(dst, _ctx.now() + latency, latency,
-                                std::move(deliver));
-}
-
-void
 Link::send(MsgClass cls, sim::SmallFn<void()> deliver)
 {
     book(cls);
     if (!deliver)
         return;
     if (!_live && !_tracked) {
-        if (_shardRouter == nullptr) [[likely]] {
-            _ctx.eq.scheduleIn(_p.latency, std::move(deliver));
-        } else {
-            deliverSharded(
-                _p.latency,
-                EventFn([d = std::move(deliver)]() mutable {
-                    d();
-                }));
-        }
+        _ctx.eq.scheduleIn(_p.latency, std::move(deliver));
         return;
     }
     sendTracked(_p.latency, std::move(deliver));
@@ -133,10 +97,6 @@ Link::sendTracked(Cycles latency, sim::SmallFn<void()> deliver)
         ++_delivered;
         deliver();
     };
-    if (_shardRouter != nullptr) [[unlikely]] {
-        deliverSharded(latency, EventFn(std::move(wrapped)));
-        return;
-    }
     _ctx.eq.scheduleIn(latency, std::move(wrapped));
 }
 

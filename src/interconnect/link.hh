@@ -19,14 +19,6 @@
 #include "sim/sim_context.hh"
 #include "sim/small_fn.hh"
 
-namespace fusion
-{
-namespace shard
-{
-class Router;
-}
-} // namespace fusion
-
 namespace fusion::interconnect
 {
 
@@ -70,13 +62,7 @@ class Link
     {
         book(cls);
         if (!_live && !_tracked) [[likely]] {
-            if (_shardRouter == nullptr) [[likely]] {
-                _ctx.eq.scheduleIn(latency,
-                                   std::forward<F>(deliver));
-            } else {
-                deliverSharded(latency,
-                               EventFn(std::forward<F>(deliver)));
-            }
+            _ctx.eq.scheduleIn(latency, std::forward<F>(deliver));
             return;
         }
         sendTracked(latency,
@@ -85,18 +71,6 @@ class Link
 
     /** Book traffic without scheduling (bulk accounting paths). */
     void book(MsgClass cls, std::uint64_t count = 1);
-
-    /**
-     * Declare this link a cross-domain edge of the sharded kernel:
-     * one endpoint lives in domain @p a, the other in @p b. Every
-     * delivery is then routed to the *other* endpoint's domain —
-     * whichever side is currently executing is the sender. The ring
-     * tile<->LLC links are the only cross-domain edges of the
-     * partition, so this is the entire cross-domain send surface
-     * (DESIGN.md §8).
-     */
-    void bindShardEdge(shard::Router *router, std::uint32_t a,
-                       std::uint32_t b);
 
     Cycles latency() const { return _p.latency; }
 
@@ -108,10 +82,6 @@ class Link
   private:
     /** Guarded/traced delivery path behind the template fast path. */
     void sendTracked(Cycles latency, sim::SmallFn<void()> deliver);
-
-    /** Cross-domain delivery: hand the closure to the shard router,
-     *  destined for the endpoint domain we are not executing in. */
-    void deliverSharded(Cycles latency, EventFn &&deliver);
 
     SimContext &_ctx;
     LinkParams _p;
@@ -146,10 +116,6 @@ class Link
     bool _tracked = false;
     std::uint64_t _sentDeliveries = 0;
     std::uint64_t _delivered = 0;
-    /// Sharded runs: non-null when this link is a cross-domain edge.
-    shard::Router *_shardRouter = nullptr;
-    std::uint32_t _shardDomA = 0; ///< domain of endpoint A
-    std::uint32_t _shardDomB = 0; ///< domain of endpoint B
 };
 
 } // namespace fusion::interconnect

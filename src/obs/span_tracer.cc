@@ -18,7 +18,7 @@ namespace
 constexpr const char *kKindNames[] = {
     "invocation", "access",   "lease", "mesi_req",
     "llc_req",    "host_fwd", "dma",   "link_msg",
-    "mode_switch", "shard_window", "cache_lookup",
+    "mode_switch", "cache_lookup",
 };
 
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==
@@ -200,41 +200,6 @@ SpanTracer::sortedSpans() const
                       return a.begin < b.begin;
                   return a.seq < b.seq;
               });
-    return out;
-}
-
-std::vector<SpanRecord>
-mergeSortedSpans(const std::vector<const SpanTracer *> &parts)
-{
-    struct Tagged
-    {
-        SpanRecord rec;
-        std::size_t part;
-    };
-    std::vector<Tagged> all;
-    std::size_t total = 0;
-    for (const SpanTracer *t : parts)
-        if (t)
-            total += t->retained();
-    all.reserve(total);
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (!parts[i])
-            continue;
-        for (SpanRecord &r : parts[i]->sortedSpans())
-            all.push_back(Tagged{r, i});
-    }
-    std::sort(all.begin(), all.end(),
-              [](const Tagged &a, const Tagged &b) {
-                  if (a.rec.begin != b.rec.begin)
-                      return a.rec.begin < b.rec.begin;
-                  if (a.part != b.part)
-                      return a.part < b.part;
-                  return a.rec.seq < b.rec.seq;
-              });
-    std::vector<SpanRecord> out;
-    out.reserve(all.size());
-    for (Tagged &t : all)
-        out.push_back(t.rec);
     return out;
 }
 

@@ -153,18 +153,6 @@ class SpanTracer
     std::unordered_map<OpenKey, OpenSpan, OpenKeyHash> _open;
 };
 
-/**
- * Merge several tracers' retained rings into one deterministic
- * stream, ordered by (begin, tracer index, seq). Used by the sharded
- * kernel: each domain records into a private ring (no cross-thread
- * contention during windows), and export-time merging recovers one
- * chronological stream whose order is independent of worker count —
- * per-tracer seq numbers break ties within a tracer and the caller's
- * tracer ordering (domain id) breaks ties across tracers.
- */
-std::vector<SpanRecord>
-mergeSortedSpans(const std::vector<const SpanTracer *> &parts);
-
 } // namespace fusion::obs
 
 #endif // FUSION_OBS_SPAN_TRACER_HH

@@ -48,30 +48,6 @@ namespace fusion
 /** Callback type for scheduled events (allocation-free closure). */
 using EventFn = InlineEvent;
 
-namespace shard
-{
-
-/**
- * Ordered shard router (src/sim/shard/router.hh). When a run is
- * sharded (SystemConfig::shardDomains > 1) the system facade queue
- * delegates to the router, which owns one EventQueue per domain and
- * executes the globally least (when, priority, sequence) event
- * across them — the same total order a single queue produces, so
- * serial and sharded runs stay byte-identical. The bridges below
- * keep this header free of a shard dependency: they are defined in
- * router.cc and only reached when a router is installed.
- */
-class Router;
-
-void routerSchedule(Router &r, Tick when, int pri, InlineEvent &&fn);
-Tick routerNow(const Router &r);
-Tick routerHeadTick(const Router &r);
-std::size_t routerPending(const Router &r);
-std::uint64_t routerExecuted(const Router &r);
-bool routerStep(Router &r);
-
-} // namespace shard
-
 /**
  * Standard event priorities. Lower values fire first within a tick.
  * The defaults mirror gem5's convention that state-updating
@@ -102,35 +78,8 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /**
-     * Install (or clear) a shard router. While set, this queue acts
-     * as a facade: scheduling and stepping are forwarded to the
-     * router, which dispatches onto its per-domain queues in exact
-     * global (when, priority, sequence) order. The serial path pays
-     * one predictable null check per operation.
-     */
-    void setShardRouter(shard::Router *r) { _router = r; }
-
-    /** True when a shard router is installed (facade mode). */
-    bool sharded() const { return _router != nullptr; }
-
-    /**
-     * Redirect sequence-number assignment to an external counter.
-     * The shard router points every domain queue at one shared
-     * counter so (when, priority, sequence) keys stay globally
-     * comparable — and each queue still sees monotonically
-     * increasing values, preserving the bucket FIFO invariant.
-     */
-    void setSeqSource(std::uint64_t *src) { _seqSrc = src; }
-
     /** Current simulated time. */
-    Tick
-    now() const
-    {
-        if (_router != nullptr) [[unlikely]]
-            return shard::routerNow(*_router);
-        return _now;
-    }
+    Tick now() const { return _now; }
 
     /**
      * Schedule @p fn to run at absolute tick @p when. Templated on
@@ -143,12 +92,6 @@ class EventQueue
     schedule(Tick when, F &&fn,
              EventPriority pri = EventPriority::Default)
     {
-        if (_router != nullptr) [[unlikely]] {
-            shard::routerSchedule(*_router, when,
-                                  static_cast<int>(pri),
-                                  EventFn(std::forward<F>(fn)));
-            return;
-        }
         fusion_assert(when >= _now, "schedule in the past: when=", when,
                       " now=", _now);
         // _base <= _now at every external call and during event
@@ -158,13 +101,13 @@ class EventQueue
         if (when - _base < kWindow) {
             auto idx = static_cast<std::size_t>(when & kMask);
             auto &b = _buckets[idx];
-            b.v.emplace_back(when, static_cast<int>(pri), nextSeq(),
+            b.v.emplace_back(when, static_cast<int>(pri), _nextSeq++,
                              std::forward<F>(fn));
             b.noteAppend();
             _occupied |= std::uint64_t{1} << idx;
         } else {
             _spill.emplace_back(when, static_cast<int>(pri),
-                                nextSeq(), std::forward<F>(fn));
+                                _nextSeq++, std::forward<F>(fn));
             std::push_heap(_spill.begin(), _spill.end(), Later{});
         }
         ++_pending;
@@ -180,20 +123,12 @@ class EventQueue
     }
 
     /** True when no events are pending. */
-    bool
-    empty() const
-    {
-        if (_router != nullptr) [[unlikely]]
-            return shard::routerPending(*_router) == 0;
-        return _pending == 0;
-    }
+    bool empty() const { return _pending == 0; }
 
     /** Tick of the next pending event (kTickNever when empty). */
     Tick
     headTick() const
     {
-        if (_router != nullptr) [[unlikely]]
-            return shard::routerHeadTick(*_router);
         Tick t = nextBucketTick();
         if (!_spill.empty())
             t = std::min(t, _spill.front().when);
@@ -201,70 +136,10 @@ class EventQueue
     }
 
     /** Number of pending events. */
-    std::size_t
-    pending() const
-    {
-        if (_router != nullptr) [[unlikely]]
-            return shard::routerPending(*_router);
-        return _pending;
-    }
+    std::size_t pending() const { return _pending; }
 
     /** Total events executed so far. */
-    std::uint64_t
-    executed() const
-    {
-        if (_router != nullptr) [[unlikely]]
-            return shard::routerExecuted(*_router);
-        return _executed;
-    }
-
-    /**
-     * Key of the next event to pop — (when, priority, sequence) —
-     * without executing it. Non-mutating except for an on-demand
-     * bucket sort (deliberately *not* the window jump advanceTo()
-     * performs: jumping the window outside a pop would let a later
-     * near-future schedule share a bucket slot with a far-future
-     * tick). The shard router peeks every domain queue to pick the
-     * global minimum.
-     * @return false when the queue is empty.
-     */
-    bool
-    peekHead(Tick &when, int &pri, std::uint64_t &seq)
-    {
-        if (_pending == 0)
-            return false;
-        bool have = false;
-        Tick bt = nextBucketTick();
-        if (bt != kTickNever) {
-            auto idx = static_cast<std::size_t>(bt & kMask);
-            auto &b = _buckets[idx];
-            if (b.dirty) {
-                std::sort(
-                    b.v.begin() + static_cast<std::ptrdiff_t>(b.head),
-                    b.v.end(), EarlierWithinTick{});
-                b.dirty = false;
-            }
-            const Entry &e = b.v[b.head];
-            when = e.when;
-            pri = e.pri;
-            seq = e.seq;
-            have = true;
-        }
-        if (!_spill.empty()) {
-            // The heap front is the (when, pri, seq)-least spill
-            // entry, so comparing it against the bucket head yields
-            // the global minimum.
-            const Entry &s = _spill.front();
-            if (!have || s.when < when ||
-                (s.when == when &&
-                 (s.pri < pri || (s.pri == pri && s.seq < seq)))) {
-                when = s.when;
-                pri = s.pri;
-                seq = s.seq;
-            }
-        }
-        return true;
-    }
+    std::uint64_t executed() const { return _executed; }
 
     /**
      * Run until the queue drains.
@@ -284,9 +159,6 @@ class EventQueue
     Tick
     runUntil(Tick limit)
     {
-        fusion_assert(_router == nullptr,
-                      "runUntil on a sharded facade queue; drive the "
-                      "router via step()/empty() instead");
         while (_pending != 0) {
             Tick t = advanceTo(limit);
             if (t == kTickNever)
@@ -308,8 +180,6 @@ class EventQueue
     bool
     step()
     {
-        if (_router != nullptr) [[unlikely]]
-            return shard::routerStep(*_router);
         if (_pending == 0)
             return false;
         Tick t = advanceTo(kTickNever);
@@ -343,14 +213,6 @@ class EventQueue
     static constexpr Tick kMask = kWindow - 1;
     static_assert((kWindow & kMask) == 0,
                   "calendar window must be a power of two");
-
-    /** Next sequence number, drawn from the shared source when the
-     *  shard router re-pointed it. */
-    std::uint64_t
-    nextSeq()
-    {
-        return _seqSrc != nullptr ? (*_seqSrc)++ : _nextSeq++;
-    }
 
     struct Entry
     {
@@ -510,8 +372,6 @@ class EventQueue
     Tick _base = 0; ///< calendar window base (<= _now at rest)
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
-    std::uint64_t *_seqSrc = nullptr;  ///< shared seq counter, if any
-    shard::Router *_router = nullptr;  ///< facade mode, if sharded
 };
 
 } // namespace fusion

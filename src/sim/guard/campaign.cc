@@ -371,7 +371,6 @@ runCampaign(const CampaignConfig &cfg)
         sweep::SweepJob j;
         j.cfg = core::SystemConfig::preset(
             core::SystemConfig::Preset::Paper, t.system);
-        j.cfg.shardDomains = cfg.shardDomains;
         j.workload = t.workload;
         j.scale = cfg.scale;
         j.tag = std::string("clean/") +
@@ -402,7 +401,6 @@ runCampaign(const CampaignConfig &cfg)
         sweep::SweepJob j;
         j.cfg = core::SystemConfig::preset(
             core::SystemConfig::Preset::Paper, t.system);
-        j.cfg.shardDomains = cfg.shardDomains;
         j.cfg.guard = trialGuard(clean.totalCycles);
         j.cfg.guard.schedule = t.schedule;
         j.workload = t.workload;

@@ -76,15 +76,6 @@ struct CampaignConfig
     std::size_t jobs = 1;
     /** Max armed faults per trial schedule (>= 1). */
     std::size_t maxFaults = 3;
-    /**
-     * Event-kernel domains for every campaign run (1 = serial).
-     * Sharded and serial kernels produce byte-identical output
-     * (DESIGN.md §8), so triage classes cannot depend on this knob;
-     * it exists to exercise the sharded routing under the fault
-     * injector. runTrial / --repro replay serially for the same
-     * reason.
-     */
-    std::uint32_t shardDomains = 1;
     /** Fault kinds drawn from (default: every injectable kind). */
     std::vector<FaultKind> faultPool;
 };

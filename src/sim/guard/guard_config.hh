@@ -57,29 +57,21 @@ bool parseFaultKind(std::string_view name, FaultKind &out);
  */
 bool faultPerturbsTimingOnly(FaultKind kind);
 
-/** One planned fault: which kind, and when it triggers. */
-struct FaultPlan
-{
-    FaultKind kind = FaultKind::None;
-    /** Fire on the Nth opportunity (0 = the first). */
-    std::uint64_t triggerAfter = 0;
-    /** Extra cycles for DelayGrant / lease inflation for CorruptLease. */
-    Cycles delay = 0;
-};
-
 /**
- * One armed fault inside a FaultSchedule. Like FaultPlan but with an
- * optional per-opportunity firing probability: once the trigger count
- * is reached, every further opportunity fires with probability
- * @p probability (drawn from the schedule's SplitMix64 stream), so
- * p = 1.0 reproduces the deterministic FaultPlan behaviour exactly.
+ * One armed fault inside a FaultSchedule: which kind, when it
+ * triggers, and an optional per-opportunity firing probability. Once
+ * the trigger count is reached, each further opportunity fires it
+ * with probability @p probability (drawn from the schedule's
+ * SplitMix64 stream) until it has fired once; p = 1.0 fires on the
+ * (triggerAfter+1)-th opportunity and never draws from the stream.
  */
 struct ArmedFault
 {
     FaultKind kind = FaultKind::None;
     /** Eligible from the (triggerAfter+1)-th opportunity onwards. */
     std::uint64_t triggerAfter = 0;
-    /** Extra cycles for delay-style kinds (grant/reorder/stall). */
+    /** Extra cycles for delay-style kinds (grant/reorder/stall) and
+     *  lease inflation for CorruptLease. */
     Cycles delay = 0;
     /** Per-opportunity firing probability once eligible. */
     double probability = 1.0;
@@ -134,21 +126,11 @@ struct GuardConfig
     Tick invariantPeriod = 0;
     /** Run invariant checkers once after the event queue drains. */
     bool invariantsAtEnd = false;
-    /**
-     * Back-compat single-fault plan. Merged into the effective
-     * schedule by GuardRegistry::configure as one always-fire entry;
-     * prefer @ref schedule for new code.
-     */
-    FaultPlan fault;
     /** Test-only multi-fault injection schedule. */
     FaultSchedule schedule;
 
-    /** True when any fault (legacy plan or schedule) is armed. */
-    bool
-    faultArmed() const
-    {
-        return fault.kind != FaultKind::None || !schedule.empty();
-    }
+    /** True when any fault is armed. */
+    bool faultArmed() const { return !schedule.empty(); }
 
     /** True when any liveness, safety or fault hook is enabled. */
     bool

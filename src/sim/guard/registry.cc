@@ -19,15 +19,7 @@ GuardRegistry::configure(const GuardConfig &cfg)
     _armedMask = 0;
     _firedMask = 0;
     _faultsFired = 0;
-    // Legacy single-plan forwarder: the old FaultPlan field becomes
-    // the first always-fire entry of the effective schedule, so every
-    // pre-schedule caller keeps its exact semantics.
-    _lastFiredDelay = cfg.fault.delay;
-    if (cfg.fault.kind != FaultKind::None) {
-        _faults.push_back({ArmedFault{cfg.fault.kind,
-                                      cfg.fault.triggerAfter,
-                                      cfg.fault.delay, 1.0}});
-    }
+    _lastFiredDelay = 0;
     for (const ArmedFault &f : cfg.schedule.faults) {
         if (f.kind != FaultKind::None)
             _faults.push_back({f});

@@ -108,9 +108,9 @@ class GuardRegistry
     }
 
     /**
-     * Delay parameter of the most recently fired fault (before any
-     * firing: the legacy plan's delay), consumed by delay-style
-     * injection sites right after fireFault returns true.
+     * Delay parameter of the most recently fired fault (0 before any
+     * firing), consumed by delay-style injection sites right after
+     * fireFault returns true.
      */
     Cycles faultDelay() const { return _lastFiredDelay; }
 

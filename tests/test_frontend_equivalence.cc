@@ -1,12 +1,14 @@
 /**
  * @file
- * Determinism anchor for the TileFrontend refactor: the serialized
- * RunResult of every static system kind must stay byte-identical to
- * the pre-refactor (switch-based core::System) output. The golden
- * FNV-1a hashes below were recorded from the seed tree immediately
- * before the frontends were introduced; a mismatch means the
- * refactor changed construction order, stat naming, or scheduling —
- * not just "a number moved".
+ * Determinism anchor for the simulator's serialized output: the
+ * RunResult of every static system kind, of AUTO, and of a few
+ * non-default configurations (multi-tile, overlapped invocations,
+ * guard and fault injection armed) must stay byte-identical to the
+ * recorded FNV-1a goldens below. The static-kind rows were recorded
+ * from the seed tree immediately before the TileFrontend refactor;
+ * the rest from the tree just before the multi-domain event kernel
+ * was deleted. A mismatch means a change perturbed construction order,
+ * stat naming, or scheduling — not just "a number moved".
  */
 
 #include <gtest/gtest.h>
@@ -23,12 +25,41 @@ namespace fusion::core
 namespace
 {
 
+/** A named change applied to the paper preset before the run. */
+struct Tweak
+{
+    const char *name;
+    void (*apply)(SystemConfig &);
+};
+
 struct GoldenRun
 {
     const char *workload;
     SystemKind kind;
     std::uint64_t hash;
+    const Tweak *tweak = nullptr; ///< nullptr: the plain preset
 };
+
+constexpr Tweak kTwoTiles{
+    "2tiles", [](SystemConfig &c) { c.numTiles = 2; }};
+
+constexpr Tweak kTwoTilesOverlap{
+    "2tilesOverlap", [](SystemConfig &c) {
+        c.numTiles = 2;
+        c.overlapInvocations = true;
+    }};
+
+// The only row whose messages go through Link::sendTracked.
+constexpr Tweak kGuardFaults{
+    "guardFaults", [](SystemConfig &c) {
+        c.guard.noProgressTicks = 1u << 20;
+        c.guard.invariantPeriod = 256;
+        c.guard.invariantsAtEnd = true;
+        c.guard.schedule.arm(guard::FaultKind::DelayGrant,
+                             /*trigger_after=*/2, /*delay=*/7);
+        c.guard.schedule.arm(guard::FaultKind::ReorderFlit,
+                             /*trigger_after=*/5, /*delay=*/4);
+    }};
 
 // Recorded from the seed (pre-TileFrontend) tree:
 //   fnv1a(runProgram(SystemConfig::preset(SystemConfig::Preset::Paper, kind),
@@ -56,6 +87,18 @@ constexpr GoldenRun kGolden[] = {
     {"histogram", SystemKind::Fusion, 0x53f5fe959937b5e9ull},
     {"histogram", SystemKind::FusionDx, 0xd91e902178bbe57dull},
     {"histogram", SystemKind::FusionMesi, 0x81a169fd53c6d113ull},
+    // Recorded from the tree just before the multi-domain event
+    // kernel was deleted. disparity, not fft, pins overlap: fft has no
+    // independent invocations, so the flag changes nothing there.
+    {"fft", SystemKind::Fusion, 0x13d3b33e3b32308cull, &kTwoTiles},
+    {"fft", SystemKind::FusionDx, 0xf0f718458d35c662ull, &kTwoTiles},
+    {"disparity", SystemKind::Fusion, 0x7b55edef7b9eb277ull,
+     &kTwoTilesOverlap},
+    {"adpcm", SystemKind::Fusion, 0xe2d42a2a06fa7350ull,
+     &kGuardFaults},
+    {"adpcm", SystemKind::Auto, 0xb14cf3f48f52e10eull},
+    {"fft", SystemKind::Auto, 0x4eb7a8e1885e2c64ull},
+    {"histogram", SystemKind::Auto, 0xebfa93878b683735ull},
 };
 
 class FrontendEquivalence
@@ -68,11 +111,17 @@ TEST_P(FrontendEquivalence, JsonByteIdenticalToSeed)
     const GoldenRun &g = GetParam();
     trace::Program p =
         *core::buildProgram(g.workload, workloads::Scale::Small);
-    RunResult r = runProgram(SystemConfig::preset(SystemConfig::Preset::Paper, g.kind), p);
+    SystemConfig cfg =
+        SystemConfig::preset(SystemConfig::Preset::Paper, g.kind);
+    if (g.tweak != nullptr)
+        g.tweak->apply(cfg);
+    RunResult r = runProgram(cfg, p);
     EXPECT_EQ(fnv1a(r.toJson()), g.hash)
         << "serialized output for " << g.workload << "/"
         << systemKindName(g.kind)
-        << " diverged from the pre-frontend seed";
+        << (g.tweak != nullptr ? "/" : "")
+        << (g.tweak != nullptr ? g.tweak->name : "")
+        << " diverged from the recorded golden";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,6 +135,10 @@ INSTANTIATE_TEST_SUITE_P(
                 (*c >= 'a' && *c <= 'z') ||
                 (*c >= '0' && *c <= '9'))
                 name += *c;
+        }
+        if (info.param.tweak != nullptr) {
+            name += "_";
+            name += info.param.tweak->name;
         }
         return name;
     });

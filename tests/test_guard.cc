@@ -170,12 +170,11 @@ TEST(WatchdogUnit, PeriodicInvariantViolationTrips)
               std::string::npos);
 }
 
-TEST(WatchdogUnit, FaultPlanFiresExactlyOnce)
+TEST(WatchdogUnit, ArmedFaultFiresExactlyOnce)
 {
     guard::GuardRegistry reg;
     guard::GuardConfig cfg;
-    cfg.fault.kind = guard::FaultKind::LeakMshr;
-    cfg.fault.triggerAfter = 2;
+    cfg.schedule.arm(guard::FaultKind::LeakMshr, /*trigger_after=*/2);
     reg.configure(cfg);
 
     // Wrong kind never fires and does not consume opportunities.
@@ -292,7 +291,7 @@ TEST(FaultInjection, LeakedMshrIsCaughtAsDeadlock)
 {
     trace::Program p = smallProgram();
     SystemConfig cfg = SystemConfig::preset(SystemConfig::Preset::Paper, SystemKind::Fusion);
-    cfg.guard.fault.kind = guard::FaultKind::LeakMshr;
+    cfg.guard.schedule.arm(guard::FaultKind::LeakMshr);
 
     RunResult r = core::runProgram(cfg, p);
     ASSERT_TRUE(r.failed());
@@ -308,8 +307,8 @@ TEST(FaultInjection, CorruptLeaseTripsAccInvariant)
 {
     trace::Program p = smallProgram();
     SystemConfig cfg = SystemConfig::preset(SystemConfig::Preset::Paper, SystemKind::Fusion);
-    cfg.guard.fault.kind = guard::FaultKind::CorruptLease;
-    cfg.guard.fault.delay = 1u << 20;
+    cfg.guard.schedule.arm(guard::FaultKind::CorruptLease,
+                           /*trigger_after=*/0, /*delay=*/1u << 20);
     cfg.guard.invariantPeriod = 1;
 
     RunResult r = core::runProgram(cfg, p);
@@ -325,7 +324,7 @@ TEST(FaultInjection, DroppedWritebackIsDetected)
 {
     trace::Program p = smallProgram();
     SystemConfig cfg = SystemConfig::preset(SystemConfig::Preset::Paper, SystemKind::Fusion);
-    cfg.guard.fault.kind = guard::FaultKind::DropWriteback;
+    cfg.guard.schedule.arm(guard::FaultKind::DropWriteback);
     cfg.guard.invariantsAtEnd = true;
 
     RunResult r = core::runProgram(cfg, p);
@@ -347,9 +346,8 @@ TEST(FaultInjection, DelayedGrantIsDeterministic)
 {
     trace::Program p = smallProgram();
     SystemConfig cfg = SystemConfig::preset(SystemConfig::Preset::Paper, SystemKind::Fusion);
-    cfg.guard.fault.kind = guard::FaultKind::DelayGrant;
-    cfg.guard.fault.delay = 4;
-    cfg.guard.fault.triggerAfter = 5;
+    cfg.guard.schedule.arm(guard::FaultKind::DelayGrant,
+                           /*trigger_after=*/5, /*delay=*/4);
 
     RunResult a = core::runProgram(cfg, p);
     RunResult b = core::runProgram(cfg, p);
@@ -359,8 +357,8 @@ TEST(FaultInjection, DelayedGrantIsDeterministic)
 }
 
 // ---------------------------------------------------------------
-// GuardConfig::anyEnabled() regression: an armed fault plan or
-// schedule must count as "guard layer in use" (the watchdog, the
+// GuardConfig::anyEnabled() regression: an armed fault schedule
+// must count as "guard layer in use" (the watchdog, the
 // link delivery tracking and the harness instrumentation all key
 // off it), even with every liveness/invariant knob off.
 // ---------------------------------------------------------------
@@ -370,11 +368,6 @@ TEST(GuardConfigUnit, AnyEnabledSeesArmedFaults)
     guard::GuardConfig off;
     EXPECT_FALSE(off.anyEnabled());
     EXPECT_FALSE(off.faultArmed());
-
-    guard::GuardConfig legacy;
-    legacy.fault.kind = guard::FaultKind::LeakMshr;
-    EXPECT_TRUE(legacy.faultArmed());
-    EXPECT_TRUE(legacy.anyEnabled());
 
     guard::GuardConfig sched;
     sched.schedule.arm(guard::FaultKind::DropFlit, 3);
@@ -503,21 +496,6 @@ TEST(FaultScheduleUnit, ProbabilisticDrawIsSeedDeterministic)
     // A p=0.3 draw should not fire on a different seed at exactly
     // the same opportunity for every seed; spot-check divergence.
     EXPECT_NE(a, trace(43));
-}
-
-TEST(FaultScheduleUnit, LegacyPlanAndScheduleCompose)
-{
-    guard::GuardRegistry reg;
-    guard::GuardConfig cfg;
-    cfg.fault.kind = guard::FaultKind::LeakMshr; // old single-plan
-    cfg.fault.triggerAfter = 1;
-    cfg.schedule.arm(guard::FaultKind::DropFlit);
-    reg.configure(cfg);
-
-    EXPECT_FALSE(reg.fireFault(guard::FaultKind::LeakMshr));
-    EXPECT_TRUE(reg.fireFault(guard::FaultKind::LeakMshr));
-    EXPECT_TRUE(reg.fireFault(guard::FaultKind::DropFlit));
-    EXPECT_EQ(reg.faultsFired(), 2u);
 }
 
 // ---------------------------------------------------------------

@@ -145,14 +145,6 @@ TEST(CanonicalHash, EveryKnobChangesTheHash)
          [](SystemConfig &c) {
              c.guard.invariantsAtEnd = !c.guard.invariantsAtEnd;
          }},
-        {"guard.fault.kind",
-         [](SystemConfig &c) {
-             c.guard.fault.kind = guard::FaultKind::LeakMshr;
-         }},
-        {"guard.fault.triggerAfter",
-         [](SystemConfig &c) { c.guard.fault.triggerAfter += 1; }},
-        {"guard.fault.delay",
-         [](SystemConfig &c) { c.guard.fault.delay += 1; }},
         {"guard.schedule.seed",
          [](SystemConfig &c) { c.guard.schedule.seed += 1; }},
         {"guard.schedule.faults",
@@ -203,8 +195,6 @@ TEST(CanonicalHash, EveryKnobChangesTheHash)
          [](SystemConfig &c) {
              c.orchestrator.scratchFootprintRatio += 1.0;
          }},
-        {"shardDomains",
-         [](SystemConfig &c) { c.shardDomains += 1; }},
     };
     const SystemConfig base;
     const std::uint64_t h0 = base.canonicalHash();
@@ -425,9 +415,9 @@ TEST(SweepCache, InstrumentedJobsBypassTheCache)
     ResultCache cache(dir.str());
     auto jobs = smallJobs();
     jobs[0].cfg.obs.trace = true; // telemetry => not cacheable
-    jobs[1].cfg.guard.fault.kind =
-        guard::FaultKind::DelayGrant; // armed fault => not cacheable
-    jobs[1].cfg.guard.fault.delay = 8;
+    // armed fault => not cacheable
+    jobs[1].cfg.guard.schedule.arm(guard::FaultKind::DelayGrant,
+                                   /*trigger_after=*/0, /*delay=*/8);
     SweepCacheStats stats;
     SweepOptions so;
     so.cache = &cache;

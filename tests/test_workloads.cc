@@ -32,6 +32,15 @@ struct ExpectedShape
     std::size_t minInvocations;
 };
 
+// gtest's default printer dumps the struct's bytes, name pointer
+// included; the ctest name embeds the printed value, so it would
+// change with every build's load address.
+void PrintTo(const ExpectedShape &e, std::ostream *os)
+{
+    *os << "{" << e.name << ", " << e.functions << ", "
+        << e.minInvocations << "}";
+}
+
 class WorkloadShape : public ::testing::TestWithParam<ExpectedShape>
 {
 };
