@@ -26,18 +26,14 @@ main(int argc, char **argv)
     const std::vector<std::string> kNames = {"adpcm", "fft",
                                              "susan"};
     // Each LT point simulates a lease-rescaled copy of the trace.
-    // The rescale rides as a lazy SweepJob transform on a shared
-    // base program: the engine copies and mutates only when a point
-    // actually simulates, so cache hits skip the deep copy and the
-    // per-copy content hash entirely.
+    // The rescale rides as a lazy SweepJob transform on the named
+    // workload: the engine builds the base program and copies and
+    // mutates it only when a point actually simulates, so cache
+    // hits skip the build, the deep copy and the content hash.
     std::vector<sweep::SweepJob> jobs;
     for (const auto &name : kNames) {
-        auto prog = std::make_shared<const trace::Program>(
-            bench::mustBuild(name, opt.scale));
         for (double s : kScales) {
-            auto j = bench::job(kKind, name,
-                                opt.scale);
-            j.prog = prog;
+            auto j = bench::job(kKind, name, opt.scale);
             j.transform = [s](trace::Program &p) {
                 for (auto &f : p.functions) {
                     f.leaseTime = std::max<Cycles>(

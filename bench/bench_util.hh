@@ -81,8 +81,9 @@ struct Options
     std::string cacheDir; ///< --cache-dir override
     bool noCache = false; ///< --no-cache: pre-cache behaviour
     /** --cache-smoke (test-only): run the sweep twice against a
-     *  fresh private cache and assert the second pass is all hits
-     *  with a byte-identical report (the CacheBenchSmoke entry). */
+     *  fresh private cache and assert the second pass is all hits,
+     *  builds no program and gives a byte-identical report (the
+     *  CacheBenchSmoke entry). */
     bool cacheSmoke = false;
 
     bool telemetry() const
@@ -474,9 +475,11 @@ runSweep(const char *sweepName,
 
     // --cache-smoke: replay the identical sweep against the cache
     // just populated. Every cacheable point must hit, nothing may
-    // re-simulate, and the regenerated report (counters aside) must
-    // be byte-identical — including the wall-clock perf blocks,
-    // which warm runs replay from the stored entries.
+    // re-simulate or even decode a trace (hits are keyed by the
+    // stored traces' envelope hashes), and the regenerated report
+    // (counters aside) must be byte-identical — including the
+    // wall-clock perf blocks, which warm runs replay from the stored
+    // entries.
     if (opt.cacheSmoke && cache) {
         sweep::SweepCacheStats warm;
         sweep::SweepOptions so2;
@@ -488,14 +491,19 @@ runSweep(const char *sweepName,
             sweepName, *list, results, /*includePerf=*/true);
         const std::string rewarmed = sweep::reportJson(
             sweepName, *list, results2, /*includePerf=*/true);
-        const bool pass = warm.misses == 0 && cold == rewarmed;
+        const bool pass = warm.misses == 0 &&
+                          warm.programsBuilt == 0 &&
+                          cold == rewarmed;
         std::fprintf(stderr,
                      "cache smoke: cold misses=%llu warm hits=%llu "
-                     "misses=%llu deduped=%llu report %s => %s\n",
+                     "misses=%llu deduped=%llu programsBuilt=%llu "
+                     "report %s => %s\n",
                      static_cast<unsigned long long>(cstats.misses),
                      static_cast<unsigned long long>(warm.hits),
                      static_cast<unsigned long long>(warm.misses),
                      static_cast<unsigned long long>(warm.deduped),
+                     static_cast<unsigned long long>(
+                         warm.programsBuilt),
                      cold == rewarmed ? "identical" : "DIFFERS",
                      pass ? "PASS" : "FAIL");
         std::error_code ec;

@@ -56,34 +56,48 @@ struct EventSlabNode
  * thread (the sweep engine gives every job its own worker), so a
  * thread-local list needs no locks; a block freed on a different
  * thread than it was allocated on simply migrates lists, which is
- * still safe. The destructor hands the retained blocks back at
- * thread exit — sweep workers are short-lived, and without it every
- * worker would strand its slab high-water mark (LeakSanitizer
- * flags exactly that under -DFUSION_ASAN=ON). Blocks still owned by
- * live SmallFns at that point are freed later by whichever thread
- * destroys them.
+ * still safe.
+ *
+ * The hot state is two constinit, trivially destructible
+ * thread_locals, so every access is a plain TLS load with no
+ * init-function call. Cleanup rides on a separate function-local
+ * thread_local (EventSlabReaper) that the release path arms once per
+ * thread: it hands the retained blocks back at thread exit — sweep
+ * workers are short-lived, and without it every worker would strand
+ * its slab high-water mark (LeakSanitizer flags exactly that under
+ * -DFUSION_ASAN=ON). Blocks still owned by live SmallFns at that
+ * point are freed later by whichever thread destroys them.
  */
-struct EventSlab
-{
-    EventSlabNode *free = nullptr;
+inline constinit thread_local EventSlabNode *eventSlabFree = nullptr;
+inline constinit thread_local bool eventSlabArmed = false;
 
-    ~EventSlab()
+/** Frees the calling thread's freelist when the thread exits. */
+struct EventSlabReaper
+{
+    ~EventSlabReaper()
     {
-        while (EventSlabNode *n = free) {
-            free = n->next;
+        while (EventSlabNode *n = eventSlabFree) {
+            eventSlabFree = n->next;
             ::operator delete(n);
         }
     }
 };
 
-inline thread_local EventSlab eventSlab;
+/** Arm the calling thread's reaper (first release only). */
+inline void
+armEventSlabReaper()
+{
+    static thread_local EventSlabReaper reaper;
+    (void)reaper;
+    eventSlabArmed = true;
+}
 
 inline void *
 eventSlabAlloc(std::size_t bytes)
 {
     if (bytes <= kEventSlabBytes) {
-        if (EventSlabNode *n = eventSlab.free) {
-            eventSlab.free = n->next;
+        if (EventSlabNode *n = eventSlabFree) {
+            eventSlabFree = n->next;
             return n;
         }
         return ::operator new(kEventSlabBytes);
@@ -95,9 +109,11 @@ inline void
 eventSlabRelease(void *p, std::size_t bytes)
 {
     if (bytes <= kEventSlabBytes) {
+        if (!eventSlabArmed) [[unlikely]]
+            armEventSlabReaper();
         auto *n = static_cast<EventSlabNode *>(p);
-        n->next = eventSlab.free;
-        eventSlab.free = n;
+        n->next = eventSlabFree;
+        eventSlabFree = n;
         return;
     }
     ::operator delete(p);

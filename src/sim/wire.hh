@@ -208,15 +208,16 @@ wrapPayload(std::string_view magic, std::uint32_t version,
 
 /**
  * Validate and strip the envelope. On success @p payload views into
- * @p bytes (which must outlive it). On any mismatch — wrong magic,
- * wrong version, truncated file, trailing garbage, or an FNV-1a
- * content hash that does not match — returns false and, when @p err
- * is non-null, stores a one-line reason.
+ * @p bytes (which must outlive it) and, when @p hashOut is non-null,
+ * it receives the verified payload FNV-1a. On any mismatch — wrong
+ * magic, wrong version, truncated file, trailing garbage, or an
+ * FNV-1a content hash that does not match — returns false and, when
+ * @p err is non-null, stores a one-line reason.
  */
 inline bool
 unwrapPayload(std::string_view magic, std::uint32_t version,
               std::string_view bytes, std::string_view &payload,
-              std::string *err)
+              std::string *err, std::uint64_t *hashOut = nullptr)
 {
     auto fail = [&](const char *why) {
         if (err)
@@ -240,6 +241,8 @@ unwrapPayload(std::string_view magic, std::uint32_t version,
     if (fnv1a(p) != hash)
         return fail("content hash mismatch");
     payload = p;
+    if (hashOut)
+        *hashOut = hash;
     return true;
 }
 

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/runner.hh"
 #include "core/system.hh"
 #include "obs/span_tracer.hh"
 #include "sim/hash.hh"
@@ -25,88 +24,220 @@ namespace
 
 /**
  * Thread-safe build-once cache of traced programs, keyed by
- * (workload, scale). The first worker to need a program builds it;
- * concurrent requesters for the same key block on its slot while
- * other keys build in parallel.
+ * (workload, scale). A slot resolves lazily, one step at a time:
+ *
+ *  - opened: the verified envelope hash of the stored trace, when
+ *    the replay seam (workloads::storedTrace) has one; the image
+ *    is dropped again undecoded;
+ *  - built:  the program, decoded from the stored trace (read
+ *    afresh) or else generated and recorded — also when the image
+ *    fails to decode;
+ *  - hashed: the hash results of simulating the program are stored
+ *    under (builtHash()).
+ *
+ * identity() needs only the opened step when a verified file
+ * exists, so a fully warm sweep probes the result cache without
+ * decoding or re-serializing a single trace, and holds at most one
+ * file image at a time. Each step runs once: the first caller builds
+ * it outside the lock while concurrent callers wait, and a step
+ * whose build throws poisons only the jobs that need it.
  */
 class ProgramCache
 {
   public:
-    std::shared_ptr<const trace::Program>
-    get(const std::string &workload, workloads::Scale scale)
+    /**
+     * Trace identity of (workload, scale) for result-cache keys: the
+     * verified envelope hash of its stored trace when there is one
+     * (trace/store.hh: it equals trace::programHash() of the decoded
+     * program), else programHash() of the built program.
+     */
+    std::uint64_t
+    identity(const std::string &workload, workloads::Scale scale)
     {
-        Key key{workload, static_cast<int>(scale)};
-        std::shared_ptr<Slot> slot;
-        bool builder = false;
-        {
-            std::lock_guard<std::mutex> lk(_mu);
-            auto [it, inserted] =
-                _slots.try_emplace(key, nullptr);
-            if (inserted)
-                it->second = std::make_shared<Slot>();
-            slot = it->second;
-            if (!slot->claimed) {
-                slot->claimed = true;
-                builder = true;
-            }
+        Slot &s = slot(workload, scale);
+        open(s);
+        return s.imageHash ? *s.imageHash : builtHash(s);
+    }
+
+    /** The program itself, decoded or generated on first use. */
+    std::shared_ptr<const trace::Program>
+    program(const std::string &workload, workloads::Scale scale)
+    {
+        Slot &s = slot(workload, scale);
+        build(s);
+        return s.prog;
+    }
+
+    /**
+     * The trace hash a result of simulating program() is stored
+     * under: the verified envelope hash of the image it decoded
+     * from, else programHash() of the generated program. Equals
+     * identity() unless the stored trace failed to decode (or was
+     * replaced in between), so no result is ever stored under the
+     * hash of bytes that were not simulated.
+     */
+    std::uint64_t
+    builtHash(const std::string &workload, workloads::Scale scale)
+    {
+        return builtHash(slot(workload, scale));
+    }
+
+    /** Programs decoded or generated so far. */
+    std::uint64_t built() const { return _built.load(); }
+
+  private:
+    enum class Step : std::uint8_t
+    {
+        Idle,
+        Running,
+        Done,
+        Failed
+    };
+
+    struct Slot
+    {
+        std::string workload;
+        workloads::Scale scale = workloads::Scale::Paper;
+        std::mutex mu;
+        std::condition_variable cv;
+        /** Step states; guarded by mu. */
+        Step opened = Step::Idle, built = Step::Idle,
+             hashed = Step::Idle;
+        // Written by a step's builder before it publishes Done and
+        // read-only afterwards.
+        std::optional<std::uint64_t> imageHash;
+        std::shared_ptr<const trace::Program> prog;
+        /** Envelope hash of the image prog decoded from, if any. */
+        std::optional<std::uint64_t> decodedHash;
+        std::uint64_t progHash = 0;
+    };
+
+    Slot &
+    slot(const std::string &workload, workloads::Scale scale)
+    {
+        std::lock_guard<std::mutex> lk(_mu);
+        std::unique_ptr<Slot> &s =
+            _slots[{workload, static_cast<int>(scale)}];
+        if (!s) {
+            s = std::make_unique<Slot>();
+            s->workload = workload;
+            s->scale = scale;
         }
-        if (builder) {
+        return *s;
+    }
+
+    /**
+     * Run @p build exactly once for @p step of @p s. Callers arriving
+     * while it runs wait for it. A build that throws rethrows to its
+     * own caller and poisons the step: every other caller gets a
+     * SimError instead.
+     */
+    template <typename F>
+    static void
+    once(Slot &s, Step &step, F &&build)
+    {
+        std::unique_lock<std::mutex> lk(s.mu);
+        if (step == Step::Idle) {
+            step = Step::Running;
+            lk.unlock();
+            auto publish = [&](Step outcome) {
+                {
+                    std::lock_guard<std::mutex> g(s.mu);
+                    step = outcome;
+                }
+                s.cv.notify_all();
+            };
             try {
-                // core::buildProgram is the record/replay seam: when
-                // a global trace store is armed (--trace-dir), the
-                // build is captured once and replayed from disk.
-                auto built = core::buildProgram(workload, scale);
-                fusion_assert(built,
-                              "sweep job validated but workload '",
-                              workload, "' vanished");
-                auto prog = std::make_shared<const trace::Program>(
-                    std::move(*built));
-                {
-                    std::lock_guard<std::mutex> lk(slot->mu);
-                    slot->prog = std::move(prog);
-                }
-                slot->cv.notify_all();
+                build();
             } catch (...) {
-                // Wake every waiter so a failed build poisons only
-                // the jobs that need this program, not the sweep.
-                {
-                    std::lock_guard<std::mutex> lk(slot->mu);
-                    slot->failed = true;
-                }
-                slot->cv.notify_all();
+                publish(Step::Failed);
                 throw;
             }
+            publish(Step::Done);
+            return;
         }
-        std::unique_lock<std::mutex> lk(slot->mu);
-        slot->cv.wait(lk, [&] {
-            return slot->prog != nullptr || slot->failed;
+        s.cv.wait(lk, [&] {
+            return step == Step::Done || step == Step::Failed;
         });
-        if (slot->failed) {
+        if (step == Step::Failed) {
             guard::SimError e;
             e.category = guard::ErrorCategory::Internal;
             e.component = "program-cache";
             e.message = "program build failed for workload '" +
-                        workload + "'";
+                        s.workload + "'";
             throw guard::SimErrorException(std::move(e));
         }
-        return slot->prog;
     }
 
-  private:
-    using Key = std::pair<std::string, int>;
-
-    struct Slot
+    void
+    open(Slot &s)
     {
-        std::mutex mu;
-        std::condition_variable cv;
-        bool claimed = false; ///< guarded by ProgramCache::_mu
-        bool failed = false;  ///< build threw; guarded by mu
-        std::shared_ptr<const trace::Program> prog;
-    };
+        once(s, s.opened, [&] {
+            if (auto stored =
+                    workloads::storedTrace(s.workload, s.scale))
+                s.imageHash = stored->hash;
+        });
+    }
+
+    void
+    build(Slot &s)
+    {
+        once(s, s.built, [&] {
+            std::optional<trace::Program> p;
+            if (auto stored =
+                    workloads::storedTrace(s.workload, s.scale)) {
+                p = stored->decode();
+                if (p)
+                    s.decodedHash = stored->hash;
+            }
+            if (!p)
+                p = workloads::generateProgram(s.workload, s.scale);
+            fusion_assert(p, "sweep job validated but workload '",
+                          s.workload, "' vanished");
+            s.prog =
+                std::make_shared<const trace::Program>(std::move(*p));
+            ++_built;
+        });
+    }
+
+    std::uint64_t
+    builtHash(Slot &s)
+    {
+        build(s);
+        once(s, s.hashed, [&] {
+            s.progHash = s.decodedHash ? *s.decodedHash
+                                       : trace::programHash(*s.prog);
+        });
+        return s.progHash;
+    }
 
     std::mutex _mu;
-    std::map<Key, std::shared_ptr<Slot>> _slots;
+    std::map<std::pair<std::string, int>, std::unique_ptr<Slot>>
+        _slots;
+    std::atomic<std::uint64_t> _built{0};
 };
+
+/** A failed result for @p j carrying @p e. */
+core::RunResult
+failedResult(const SweepJob &j, guard::SimError e)
+{
+    core::RunResult res;
+    res.workload = j.workload;
+    res.kind = j.cfg.kind;
+    res.error = std::move(e);
+    return res;
+}
+
+/** An Internal-category error raised by @p component. */
+guard::SimError
+internalError(const char *component, std::string message)
+{
+    guard::SimError e;
+    e.category = guard::ErrorCategory::Internal;
+    e.component = component;
+    e.message = std::move(message);
+    return e;
+}
 
 /** Reject bad jobs before any thread starts simulating. */
 void
@@ -167,7 +298,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
     if (jobs.empty())
         return results;
 
-    ProgramCache cache;
+    ProgramCache programs;
     std::atomic<std::size_t> next{0};
     std::mutex progressMu;
     std::size_t completed = 0;
@@ -176,8 +307,8 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
     // null, keeping the engine byte-identical to its pre-cache form.
     SweepCacheStats cstats;
     std::mutex cacheMu; // counters, span marks, hash memo, dedupe map
-    // Program content hashes, memoized per shared program instance
-    // (jobs sharing one build hash it once).
+    // Content hashes of attached SweepJob::prog programs, memoized
+    // per instance (jobs sharing one program hash it once).
     std::map<const trace::Program *, std::uint64_t> progHashes;
     // In-flight dedupe: identical (config, trace) jobs in the same
     // sweep share one simulation via a builder/waiter slot, same
@@ -219,86 +350,155 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
                 it->second = trace::programHash(*p);
             return it->second;
         };
-    // Trace identity of a job: the base program's content hash,
-    // folded with the transform identity when one is attached. The
+    // Trace identity of a job: its base program's hash @p h, folded
+    // with the transform identity when one is attached. The
     // transformed program itself is never hashed — that is the point
     // of lazy transforms (a cache hit skips the copy entirely).
-    auto traceHashOf =
-        [&](const SweepJob &j,
-            const std::shared_ptr<const trace::Program> &p) {
-            std::uint64_t h = hashOf(p);
-            if (j.transform) {
-                unsigned char b[16];
-                for (int k = 0; k < 8; ++k) {
-                    b[k] = static_cast<unsigned char>(h >> (8 * k));
-                    b[8 + k] = static_cast<unsigned char>(
-                        j.transformId >> (8 * k));
-                }
-                h = fnv1a({reinterpret_cast<const char *>(b),
-                           sizeof(b)});
+    auto traceHashOf = [](const SweepJob &j, std::uint64_t h) {
+        if (j.transform) {
+            unsigned char b[16];
+            for (int k = 0; k < 8; ++k) {
+                b[k] = static_cast<unsigned char>(h >> (8 * k));
+                b[8 + k] = static_cast<unsigned char>(
+                    j.transformId >> (8 * k));
             }
-            return h;
-        };
-
-    // One isolated simulation; every failure mode becomes a failed
-    // result so a poisoned job never takes down sibling jobs.
-    auto simulate = [](const SweepJob &j,
-                       const trace::Program &prog) {
-        core::RunResult res;
-        try {
-            // Each job gets its own System and therefore its own
-            // SimContext/event queue: no state crosses jobs.
-            core::System sys(j.cfg, prog);
-            try {
-                res = sys.run();
-            } catch (const guard::SimErrorException &ex) {
-                res = core::RunResult{};
-                res.workload = j.workload;
-                res.kind = j.cfg.kind;
-                res.error = ex.error();
-                res.faultsFired = sys.ctx().guard.faultsFired();
-                res.faultFiredMask = sys.ctx().guard.firedFaultMask();
-            }
-        } catch (const guard::SimErrorException &ex) {
-            res = core::RunResult{};
-            res.workload = j.workload;
-            res.kind = j.cfg.kind;
-            res.error = ex.error();
-        } catch (const std::exception &ex) {
-            res = core::RunResult{};
-            res.workload = j.workload;
-            res.kind = j.cfg.kind;
-            guard::SimError e;
-            e.category = guard::ErrorCategory::Internal;
-            e.component = "sweep-worker";
-            e.message = ex.what();
-            res.error = std::move(e);
+            h = fnv1a({reinterpret_cast<const char *>(b),
+                       sizeof(b)});
         }
-        return res;
+        return h;
+    };
+    // A job's base program: attached, or decoded/built on first use.
+    auto baseOf = [&](const SweepJob &j) {
+        return j.prog ? j.prog : programs.program(j.workload, j.scale);
     };
 
-    // simulate() plus the lazy transform copy. Never throws: a
-    // transform failure becomes a failed result so the builder of a
-    // dedupe slot always publishes and waiters never hang.
+    // One isolated simulation. A SimError raised while it runs
+    // becomes a failed result carrying the fired-fault record;
+    // anything else propagates to contained().
+    auto simulate = [](const SweepJob &j,
+                       const trace::Program &prog) {
+        // Each job gets its own System and therefore its own
+        // SimContext/event queue: no state crosses jobs.
+        core::System sys(j.cfg, prog);
+        try {
+            return sys.run();
+        } catch (const guard::SimErrorException &ex) {
+            core::RunResult res = failedResult(j, ex.error());
+            res.faultsFired = sys.ctx().guard.faultsFired();
+            res.faultFiredMask = sys.ctx().guard.firedFaultMask();
+            return res;
+        }
+    };
+
+    // simulate() plus the lazy transform copy.
     auto runJob = [&](const SweepJob &j,
                       const trace::Program &base) {
         if (!j.transform)
             return simulate(j, base);
+        trace::Program copy(base);
         try {
-            trace::Program copy(base);
             j.transform(copy);
-            return simulate(j, copy);
         } catch (const std::exception &ex) {
-            core::RunResult res;
-            res.workload = j.workload;
-            res.kind = j.cfg.kind;
-            guard::SimError e;
-            e.category = guard::ErrorCategory::Internal;
-            e.component = "sweep-transform";
-            e.message = ex.what();
-            res.error = std::move(e);
+            return failedResult(
+                j, internalError("sweep-transform", ex.what()));
+        }
+        return simulate(j, copy);
+    };
+
+    // Every failure mode becomes a failed result, so a poisoned job
+    // never takes down sibling jobs and a dedupe builder always
+    // publishes (its waiters never hang).
+    auto contained = [](const SweepJob &j, auto &&fn) {
+        try {
+            return core::RunResult(fn());
+        } catch (const guard::SimErrorException &ex) {
+            return failedResult(j, ex.error());
+        } catch (const std::exception &ex) {
+            return failedResult(
+                j, internalError("sweep-worker", ex.what()));
+        }
+    };
+
+    // Serve a cacheable job from the cache, or simulate it and store
+    // the result. Only a miss materializes the job's program.
+    auto probe = [&](std::size_t i, const SweepJob &j, CacheKey key) {
+        std::optional<core::RunResult> hit = opt.cache->lookup(key);
+        if (!hit && !j.prog) {
+            // The key names the identity of the stored trace. If that
+            // image failed to decode, the program was regenerated and
+            // its result belongs under the regenerated program's
+            // hash, which a cached entry may already carry.
+            const CacheKey built{
+                key.configHash,
+                traceHashOf(j, programs.builtHash(j.workload, j.scale))};
+            if (built != key) {
+                key = built;
+                hit = opt.cache->lookup(key);
+            }
+        }
+        {
+            std::lock_guard<std::mutex> lk(cacheMu);
+            ++(hit ? cstats.hits : cstats.misses);
+            mark(hit ? hitTrack : missTrack, i);
+        }
+        if (hit)
+            return std::move(*hit);
+        core::RunResult res = runJob(j, *baseOf(j));
+        // Failed results are rejected by store().
+        opt.cache->store(key, res);
+        return res;
+    };
+
+    auto runOne = [&](std::size_t i, const SweepJob &j) {
+        if (!opt.cache || !ResultCache::cacheable(j.cfg)) {
+            if (opt.cache && spans) {
+                std::lock_guard<std::mutex> lk(cacheMu);
+                mark(bypassTrack, i);
+            }
+            return runJob(j, *baseOf(j));
+        }
+        const CacheKey key{
+            j.cfg.canonicalHash(),
+            traceHashOf(j, j.prog ? hashOf(j.prog)
+                                  : programs.identity(j.workload,
+                                                      j.scale))};
+        std::shared_ptr<DedupSlot> slot;
+        bool builder = false;
+        {
+            std::lock_guard<std::mutex> lk(cacheMu);
+            auto [it, inserted] = dedup.try_emplace(key, nullptr);
+            if (inserted)
+                it->second = std::make_shared<DedupSlot>();
+            slot = it->second;
+            if (!slot->claimed) {
+                slot->claimed = true;
+                builder = true;
+            }
+        }
+        if (builder) {
+            core::RunResult res =
+                contained(j, [&] { return probe(i, j, key); });
+            {
+                std::lock_guard<std::mutex> lk(slot->mu);
+                slot->result = res;
+                slot->done = true;
+            }
+            slot->cv.notify_all();
             return res;
         }
+        // An identical job is already in flight: share its
+        // (deterministic) result instead of simulating the same
+        // point twice.
+        core::RunResult res;
+        {
+            std::unique_lock<std::mutex> lk(slot->mu);
+            slot->cv.wait(lk, [&] { return slot->done; });
+            res = slot->result;
+        }
+        std::lock_guard<std::mutex> lk(cacheMu);
+        ++cstats.deduped;
+        mark(dedupTrack, i);
+        return res;
     };
 
     auto worker = [&] {
@@ -307,90 +507,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
             if (i >= jobs.size())
                 return;
             const SweepJob &j = jobs[i];
-            try {
-                std::shared_ptr<const trace::Program> prog =
-                    j.prog ? j.prog
-                           : cache.get(j.workload, j.scale);
-                if (opt.cache && ResultCache::cacheable(j.cfg)) {
-                    const CacheKey key{j.cfg.canonicalHash(),
-                                       traceHashOf(j, prog)};
-                    std::shared_ptr<DedupSlot> slot;
-                    bool builder = false;
-                    {
-                        std::lock_guard<std::mutex> lk(cacheMu);
-                        auto [it, inserted] =
-                            dedup.try_emplace(key, nullptr);
-                        if (inserted)
-                            it->second =
-                                std::make_shared<DedupSlot>();
-                        slot = it->second;
-                        if (!slot->claimed) {
-                            slot->claimed = true;
-                            builder = true;
-                        }
-                    }
-                    if (builder) {
-                        std::optional<core::RunResult> hit =
-                            opt.cache->lookup(key);
-                        if (hit) {
-                            results[i] = std::move(*hit);
-                            std::lock_guard<std::mutex> lk(cacheMu);
-                            ++cstats.hits;
-                            mark(hitTrack, i);
-                        } else {
-                            {
-                                std::lock_guard<std::mutex> lk(
-                                    cacheMu);
-                                ++cstats.misses;
-                                mark(missTrack, i);
-                            }
-                            results[i] = runJob(j, *prog);
-                            // Failed results are rejected by store().
-                            opt.cache->store(key, results[i]);
-                        }
-                        {
-                            std::lock_guard<std::mutex> lk(slot->mu);
-                            slot->result = results[i];
-                            slot->done = true;
-                        }
-                        slot->cv.notify_all();
-                    } else {
-                        // An identical job is already in flight:
-                        // share its (deterministic) result instead
-                        // of simulating the same point twice.
-                        {
-                            std::unique_lock<std::mutex> lk(slot->mu);
-                            slot->cv.wait(
-                                lk, [&] { return slot->done; });
-                            results[i] = slot->result;
-                        }
-                        std::lock_guard<std::mutex> lk(cacheMu);
-                        ++cstats.deduped;
-                        mark(dedupTrack, i);
-                    }
-                } else {
-                    if (opt.cache && spans) {
-                        std::lock_guard<std::mutex> lk(cacheMu);
-                        mark(bypassTrack, i);
-                    }
-                    results[i] = runJob(j, *prog);
-                }
-            } catch (const guard::SimErrorException &ex) {
-                // Program build failures.
-                results[i] = core::RunResult{};
-                results[i].workload = j.workload;
-                results[i].kind = j.cfg.kind;
-                results[i].error = ex.error();
-            } catch (const std::exception &ex) {
-                results[i] = core::RunResult{};
-                results[i].workload = j.workload;
-                results[i].kind = j.cfg.kind;
-                guard::SimError e;
-                e.category = guard::ErrorCategory::Internal;
-                e.component = "sweep-worker";
-                e.message = ex.what();
-                results[i].error = std::move(e);
-            }
+            results[i] = contained(j, [&] { return runOne(i, j); });
             {
                 std::lock_guard<std::mutex> lk(progressMu);
                 ++completed;
@@ -413,6 +530,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         for (auto &t : pool)
             t.join();
     }
+    cstats.programsBuilt = programs.built();
     if (opt.cacheStats)
         *opt.cacheStats = cstats;
     return results;

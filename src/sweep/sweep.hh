@@ -12,7 +12,9 @@
  * and returns results ordered by submission index — regardless of
  * completion order, the result vector is identical to a serial run.
  * Programs are built on demand and shared: jobs naming the same
- * (workload, scale) pair reuse one trace capture.
+ * (workload, scale) pair reuse one trace capture, and a job served
+ * from the result cache never decodes or generates its program at
+ * all (DESIGN.md §10).
  */
 
 #ifndef FUSION_SWEEP_SWEEP_HH
@@ -52,19 +54,21 @@ struct SweepJob
     std::string tag;
     /**
      * Optional pre-built (possibly modified) program. When unset
-     * the engine builds @ref workload at @ref scale, caching one
-     * build per (workload, scale) across the whole sweep.
+     * the engine builds @ref workload at @ref scale on demand,
+     * caching one build per (workload, scale) across the whole
+     * sweep — and skips the build entirely for a job the result
+     * cache serves from a stored trace's identity.
      */
     std::shared_ptr<const trace::Program> prog;
     /**
      * Optional program transform, applied to a private copy of the
      * base program immediately before simulation. Harnesses that
      * sweep a trace-side knob (lease scaling, op thinning, ...)
-     * should attach the base program once and express the per-point
+     * should name the base workload and express the per-point
      * mutation here instead of materializing N mutated copies up
      * front: the copy is made lazily inside the worker, so jobs
      * served from the result cache (or deduplicated in flight)
-     * never pay the deep copy or its content hash.
+     * never pay the base build, the deep copy or its content hash.
      */
     std::function<void(trace::Program &)> transform;
     /**
@@ -102,6 +106,15 @@ struct SweepCacheStats
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t deduped = 0;
+    /**
+     * Programs the sweep decoded or generated for jobs that name a
+     * workload (attached SweepJob::prog programs are not counted).
+     * Zero for a fully warm sweep over a populated trace store: hits
+     * are keyed by the stored traces' verified envelope hashes, and
+     * only a job that simulates materializes its program. Not part
+     * of reportJson(), so reports stay byte-identical.
+     */
+    std::uint64_t programsBuilt = 0;
 };
 
 struct SweepOptions

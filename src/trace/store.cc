@@ -4,7 +4,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -152,14 +151,15 @@ serializeProgram(const Program &prog)
                              serializeProgramPayload(prog));
 }
 
-bool
-deserializeProgram(std::string_view bytes, Program &out,
-                   std::string *err)
+namespace
 {
-    std::string_view payload;
-    if (!wire::unwrapPayload(kMagic, kTraceFormatVersion, bytes,
-                             payload, err))
-        return false;
+
+/** Decode an envelope-verified payload; same contract as
+ *  deserializeProgram(). */
+bool
+decodePayload(std::string_view payload, Program &out,
+              std::string *err)
+{
     auto fail = [&](const char *why) {
         if (err)
             *err = why;
@@ -215,6 +215,32 @@ deserializeProgram(std::string_view bytes, Program &out,
     return true;
 }
 
+/** Read a whole regular file into @p out; false if unreadable. */
+bool
+readFile(const std::string &file, std::string &out)
+{
+    std::error_code ec;
+    const std::uintmax_t size = fs::file_size(file, ec);
+    if (ec)
+        return false;
+    std::ifstream in(file, std::ios::binary);
+    out.resize(static_cast<std::size_t>(size));
+    return in &&
+           in.read(out.data(), static_cast<std::streamsize>(size));
+}
+
+} // namespace
+
+bool
+deserializeProgram(std::string_view bytes, Program &out,
+                   std::string *err)
+{
+    std::string_view payload;
+    return wire::unwrapPayload(kMagic, kTraceFormatVersion, bytes,
+                               payload, err) &&
+           decodePayload(payload, out, err);
+}
+
 std::uint64_t
 programHash(const Program &prog)
 {
@@ -232,23 +258,45 @@ TraceStore::path(const std::string &name,
 }
 
 std::optional<Program>
-TraceStore::load(const std::string &name,
-                 workloads::Scale scale) const
+StoredTrace::decode() const
 {
-    std::ifstream in(path(name, scale), std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = buf.str();
     Program p;
     std::string err;
-    if (!deserializeProgram(bytes, p, &err)) {
-        DPRINTFN("CACHE", "trace store: ", path(name, scale),
-                 " rejected (", err, "); regenerating");
+    if (!decodePayload(std::string_view(image).substr(payloadAt), p,
+                       &err)) {
+        DPRINTFN("CACHE", "trace store: ", path, " rejected (", err,
+                 "); regenerating");
         return std::nullopt;
     }
     return p;
+}
+
+std::optional<StoredTrace>
+TraceStore::open(const std::string &name,
+                 workloads::Scale scale) const
+{
+    StoredTrace st;
+    st.path = path(name, scale);
+    if (!readFile(st.path, st.image))
+        return std::nullopt;
+    std::string_view payload;
+    std::string err;
+    if (!wire::unwrapPayload(kMagic, kTraceFormatVersion, st.image,
+                             payload, &err, &st.hash)) {
+        DPRINTFN("CACHE", "trace store: ", st.path, " rejected (",
+                 err, "); regenerating");
+        return std::nullopt;
+    }
+    st.payloadAt = st.image.size() - payload.size();
+    return st;
+}
+
+std::optional<Program>
+TraceStore::load(const std::string &name,
+                 workloads::Scale scale) const
+{
+    auto st = open(name, scale);
+    return st ? st->decode() : std::nullopt;
 }
 
 void

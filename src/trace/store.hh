@@ -29,10 +29,18 @@
  * keys the sweep result cache together with
  * SystemConfig::canonicalHash().
  *
+ * Invariant the sweep relies on: the envelope's payload FNV-1a of a
+ * file serializeProgram() wrote *is* programHash() of the program it
+ * decodes to — both are fnv1a(serializeProgramPayload(prog)). So
+ * TraceStore::open() yields a trace's identity from one read and the
+ * envelope check alone, and a fully warm sweep keys its result-cache
+ * probes by StoredTrace::hash without decoding or re-serializing
+ * anything; StoredTrace::decode() runs only when a job simulates.
+ *
  * Loads are corruption-tolerant end to end: a truncated, bit-flipped
  * or trailing-garbage file fails the envelope hash (or a decode
  * bound) and degrades to a miss — the workload is simply regenerated
- * and re-recorded. A store never crashes the simulation.
+ * and re-recorded over it. A store never crashes the simulation.
  */
 
 #ifndef FUSION_TRACE_STORE_HH
@@ -75,6 +83,28 @@ bool deserializeProgram(std::string_view bytes, Program &out,
 std::uint64_t programHash(const Program &prog);
 
 /**
+ * A stored trace file whose envelope verified: magic, format
+ * version, payload length and payload FNV-1a all matched. Decoding
+ * is deferred to decode(), so a caller that needs only the trace's
+ * identity never pays for it.
+ */
+struct StoredTrace
+{
+    /** File the image was read from (diagnostics only). */
+    std::string path;
+    /** Complete file image: envelope + payload. */
+    std::string image;
+    /** Offset of the payload within @ref image. */
+    std::size_t payloadAt = 0;
+    /** Verified payload FNV-1a: programHash() of the decoded program
+     *  (file comment). */
+    std::uint64_t hash = 0;
+
+    /** Decode the payload; nullopt (logged) when it does not decode. */
+    std::optional<Program> decode() const;
+};
+
+/**
  * Directory of serialized traces keyed by (workload name, scale).
  * Writes are atomic (temp file + rename), so concurrent writers of
  * the same key are safe and readers never observe a partial file.
@@ -91,7 +121,15 @@ class TraceStore
                      workloads::Scale scale) const;
 
     /**
-     * Load the stored trace for (name, scale). Any failure — file
+     * Read the stored trace for (name, scale) once and check its
+     * whole envelope, decoding nothing. An absent file or any
+     * envelope mismatch is a nullopt miss.
+     */
+    std::optional<StoredTrace> open(const std::string &name,
+                                    workloads::Scale scale) const;
+
+    /**
+     * open() followed by StoredTrace::decode(). Any failure — file
      * absent, envelope mismatch, decode error — is a nullopt miss.
      */
     std::optional<Program> load(const std::string &name,

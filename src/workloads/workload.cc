@@ -1,5 +1,7 @@
 #include "workloads/workload.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "sim/logging.hh"
@@ -43,14 +45,32 @@ registeredWorkloads()
     return reg;
 }
 
+/** Built-in workload names, in the paper's presentation order. */
+constexpr const char *kBuiltIn[] = {"fft",   "disparity", "tracking",
+                                    "adpcm", "susan",     "filter",
+                                    "histogram"};
+
+/** The global trace store when @p name may be recorded and
+ *  replayed: a built-in workload registerWorkload has not
+ *  overridden. Registered test workloads are seams whose build()
+ *  side effects (e.g. deliberately throwing) must keep happening. */
+trace::TraceStore *
+replayStore(const std::string &name)
+{
+    if (registeredWorkloads().count(name) != 0 ||
+        std::find(std::begin(kBuiltIn), std::end(kBuiltIn), name) ==
+            std::end(kBuiltIn))
+        return nullptr;
+    return trace::globalStore();
+}
+
 } // namespace
 
 std::vector<std::string>
 workloadNames()
 {
-    std::vector<std::string> names = {
-        "fft",   "disparity", "tracking", "adpcm",
-        "susan", "filter",    "histogram"};
+    std::vector<std::string> names(std::begin(kBuiltIn),
+                                   std::end(kBuiltIn));
     for (const auto &[name, factory] : registeredWorkloads())
         names.push_back(name);
     return names;
@@ -94,25 +114,31 @@ registerWorkload(const std::string &name,
 std::optional<trace::Program>
 buildProgram(const std::string &name, Scale scale)
 {
-    auto w = makeWorkload(name);
-    if (!w)
-        return std::nullopt;
-    // Replay path: only the built-in benchmarks go through the trace
-    // store — registered test workloads are seams whose build() side
-    // effects (e.g. deliberately throwing) must keep happening.
-    trace::TraceStore *store = trace::globalStore();
-    const bool eligible =
-        store != nullptr && registeredWorkloads().count(name) == 0;
-    if (eligible) {
-        if (auto replayed = store->load(name, scale)) {
+    if (auto stored = storedTrace(name, scale)) {
+        if (auto replayed = stored->decode()) {
             DPRINTFN("CACHE", "trace replay: ", name, "/",
-                     scaleName(scale), " from ",
-                     store->path(name, scale));
+                     scaleName(scale), " from ", stored->path);
             return replayed;
         }
     }
+    return generateProgram(name, scale);
+}
+
+std::optional<trace::StoredTrace>
+storedTrace(const std::string &name, Scale scale)
+{
+    trace::TraceStore *store = replayStore(name);
+    return store ? store->open(name, scale) : std::nullopt;
+}
+
+std::optional<trace::Program>
+generateProgram(const std::string &name, Scale scale)
+{
+    auto w = makeWorkload(name);
+    if (!w)
+        return std::nullopt;
     trace::Program prog = w->build(scale);
-    if (eligible)
+    if (trace::TraceStore *store = replayStore(name))
         store->store(name, scale, prog);
     return prog;
 }

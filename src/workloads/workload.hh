@@ -27,6 +27,11 @@
 
 #include "trace/trace.hh"
 
+namespace fusion::trace
+{
+struct StoredTrace;
+}
+
 namespace fusion::workloads
 {
 
@@ -107,10 +112,32 @@ void registerWorkload(const std::string &name,
  * tests/test_trace_store.cc). Registered test workloads
  * (registerWorkload) are never recorded or replayed.
  *
+ * Equivalent to storedTrace() and StoredTrace::decode(), falling
+ * back to generateProgram().
+ *
  * @return std::nullopt for unknown names.
  */
 std::optional<trace::Program> buildProgram(const std::string &name,
                                            Scale scale);
+
+/**
+ * The replay seam: the recorded trace for (name, scale), read once
+ * and envelope-verified but not decoded. Only a built-in workload
+ * that registerWorkload has not overridden is replayed, and only
+ * while the global trace store is armed; std::nullopt otherwise, or
+ * when no intact file is recorded. Callers include trace/store.hh.
+ */
+std::optional<trace::StoredTrace> storedTrace(const std::string &name,
+                                              Scale scale);
+
+/**
+ * Execute @p name's kernels at @p scale, skipping the replay lookup,
+ * and record the program over any stored file when storedTrace()
+ * would replay @p name. For callers that already tried
+ * storedTrace(). @return std::nullopt for unknown names.
+ */
+std::optional<trace::Program> generateProgram(const std::string &name,
+                                              Scale scale);
 
 /** Build every workload at @p scale. */
 std::vector<trace::Program> buildAll(Scale scale);

@@ -14,18 +14,27 @@
  *  - runSweep() integration: cold-then-warm byte identity, lazy
  *    transforms, in-flight dedupe, telemetry/fault bypass, and the
  *    cache-off path matching the cache-on results exactly.
+ *  - The warm path over an armed trace store: hits keyed by stored
+ *    traces' verified envelope hashes build no program at all, and
+ *    a corrupt or undecodable stored trace is regenerated without a
+ *    result ever being stored under the bad image's hash.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "core/runner.hh"
 #include "sim/hash.hh"
+#include "sim/wire.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep.hh"
+#include "trace/store.hh"
+#include "workloads/workload.hh"
 
 namespace fusion::sweep
 {
@@ -477,6 +486,332 @@ TEST(SweepCache, LazyTransformMatchesEagerCopy)
     (void)runSweep({jl, j2}, so);
     EXPECT_EQ(stats.hits, 2u);
     EXPECT_EQ(stats.deduped, 0u);
+}
+
+// ---------------------------------------------------------------
+// Warm path over an armed trace store.
+// ---------------------------------------------------------------
+
+/** Arms the global trace store for one test's lifetime. */
+class ArmedStore
+{
+  public:
+    explicit ArmedStore(const std::string &dir)
+    {
+        trace::setGlobalStoreDir(dir);
+    }
+    ~ArmedStore() { trace::setGlobalStoreDir(""); }
+    ArmedStore(const ArmedStore &) = delete;
+    ArmedStore &operator=(const ArmedStore &) = delete;
+};
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+std::string
+storedPath(const std::string &workload)
+{
+    return trace::globalStore()->path(workload,
+                                      workloads::Scale::Small);
+}
+
+/** Several workloads x kinds, Small scale. */
+std::vector<SweepJob>
+mixedJobs()
+{
+    std::vector<SweepJob> jobs;
+    for (const char *w : {"adpcm", "filter", "fft"}) {
+        for (SweepJob j : smallJobs()) {
+            j.workload = w;
+            j.tag = std::string(w) + "/" + j.tag;
+            jobs.push_back(std::move(j));
+        }
+    }
+    return jobs;
+}
+
+TEST(SweepCache, WarmSweepOverStoredTracesBuildsNoProgram)
+{
+    TempDir traces("warmtraces"), results("warmresults");
+    ArmedStore armed(traces.str());
+    ResultCache cache(results.str());
+    const auto jobs = mixedJobs();
+
+    SweepCacheStats cold, warm;
+    SweepOptions so;
+    so.jobs = 4;
+    so.cache = &cache;
+    so.cacheStats = &cold;
+    auto r1 = runSweep(jobs, so);
+    EXPECT_EQ(cold.misses, jobs.size());
+    EXPECT_EQ(cold.programsBuilt, 3u);
+
+    // The invariant warm keys rest on: a stored trace's verified
+    // envelope hash is programHash() of the program it decodes to.
+    for (const char *w : {"adpcm", "filter", "fft"}) {
+        auto st = trace::globalStore()->open(w, workloads::Scale::Small);
+        ASSERT_TRUE(st.has_value()) << w;
+        auto prog = st->decode();
+        ASSERT_TRUE(prog.has_value()) << w;
+        EXPECT_EQ(st->hash, trace::programHash(*prog)) << w;
+    }
+
+    so.cacheStats = &warm;
+    auto r2 = runSweep(jobs, so);
+    EXPECT_EQ(warm.hits, jobs.size());
+    EXPECT_EQ(warm.misses, 0u);
+    EXPECT_EQ(warm.programsBuilt, 0u);
+    const std::string report = reportJson("t", jobs, r1);
+    EXPECT_EQ(report, reportJson("t", jobs, r2));
+    SweepOptions plain;
+    plain.jobs = 4;
+    EXPECT_EQ(report, reportJson("t", jobs, runSweep(jobs, plain)));
+}
+
+TEST(SweepCache, CorruptStoredTraceIsRegeneratedAndStillHits)
+{
+    TempDir traces("corrupttraces"), results("corruptresults");
+    ArmedStore armed(traces.str());
+    ResultCache cache(results.str());
+    const auto jobs = smallJobs();
+
+    SweepCacheStats cold, warm;
+    SweepOptions so;
+    so.jobs = 4;
+    so.cache = &cache;
+    so.cacheStats = &cold;
+    auto r1 = runSweep(jobs, so);
+    const std::string file = storedPath("adpcm");
+    auto recorded =
+        trace::globalStore()->open("adpcm", workloads::Scale::Small);
+    ASSERT_TRUE(recorded.has_value());
+
+    std::string bytes = readBytes(file);
+    bytes[bytes.size() / 2] =
+        static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
+    writeBytes(file, bytes);
+    ASSERT_FALSE(trace::globalStore()
+                     ->open("adpcm", workloads::Scale::Small)
+                     .has_value());
+
+    // The flipped file fails its envelope, so the program is
+    // regenerated; its hash is the one the cold pass stored under.
+    so.cacheStats = &warm;
+    auto r2 = runSweep(jobs, so);
+    EXPECT_EQ(warm.hits, jobs.size());
+    EXPECT_EQ(warm.misses, 0u);
+    EXPECT_EQ(warm.programsBuilt, 1u);
+    EXPECT_EQ(reportJson("t", jobs, r1), reportJson("t", jobs, r2));
+
+    // ...and recorded over the corrupt file.
+    auto rerecorded =
+        trace::globalStore()->open("adpcm", workloads::Scale::Small);
+    ASSERT_TRUE(rerecorded.has_value());
+    EXPECT_EQ(rerecorded->hash, recorded->hash);
+}
+
+TEST(SweepCache, UndecodableStoredTraceNeverKeysAResult)
+{
+    TempDir traces("garbagetraces"), results("garbageresults");
+    ArmedStore armed(traces.str());
+    ResultCache cache(results.str());
+    const auto jobs = smallJobs();
+
+    // An intact envelope around a payload that does not decode.
+    const std::string garbage = "not a trace payload";
+    const std::uint64_t garbageHash = fnv1a(garbage);
+    const std::string file = storedPath("adpcm");
+    auto plant = [&] {
+        writeBytes(file, wire::wrapPayload("FTRC",
+                                           trace::kTraceFormatVersion,
+                                           garbage));
+        auto st = trace::globalStore()->open("adpcm",
+                                             workloads::Scale::Small);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->hash, garbageHash);
+        EXPECT_FALSE(st->decode().has_value());
+    };
+    auto expectNothingUnderGarbage = [&] {
+        for (const SweepJob &j : jobs)
+            EXPECT_FALSE(fs::exists(
+                cache.path({j.cfg.canonicalHash(), garbageHash})))
+                << j.tag;
+    };
+
+    // Cold cache: every job misses, and its result goes under the
+    // regenerated program's hash, never the image's.
+    plant();
+    SweepCacheStats cold, warm;
+    SweepOptions so;
+    so.jobs = 4;
+    so.cache = &cache;
+    so.cacheStats = &cold;
+    auto r1 = runSweep(jobs, so);
+    EXPECT_EQ(cold.misses, jobs.size());
+    EXPECT_EQ(cold.programsBuilt, 1u);
+    expectNothingUnderGarbage();
+    auto rerecorded =
+        trace::globalStore()->open("adpcm", workloads::Scale::Small);
+    ASSERT_TRUE(rerecorded.has_value());
+    EXPECT_NE(rerecorded->hash, garbageHash);
+
+    // Warm cache: the image's identity misses, and the re-probe
+    // under the regenerated program's hash hits.
+    plant();
+    so.cacheStats = &warm;
+    auto r2 = runSweep(jobs, so);
+    EXPECT_EQ(warm.hits, jobs.size());
+    EXPECT_EQ(warm.misses, 0u);
+    EXPECT_EQ(warm.programsBuilt, 1u);
+    expectNothingUnderGarbage();
+
+    const std::string report = reportJson("t", jobs, r1);
+    EXPECT_EQ(report, reportJson("t", jobs, r2));
+    EXPECT_EQ(report, reportJson("t", jobs, runSweep(jobs, {})));
+}
+
+std::atomic<int> g_stubBuilds{0};
+
+/** A registered workload that replays adpcm's kernels. */
+class StubWorkload : public workloads::Workload
+{
+  public:
+    std::string name() const override { return "stub"; }
+    std::string displayName() const override { return "STUB"; }
+    trace::Program
+    build(workloads::Scale scale) const override
+    {
+        ++g_stubBuilds;
+        return workloads::makeWorkload("adpcm")->build(scale);
+    }
+};
+
+std::unique_ptr<workloads::Workload>
+makeStub()
+{
+    return std::make_unique<StubWorkload>();
+}
+
+TEST(SweepCache, RegisteredWorkloadNeverConsultsTheStore)
+{
+    TempDir traces("stubtraces"), results("stubresults");
+    ArmedStore armed(traces.str());
+    ResultCache cache(results.str());
+    workloads::registerWorkload("stub", &makeStub);
+
+    // A valid trace of a different program under the stub's key: a
+    // replay would simulate fft instead of the stub's own build.
+    const std::string file = storedPath("stub");
+    const std::string planted = trace::serializeProgram(
+        *core::buildProgram("fft", workloads::Scale::Small));
+    writeBytes(file, planted);
+    ASSERT_TRUE(trace::globalStore()
+                    ->open("stub", workloads::Scale::Small)
+                    .has_value());
+    EXPECT_FALSE(workloads::storedTrace("stub", workloads::Scale::Small)
+                     .has_value());
+
+    auto jobs = smallJobs();
+    for (SweepJob &j : jobs)
+        j.workload = "stub";
+    g_stubBuilds = 0;
+    SweepCacheStats cold, warm;
+    SweepOptions so;
+    so.jobs = 4;
+    so.cache = &cache;
+    so.cacheStats = &cold;
+    auto r1 = runSweep(jobs, so);
+    so.cacheStats = &warm;
+    auto r2 = runSweep(jobs, so);
+    // Each sweep builds the stub (its identity needs the program);
+    // the warm one is still served entirely from the result cache.
+    EXPECT_EQ(g_stubBuilds.load(), 2);
+    EXPECT_EQ(cold.programsBuilt, 1u);
+    EXPECT_EQ(warm.programsBuilt, 1u);
+    EXPECT_EQ(warm.hits, jobs.size());
+    EXPECT_EQ(readBytes(file), planted) << "stub trace was recorded";
+
+    // The results are the stub's own program's, not the planted one.
+    auto own = std::make_shared<const trace::Program>(
+        StubWorkload().build(workloads::Scale::Small));
+    auto attached = jobs;
+    for (SweepJob &j : attached)
+        j.prog = own;
+    const std::string report = reportJson("t", jobs, r1);
+    EXPECT_EQ(report, reportJson("t", jobs, r2));
+    EXPECT_EQ(report, reportJson("t", jobs, runSweep(attached, {})));
+    workloads::registerWorkload("stub", nullptr);
+
+    // Registering over a built-in name keeps the built-in kernels
+    // (built-in names win) but takes the name off the replay seam.
+    workloads::registerWorkload("adpcm", &makeStub);
+    writeBytes(storedPath("adpcm"), planted);
+    EXPECT_FALSE(
+        workloads::storedTrace("adpcm", workloads::Scale::Small)
+            .has_value());
+    const auto adpcmJobs = smallJobs();
+    const std::string overridden =
+        reportJson("t", adpcmJobs, runSweep(adpcmJobs, {}));
+    EXPECT_EQ(readBytes(storedPath("adpcm")), planted)
+        << "overridden built-in was recorded";
+    workloads::registerWorkload("adpcm", nullptr);
+
+    auto builtIn = std::make_shared<const trace::Program>(
+        workloads::makeWorkload("adpcm")->build(
+            workloads::Scale::Small));
+    auto builtInJobs = adpcmJobs;
+    for (SweepJob &j : builtInJobs)
+        j.prog = builtIn;
+    EXPECT_EQ(overridden,
+              reportJson("t", adpcmJobs, runSweep(builtInJobs, {})));
+}
+
+TEST(SweepCache, LazyTransformOnNamedWorkloadHitsWithoutBuilding)
+{
+    TempDir traces("lazytraces"), results("lazyresults");
+    ArmedStore armed(traces.str());
+    ResultCache cache(results.str());
+    SweepJob named = smallJobs()[2];
+    named.transform = [](trace::Program &p) {
+        for (auto &f : p.functions)
+            f.leaseTime *= 2;
+    };
+    named.transformId = fnv1a("test/lease-x2");
+    const std::vector<SweepJob> jobs = {named, smallJobs()[2]};
+
+    SweepCacheStats cold, warm, twin;
+    SweepOptions so;
+    so.cache = &cache;
+    so.cacheStats = &cold;
+    auto r1 = runSweep(jobs, so);
+    EXPECT_EQ(cold.misses, 2u);
+    so.cacheStats = &warm;
+    auto r2 = runSweep(jobs, so);
+    EXPECT_EQ(warm.hits, 2u);
+    EXPECT_EQ(warm.programsBuilt, 0u);
+    EXPECT_EQ(reportJson("t", jobs, r1), reportJson("t", jobs, r2));
+
+    // The key does not depend on whether the base program is built
+    // by the engine or attached: the attached twin hits the entry.
+    SweepJob attached = named;
+    attached.prog = std::make_shared<const trace::Program>(
+        *core::buildProgram("adpcm", workloads::Scale::Small));
+    so.cacheStats = &twin;
+    auto r3 = runSweep({attached}, so);
+    EXPECT_EQ(twin.hits, 1u);
+    EXPECT_EQ(twin.programsBuilt, 0u);
+    EXPECT_EQ(r3[0].toJson(), r1[0].toJson());
 }
 
 } // namespace
