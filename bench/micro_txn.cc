@@ -6,11 +6,14 @@
  *
  * Two kinds of rows:
  *
- *  - "churn.hit" / "churn.miss": a single accelerator issuing a
- *    serial chain of loads at a real FUSION tile (L0X -> L1X/ACC ->
- *    LLC -> DRAM). The hit row stays resident in the L0X; the miss
- *    row cycles a footprint 4x the L0X so every access walks the
- *    MSHR/lease path and hits in the L1X. A global operator-new hook
+ *  - "churn.hit" / "churn.miss" / "churn.store": a single
+ *    accelerator issuing a serial chain of accesses at a real FUSION
+ *    tile (L0X -> L1X/ACC -> LLC -> DRAM). The hit row's loads stay
+ *    resident in the L0X; the miss row cycles a footprint 4x the L0X
+ *    so every load walks the MSHR/lease path and hits in the L1X;
+ *    the store row writes under a 64-cycle lease, so write epochs
+ *    keep expiring and a self-downgrade sweep (writeback + fresh
+ *    write lease) runs about once per store. A global operator-new hook
  *    counts heap allocations across the measured (post-warmup)
  *    region — with the SmallFn/pooled-MSHR/ledger-handle transaction
  *    path the steady state performs zero (DESIGN.md section 8).
@@ -133,24 +136,23 @@ struct TxnRig
     vm::PageTable pt;
     std::unique_ptr<accel::FusionTile> tile;
 
-    TxnRig() : dram(ctx, {}), llc(ctx, {}, dram)
+    explicit TxnRig(Cycles lease) : dram(ctx, {}), llc(ctx, {}, dram)
     {
         accel::TileParams tp;
         tp.numAccels = 1;
         tile = std::make_unique<accel::FusionTile>(ctx, tp, llc, pt);
-        // One long lease so the churn loop measures the transaction
-        // path, not lease renewal storms.
-        tile->l0x(0).setFunction(50'000'000, 1);
+        tile->l0x(0).setFunction(lease, 1);
         pt.ensureMappedRange(1, kBase, 1 << 22);
     }
 
     static constexpr Addr kBase = 0x10000000;
 };
 
-/** Serial load chain over a cyclic line set. */
+/** Serial load (or store) chain over a cyclic line set. */
 struct TxnChurn
 {
     TxnRig &rig;
+    bool store = false;
     std::vector<Addr> lines;
     std::size_t idx = 0;
     std::uint64_t remaining = 0;
@@ -160,7 +162,7 @@ struct TxnChurn
     {
         Addr a = lines[idx];
         idx = idx + 1 == lines.size() ? 0 : idx + 1;
-        rig.tile->l0x(0).access(a, 4, false, [this] {
+        rig.tile->l0x(0).access(a, 4, store, [this] {
             if (remaining > 0) {
                 --remaining;
                 next();
@@ -193,10 +195,10 @@ struct Row
  */
 Row
 runChurn(const std::string &name, std::size_t num_lines,
-         std::uint64_t ops)
+         std::uint64_t ops, bool store, Cycles lease)
 {
-    TxnRig rig;
-    TxnChurn churn{rig, {}, 0, 0};
+    TxnRig rig(lease);
+    TxnChurn churn{rig, store, {}, 0, 0};
     for (std::size_t i = 0; i < num_lines; ++i)
         churn.lines.push_back(TxnRig::kBase + i * kLineBytes);
 
@@ -396,10 +398,17 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     if (churn_ops > 0) {
-        rows.push_back(runChurn("churn.hit", 16, churn_ops));
+        // The load rows hold one long lease so they measure the
+        // transaction path, not lease renewal storms.
+        constexpr Cycles kLongLease = 50'000'000;
+        rows.push_back(
+            runChurn("churn.hit", 16, churn_ops, false, kLongLease));
         // 4x the 4 KB L0X: every access misses the L0X, hits the
         // 64 KB L1X — the MSHR + lease path.
-        rows.push_back(runChurn("churn.miss", 256, churn_ops));
+        rows.push_back(
+            runChurn("churn.miss", 256, churn_ops, false, kLongLease));
+        // Short write epochs: the self-downgrade path.
+        rows.push_back(runChurn("churn.store", 16, churn_ops, true, 64));
     }
     for (const auto &w : workload_names)
         rows.push_back(runWorkload(w, scale, repeat));

@@ -11,13 +11,11 @@ AccelCore::AccelCore(SimContext &ctx, const AccelCoreParams &p,
     : _ctx(ctx), _p(p), _id(id)
 {
     _ecCompute = ctx.energy.component(energy::comp::kAxcCompute);
-    _stats = &ctx.stats.root()
-                  .child("axc" + std::to_string(id))
-                  .child("core");
-    _stIntOps = &_stats->scalar("int_ops");
-    _stFpOps = &_stats->scalar("fp_ops");
-    _stLoads = &_stats->scalar("loads");
-    _stStores = &_stats->scalar("stores");
+    ctx.stats.counters("axc" + std::to_string(id) + ".core",
+                       {{"int_ops", _intOps},
+                        {"fp_ops", _fpOps},
+                        {"loads", _loads},
+                        {"stores", _stores}});
 
     ctx.guard.registerSnapshot(
         "axc" + std::to_string(id), [this] {
@@ -64,8 +62,8 @@ AccelCore::pump()
             _ctx.energy.add(_ecCompute,
                             _p.intOpPj * op.intOps +
                                 _p.fpOpPj * op.fpOps);
-            *_stIntOps += op.intOps;
-            *_stFpOps += op.fpOps;
+            _intOps += op.intOps;
+            _fpOps += op.fpOps;
             Cycles c =
                 (op.intOps + op.fpOps + _p.datapathWidth - 1) /
                 _p.datapathWidth;
@@ -82,8 +80,7 @@ AccelCore::pump()
                      : _outstandingLoads >= _mlp)
             return; // a completion re-pumps
         ++_pos;
-        ++_memOps;
-        *(is_store ? _stStores : _stLoads) += 1;
+        ++(is_store ? _stores : _loads);
         if (is_store)
             ++_outstandingStores;
         else

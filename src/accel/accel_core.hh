@@ -61,7 +61,6 @@ class AccelCore
 
     AccelId id() const { return _id; }
     bool busy() const { return _active; }
-    std::uint64_t memOps() const { return _memOps; }
 
   private:
     void pump();
@@ -81,13 +80,11 @@ class AccelCore
     bool _pumpScheduled = false;
     sim::SmallFn<void()> _done;
     energy::ComponentId _ecCompute = energy::kInvalidComponent;
-    std::uint64_t _memOps = 0;
-    stats::Group *_stats;
-    // Per-op counters resolved once at construction.
-    stats::Scalar *_stIntOps;
-    stats::Scalar *_stFpOps;
-    stats::Scalar *_stLoads;
-    stats::Scalar *_stStores;
+    // Counters, bound into ctx.stats under "axc<id>.core.<stat>".
+    std::uint64_t _intOps = 0;
+    std::uint64_t _fpOps = 0;
+    std::uint64_t _loads = 0;
+    std::uint64_t _stores = 0;
 };
 
 } // namespace fusion::accel

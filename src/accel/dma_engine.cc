@@ -10,8 +10,11 @@ DmaEngine::DmaEngine(SimContext &ctx, const DmaParams &p,
                      const vm::PageTable &pt)
     : _ctx(ctx), _p(p), _llc(llc), _link(dma_link), _pt(pt)
 {
-    _stats = &ctx.stats.root().child("dma");
-    _stChunkLatency = &_stats->histogram("chunk_latency", 0, 1024, 32);
+    ctx.stats.counters("dma", {{"fill_ops", _fillOps},
+                               {"drain_ops", _drainOps},
+                               {"line_transfers", _lineTransfers}});
+    _stChunkLatency =
+        &ctx.stats.histogram("dma.chunk_latency", 0, 1024, 32);
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
@@ -73,13 +76,12 @@ DmaEngine::fill(const std::vector<Addr> &vlines, Pid pid,
     _outstanding = 0;
     _done = std::move(done);
     _linesPlanned += vlines.size();
-    ++_dmaOps;
-    _stats->scalar("fill_ops") += 1;
+    ++_fillOps;
     // Whole-operation span, keyed by the op ordinal (ops are
     // serialized, so the key only needs to be unique vs chunk keys).
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::Dma,
-                       static_cast<Addr>(_dmaOps), _ctx.now());
+                       static_cast<Addr>(dmaOps()), _ctx.now());
     pump();
 }
 
@@ -96,11 +98,10 @@ DmaEngine::drain(const std::vector<Addr> &vlines, Pid pid,
     _outstanding = 0;
     _done = std::move(done);
     _linesPlanned += vlines.size();
-    ++_dmaOps;
-    _stats->scalar("drain_ops") += 1;
+    ++_drainOps;
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::Dma,
-                       static_cast<Addr>(_dmaOps), _ctx.now());
+                       static_cast<Addr>(dmaOps()), _ctx.now());
     pump();
 }
 
@@ -121,7 +122,6 @@ DmaEngine::pump()
         ++_pos;
         ++_outstanding;
         ++_lineTransfers;
-        _stats->scalar("line_transfers") += 1;
         bool is_drain = (_state == DmaState::Drain);
         // Scratchpad side of the transfer.
         _spm->dmaLineAccess(!is_drain);
@@ -162,7 +162,7 @@ DmaEngine::pump()
         _state = DmaState::Idle;
         if (_tracer)
             _tracer->end(_track, obs::SpanKind::Dma,
-                         static_cast<Addr>(_dmaOps), _ctx.now());
+                         static_cast<Addr>(dmaOps()), _ctx.now());
         auto done = std::move(_done); // move empties _done
         done();
     }

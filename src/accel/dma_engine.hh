@@ -75,7 +75,7 @@ class DmaEngine
     {
         return _lineTransfers * kLineBytes;
     }
-    std::uint64_t dmaOps() const { return _dmaOps; }
+    std::uint64_t dmaOps() const { return _fillOps + _drainOps; }
 
   private:
     void pump();
@@ -94,12 +94,13 @@ class DmaEngine
     std::uint32_t _outstanding = 0;
     sim::SmallFn<void()> _done;
 
+    // Counters, bound into ctx.stats under "dma.<stat>".
+    std::uint64_t _fillOps = 0;
+    std::uint64_t _drainOps = 0;
     std::uint64_t _lineTransfers = 0;
     /// Lines handed to fill()/drain() — the line-conservation
     /// invariant checks every planned line was actually transferred.
     std::uint64_t _linesPlanned = 0;
-    std::uint64_t _dmaOps = 0;
-    stats::Group *_stats;
     stats::Histogram *_stChunkLatency;
     /// Telemetry span tracer (null when tracing is off).
     obs::SpanTracer *_tracer = nullptr;

@@ -44,16 +44,26 @@ L0x::L0x(SimContext &ctx, const L0xParams &p, L1xAcc &l1x,
     _fig = energy::evaluateSram(sp);
     _ecL0x = ctx.energy.component(energy::comp::kL0x);
     _setWbTime.assign(_tags.numSets(), kTickNever);
-    _stats = &ctx.stats.root().child(p.name);
-    _stReads = &_stats->scalar("reads");
-    _stWrites = &_stats->scalar("writes");
-    _stHits = &_stats->scalar("hits");
-    _stLoadMisses = &_stats->scalar("load_misses");
-    _stStoreMisses = &_stats->scalar("store_misses");
-    _stAccessLatency = &_stats->histogram("access_latency", 0, 64, 16);
-    _stHitLatency = &_stats->histogram("hit_latency", 0, 16, 16);
-    _stMissLatency = &_stats->histogram("miss_latency", 0, 512, 32);
-    _stWbDelay = &_stats->histogram("wb_delay", 0, 512, 32);
+    ctx.stats.counters(p.name, {{"reads", _reads},
+                                {"writes", _writes},
+                                {"hits", _hits},
+                                {"load_misses", _loadMisses},
+                                {"store_misses", _storeMisses},
+                                {"fills", _fills},
+                                {"forward_fills", _forwardFills},
+                                {"evictions", _evictions},
+                                {"downgrade_sweeps", _downgradeSweeps},
+                                {"writebacks", _writebacks},
+                                {"forwards_out", _forwardsOut},
+                                {"forwards_in", _forwardsIn},
+                                {"forwards_rejected", _forwardsRejected}});
+    _stAccessLatency =
+        &ctx.stats.histogram(p.name + ".access_latency", 0, 64, 16);
+    _stHitLatency =
+        &ctx.stats.histogram(p.name + ".hit_latency", 0, 16, 16);
+    _stMissLatency =
+        &ctx.stats.histogram(p.name + ".miss_latency", 0, 512, 32);
+    _stWbDelay = &ctx.stats.histogram(p.name + ".wb_delay", 0, 512, 32);
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
@@ -62,7 +72,7 @@ L0x::L0x(SimContext &ctx, const L0xParams &p, L1xAcc &l1x,
         return static_cast<double>(_mshrs.size());
     });
     ctx.obs.registerCounter(p.name + ".misses", [this] {
-        return static_cast<double>(_misses);
+        return static_cast<double>(misses());
     });
 
     ctx.guard.registerSnapshot(p.name, [this] {
@@ -119,7 +129,7 @@ L0x::bookAccess(bool is_write, bool line_granular)
     if (!line_granular)
         pj *= kWordAccessScale;
     _ctx.energy.add(_ecL0x, pj);
-    *(is_write ? _stWrites : _stReads) += 1;
+    ++(is_write ? _writes : _reads);
 }
 
 void
@@ -168,10 +178,8 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
 
     if (!is_write) {
         if (lease_valid) {
-            if (!is_retry) {
+            if (!is_retry)
                 ++_hits;
-                *_stHits += 1;
-            }
             _tags.touch(*line);
             sampleDone();
             done();
@@ -194,10 +202,8 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
         }
         if (line && line->wepochEnd >= now) {
             // Store hit under our write epoch.
-            if (!is_retry) {
+            if (!is_retry)
                 ++_hits;
-                *_stHits += 1;
-            }
             _tags.touch(*line);
             line->dirty = true;
             noteWriteEpoch(vline, line->wepochEnd);
@@ -208,10 +214,8 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
     }
 
     // Miss (or store without a write epoch): go to the L1X.
-    if (!is_retry) {
-        ++_misses;
-        *(is_write ? _stStoreMisses : _stLoadMisses) += 1;
-    }
+    if (!is_retry)
+        ++(is_write ? _storeMisses : _loadMisses);
     bool need_data = !lease_valid;
     bool primary = _mshrs.allocate(
         vline,
@@ -254,7 +258,6 @@ L0x::onGrant(Addr vline, bool is_write, Tick lease_end)
     if (!line) {
         line = allocateFrame(vline);
         ++_fills;
-        _stats->scalar("fills") += 1;
         bookAccess(true, true); // line fill
     }
     if (lease_end > line->ltime)
@@ -276,7 +279,7 @@ L0x::allocateFrame(Addr vline)
     mem::CacheLine *way = _tags.victim(vline);
     fusion_assert(way, "L0X victim selection failed");
     if (way->valid) {
-        _stats->scalar("evictions") += 1;
+        ++_evictions;
         if (way->dirty) {
             // Early self-downgrade on capacity eviction.
             emitDirtyLine(*way);
@@ -313,7 +316,7 @@ L0x::downgradeSweep()
     if (now < _nextDowngrade)
         return; // superseded by an earlier sweep
     _nextDowngrade = kTickNever;
-    _stats->scalar("downgrade_sweeps") += 1;
+    ++_downgradeSweeps;
 
     Tick next = kTickNever;
     for (std::uint32_t set = 0; set < _tags.numSets(); ++set) {
@@ -365,7 +368,6 @@ L0x::emitDirtyLine(mem::CacheLine &line, bool allow_forward)
             // FUSION-Dx: push the dirty line straight to the
             // consumer, notify the L1X with a 1-flit lease transfer.
             ++_forwardsOut;
-            _stats->scalar("forwards_out") += 1;
             L0x *consumer = it->second;
             fusion_assert(_fwdLink, "forwarding without a fwd link");
             Tick lease_end = _ctx.now() + consumer->_leaseLen;
@@ -397,7 +399,6 @@ L0x::emitDirtyLine(mem::CacheLine &line, bool allow_forward)
     }
 
     ++_writebacks;
-    _stats->scalar("writebacks") += 1;
     _tileLink->send(MsgClass::Data, _tileLink->latency(),
                     [this, vline, pid] {
         _l1x.writeback(_p.accel, vline, pid);
@@ -428,7 +429,6 @@ L0x::forwardPlannedLines()
         if (!consumer->canAcceptForward(l.lineAddr))
             return;
         ++_forwardsOut;
-        _stats->scalar("forwards_out") += 1;
         fusion_assert(_fwdLink, "forwarding without a fwd link");
         Addr vline = l.lineAddr;
         Pid pid = l.pid;
@@ -476,7 +476,7 @@ L0x::receiveForward(Addr vline, Pid pid, Tick lease_end,
             // The set filled between the producer's probe and the
             // push landing: degrade to a normal writeback so the
             // dirty data reaches the L1X.
-            _stats->scalar("forwards_rejected") += 1;
+            ++_forwardsRejected;
             _tileLink->send(MsgClass::Data, _tileLink->latency(),
                             [this, vline, pid] {
                                 _l1x.writeback(_p.accel, vline,
@@ -485,12 +485,12 @@ L0x::receiveForward(Addr vline, Pid pid, Tick lease_end,
             return;
         }
         if (way->valid)
-            _stats->scalar("evictions") += 1;
+            ++_evictions;
         _tags.install(*way, vline, pid);
         line = way;
-        ++_fills;
+        ++_forwardFills;
     }
-    _stats->scalar("forwards_in") += 1;
+    ++_forwardsIn;
     bookAccess(true, true);
     line->ltime = std::max(line->ltime, lease_end);
     _tags.touch(*line);

@@ -105,9 +105,10 @@ class L0x : public MemPort
                 PortDone done) override;
 
     std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
+    std::uint64_t misses() const { return _loadMisses + _storeMisses; }
     std::uint64_t writebacksSent() const { return _writebacks; }
-    std::uint64_t fills() const { return _fills; }
+    /** Lines installed: miss fills plus pushed-in forwards. */
+    std::uint64_t fills() const { return _fills + _forwardFills; }
     std::uint64_t forwardsOut() const { return _forwardsOut; }
     Cycles latency() const { return _fig.latency; }
 
@@ -156,18 +157,20 @@ class L0x : public MemPort
     std::vector<Tick> _setWbTime;
     Tick _nextDowngrade = kTickNever;
 
+    // Counters, bound into ctx.stats under "<name>.<stat>".
+    std::uint64_t _reads = 0;
+    std::uint64_t _writes = 0;
     std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
+    std::uint64_t _loadMisses = 0;
+    std::uint64_t _storeMisses = 0;
+    std::uint64_t _fills = 0;        ///< installed by a miss grant
+    std::uint64_t _forwardFills = 0; ///< installed by a pushed forward
+    std::uint64_t _evictions = 0;
+    std::uint64_t _downgradeSweeps = 0;
     std::uint64_t _writebacks = 0;
-    std::uint64_t _fills = 0;
     std::uint64_t _forwardsOut = 0;
-    stats::Group *_stats;
-    // Per-access counters/histogram resolved once at construction.
-    stats::Scalar *_stReads;
-    stats::Scalar *_stWrites;
-    stats::Scalar *_stHits;
-    stats::Scalar *_stLoadMisses;
-    stats::Scalar *_stStoreMisses;
+    std::uint64_t _forwardsIn = 0;
+    std::uint64_t _forwardsRejected = 0;
     stats::Histogram *_stAccessLatency;
     stats::Histogram *_stHitLatency;
     stats::Histogram *_stMissLatency;

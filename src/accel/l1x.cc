@@ -30,14 +30,26 @@ L1xAcc::L1xAcc(SimContext &ctx, const L1xParams &p, host::Llc &llc,
     _fig = energy::evaluateSram(sp);
     _ecL1x = ctx.energy.component(energy::comp::kL1x);
     _agentId = llc.registerAgent(this, llc_link, p.ringNode);
-    _stats = &ctx.stats.root().child(p.name);
-    _stReads = &_stats->scalar("reads");
-    _stWrites = &_stats->scalar("writes");
-    _stHits = &_stats->scalar("hits");
-    _stMisses = &_stats->scalar("misses");
-    _stBankConflicts = &_stats->scalar("bank_conflicts");
-    _stFillLatency = &_stats->histogram("fill_latency", 0, 1024, 32);
-    _stFwdLatency = &_stats->histogram("fwd_latency", 0, 1024, 32);
+    ctx.stats.counters(p.name, {{"reads", _reads},
+                                {"writes", _writes},
+                                {"hits", _hits},
+                                {"misses", _misses},
+                                {"bank_conflicts", _bankConflicts},
+                                {"stalls_on_write_epoch", _stallsOnWriteEpoch},
+                                {"synonym_evictions", _synonymEvictions},
+                                {"frame_retries", _frameRetries},
+                                {"evictions", _evictions},
+                                {"write_epochs", _writeEpochs},
+                                {"read_leases", _readLeases},
+                                {"l0x_writebacks", _l0xWritebacks},
+                                {"lease_transfers", _leaseTransfers},
+                                {"write_through_stores", _writeThroughStores},
+                                {"fwd_recv", _fwdRecv},
+                                {"fwd_stalled_on_gtime", _fwdStalledOnGtime}});
+    _stFillLatency =
+        &ctx.stats.histogram(p.name + ".fill_latency", 0, 1024, 32);
+    _stFwdLatency =
+        &ctx.stats.histogram(p.name + ".fwd_latency", 0, 1024, 32);
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
@@ -135,7 +147,7 @@ void
 L1xAcc::bookAccess(bool is_write)
 {
     _ctx.energy.add(_ecL1x, is_write ? _fig.writePj : _fig.readPj);
-    *(is_write ? _stWrites : _stReads) += 1;
+    ++(is_write ? _writes : _reads);
 }
 
 void
@@ -152,7 +164,7 @@ L1xAcc::requestLease(AccelId who, Addr vline, Pid pid,
     // line interleaved).
     Cycles bank_delay = _banks.reserve(vline, _ctx.now());
     if (bank_delay > 0)
-        *_stBankConflicts += 1;
+        ++_bankConflicts;
     _ctx.eq.scheduleIn(_fig.latency + bank_delay,
                        [this, who, vline, pid, lease_len, is_write,
                         need_data, done = std::move(done)]() mutable {
@@ -172,7 +184,7 @@ L1xAcc::processLease(AccelId who, Addr vline, Pid pid,
         if (line->locked) {
             // An un-expired write epoch: stall at the L1X until the
             // epoch's writeback arrives (Section 3.2).
-            _stats->scalar("stalls_on_write_epoch") += 1;
+            ++_stallsOnWriteEpoch;
             if (_tracer)
                 _tracer->phase(_track, obs::SpanKind::Lease, vline,
                                "stall", _ctx.now());
@@ -189,20 +201,16 @@ L1xAcc::processLease(AccelId who, Addr vline, Pid pid,
                 });
             return;
         }
-        if (!is_retry) {
+        if (!is_retry)
             ++_hits;
-            *_stHits += 1;
-        }
         grant(*line, lease_len, is_write, need_data,
               std::move(done));
         return;
     }
 
     // Miss at the L1X: cross to the host tile.
-    if (!is_retry) {
+    if (!is_retry)
         ++_misses;
-        *_stMisses += 1;
-    }
     bool primary = _mshrs.allocate(
         vline, pid,
         [this, who, vline, pid, lease_len, is_write, need_data,
@@ -231,7 +239,7 @@ L1xAcc::startFill(Addr vline, Pid pid)
         // evict the duplicate so at most one synonym is resident.
         if (auto syn = _rmap.probeForSynonym(pline)) {
             if (syn->vline != vline || syn->pid != pid) {
-                _stats->scalar("synonym_evictions") += 1;
+                ++_synonymEvictions;
                 mem::CacheLine *dup = _tags.find(syn->vline,
                                                  syn->pid);
                 if (dup) {
@@ -281,7 +289,7 @@ L1xAcc::allocateFrame(Addr vline, Pid pid, Addr pline,
             return !l.locked && l.gtime <= now;
         });
     if (!victim) {
-        _stats->scalar("frame_retries") += 1;
+        ++_frameRetries;
         _ctx.eq.scheduleIn(
             16, [this, vline, pid, pline,
                  installed = std::move(installed)]() mutable {
@@ -291,7 +299,7 @@ L1xAcc::allocateFrame(Addr vline, Pid pid, Addr pline,
         return;
     }
     if (victim->valid) {
-        _stats->scalar("evictions") += 1;
+        ++_evictions;
         _rmap.erase(victim->pline);
         if (victim->dirty) {
             _llc.writebackData(_agentId, victim->pline);
@@ -313,9 +321,9 @@ L1xAcc::grant(mem::CacheLine &line, Cycles lease_len, bool is_write,
     if (is_write) {
         line.locked = true;
         line.wepochEnd = end;
-        _stats->scalar("write_epochs") += 1;
+        ++_writeEpochs;
     } else {
-        _stats->scalar("read_leases") += 1;
+        ++_readLeases;
     }
     _tags.touch(line);
     if (_tracer) {
@@ -343,7 +351,7 @@ L1xAcc::writeback(AccelId who, Addr vline, Pid pid)
     (void)who;
     vline = lineAlign(vline);
     bookAccess(true);
-    _stats->scalar("l0x_writebacks") += 1;
+    ++_l0xWritebacks;
     mem::CacheLine *line = _tags.find(vline, pid);
     if (line) {
         line->dirty = true;
@@ -369,7 +377,7 @@ void
 L1xAcc::leaseTransfer(Addr vline, Pid pid, Tick new_end, bool dirty)
 {
     vline = lineAlign(vline);
-    _stats->scalar("lease_transfers") += 1;
+    ++_leaseTransfers;
     mem::CacheLine *line = _tags.find(vline, pid);
     if (!line) {
         fusion_warn("lease transfer for absent line vline=", vline);
@@ -391,7 +399,7 @@ L1xAcc::writeThroughStore(AccelId who, Addr vline, Pid pid)
     (void)who;
     vline = lineAlign(vline);
     bookAccess(true);
-    _stats->scalar("write_through_stores") += 1;
+    ++_writeThroughStores;
     mem::CacheLine *line = _tags.find(vline, pid);
     if (line) {
         line->dirty = true;
@@ -417,7 +425,7 @@ void
 L1xAcc::handleFwd(Addr pa, FwdKind kind, FwdDone done)
 {
     (void)kind; // ACC answers every host demand identically.
-    _stats->scalar("fwd_recv") += 1;
+    ++_fwdRecv;
     auto entry = _rmap.lookup(pa);
     if (!entry) {
         done(false, false);
@@ -451,7 +459,7 @@ L1xAcc::handleFwd(Addr pa, FwdKind kind, FwdDone done)
     Tick ready_at = w.readyAt;
     _wbBuffer.push_back(std::move(w));
     if (ready_at > _ctx.now()) {
-        _stats->scalar("fwd_stalled_on_gtime") += 1;
+        ++_fwdStalledOnGtime;
         _ctx.eq.schedule(ready_at,
                          [this, id] { tryRespondWbBuf(id); });
     } else {

@@ -179,20 +179,28 @@ class L1xAcc : public coherence::CoherentAgent
     energy::SramFigures _fig;
     energy::ComponentId _ecL1x = energy::kInvalidComponent;
     int _agentId = -1;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
     /** Write-epoch stall queues — the same pooled (vline, pid)
      *  structure as the MSHR file; wakeStalled() drains one key. */
     mem::MshrFile _stalled;
     std::list<WbBufEntry> _wbBuffer;
     std::uint64_t _nextWbId = 1;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stReads;
-    stats::Scalar *_stWrites;
-    stats::Scalar *_stHits;
-    stats::Scalar *_stMisses;
-    stats::Scalar *_stBankConflicts;
+    // Counters, bound into ctx.stats under "<name>.<stat>".
+    std::uint64_t _reads = 0;
+    std::uint64_t _writes = 0;
+    std::uint64_t _hits = 0;
+    std::uint64_t _misses = 0;
+    std::uint64_t _bankConflicts = 0;
+    std::uint64_t _stallsOnWriteEpoch = 0;
+    std::uint64_t _synonymEvictions = 0;
+    std::uint64_t _frameRetries = 0;
+    std::uint64_t _evictions = 0;
+    std::uint64_t _writeEpochs = 0;
+    std::uint64_t _readLeases = 0;
+    std::uint64_t _l0xWritebacks = 0;
+    std::uint64_t _leaseTransfers = 0;
+    std::uint64_t _writeThroughStores = 0;
+    std::uint64_t _fwdRecv = 0;
+    std::uint64_t _fwdStalledOnGtime = 0;
     stats::Histogram *_stFillLatency;
     stats::Histogram *_stFwdLatency;
     /// Telemetry span tracer (null when tracing is off).

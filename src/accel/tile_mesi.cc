@@ -34,15 +34,21 @@ L0xMesi::L0xMesi(SimContext &ctx, std::string name,
     sp.kind = energy::SramKind::Cache; // no timestamp field
     _fig = energy::evaluateSram(sp);
     _ecL0x = ctx.energy.component(energy::comp::kL0x);
-    _stats = &ctx.stats.root().child(_name);
-    _stReads = &_stats->scalar("reads");
-    _stWrites = &_stats->scalar("writes");
-    _stHits = &_stats->scalar("hits");
-    _stLoadMisses = &_stats->scalar("load_misses");
-    _stStoreMisses = &_stats->scalar("store_misses");
-    _stAccessLatency = &_stats->histogram("access_latency", 0, 64, 16);
-    _stHitLatency = &_stats->histogram("hit_latency", 0, 16, 16);
-    _stMissLatency = &_stats->histogram("miss_latency", 0, 512, 32);
+    ctx.stats.counters(_name, {{"reads", _reads},
+                               {"writes", _writes},
+                               {"hits", _hits},
+                               {"load_misses", _loadMisses},
+                               {"store_misses", _storeMisses},
+                               {"evictions", _evictions},
+                               {"fills", _fills},
+                               {"probes", _probes},
+                               {"writebacks", _writebacks}});
+    _stAccessLatency =
+        &ctx.stats.histogram(_name + ".access_latency", 0, 64, 16);
+    _stHitLatency =
+        &ctx.stats.histogram(_name + ".hit_latency", 0, 16, 16);
+    _stMissLatency =
+        &ctx.stats.histogram(_name + ".miss_latency", 0, 512, 32);
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
@@ -51,7 +57,7 @@ L0xMesi::L0xMesi(SimContext &ctx, std::string name,
         return static_cast<double>(_mshrs.size());
     });
     ctx.obs.registerCounter(_name + ".misses", [this] {
-        return static_cast<double>(_misses);
+        return static_cast<double>(misses());
     });
 }
 
@@ -62,7 +68,7 @@ L0xMesi::bookAccess(bool is_write, bool line_granular)
     if (!line_granular)
         pj *= kWordAccessScale;
     _ctx.energy.add(_ecL0x, pj);
-    *(is_write ? _stWrites : _stReads) += 1;
+    ++(is_write ? _writes : _reads);
 }
 
 void
@@ -92,10 +98,8 @@ L0xMesi::lookup(Addr vline, bool is_write, Tick start, PortDone done,
         bool hit = !is_write || line->mesi == MesiState::M ||
                    line->mesi == MesiState::E;
         if (hit) {
-            if (!is_retry) {
+            if (!is_retry)
                 ++_hits;
-                *_stHits += 1;
-            }
             _tags.touch(*line);
             if (is_write) {
                 line->mesi = MesiState::M;
@@ -114,11 +118,8 @@ L0xMesi::lookup(Addr vline, bool is_write, Tick start, PortDone done,
         }
     }
     // Miss or upgrade.
-    if (!is_retry) {
-        ++_misses;
-        *(is_write ? _stStoreMisses : _stLoadMisses) +=
-            1;
-    }
+    if (!is_retry)
+        ++(is_write ? _storeMisses : _loadMisses);
     bool primary = _mshrs.allocate(
         vline,
         [this, vline, is_write, start,
@@ -156,7 +157,7 @@ L0xMesi::fillDone(Addr vline, bool is_write, bool exclusive)
         mem::CacheLine *way = _tags.victim(vline);
         fusion_assert(way, "L0xMesi victim selection failed");
         if (way->valid) {
-            _stats->scalar("evictions") += 1;
+            ++_evictions;
             if (way->dirty || way->mesi == MesiState::M) {
                 ++_writebacks;
                 _tileLink->book(MsgClass::Data);
@@ -180,7 +181,6 @@ L0xMesi::fillDone(Addr vline, bool is_write, bool exclusive)
         _tags.install(*way, vline, _pid);
         line = way;
         ++_fills;
-        _stats->scalar("fills") += 1;
         bookAccess(true, true);
     }
     if (is_write) {
@@ -198,7 +198,6 @@ L0xMesi::handleTileFwd(Addr vline, FwdKind kind,
                        sim::SmallFn<void(bool dirty)> done)
 {
     ++_probes;
-    _stats->scalar("probes") += 1;
     bookAccess(false, false); // tag probe energy
     mem::CacheLine *line = _tags.find(lineAlign(vline), _pid);
     if (!line) {
@@ -242,12 +241,18 @@ L1xMesi::L1xMesi(SimContext &ctx, std::uint64_t bytes,
     _fig = energy::evaluateSram(sp);
     _ecL1x = ctx.energy.component(energy::comp::kL1x);
     _agentId = llc.registerAgent(this, llc_link, ring_node);
-    _stats = &ctx.stats.root().child("l1x");
-    _stReads = &_stats->scalar("reads");
-    _stWrites = &_stats->scalar("writes");
-    _stHits = &_stats->scalar("hits");
-    _stMisses = &_stats->scalar("misses");
-    _stDeferred = &_stats->scalar("deferred");
+    ctx.stats.counters(_name, {{"reads", _reads},
+                               {"writes", _writes},
+                               {"hits", _hits},
+                               {"misses", _misses},
+                               {"deferred", _deferred},
+                               {"synonym_evictions", _synonymEvictions},
+                               {"frame_retries", _frameRetries},
+                               {"evictions", _evictions},
+                               {"probes_sent", _probesSent},
+                               {"l0x_writebacks", _l0xWritebacks},
+                               {"evict_notices", _evictNotices},
+                               {"fwd_recv", _fwdRecv}});
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
@@ -279,7 +284,7 @@ L1xMesi::bookAccess(bool is_write)
 {
     _ctx.energy.add(_ecL1x,
                     is_write ? _fig.writePj : _fig.readPj);
-    *(is_write ? _stWrites : _stReads) += 1;
+    ++(is_write ? _writes : _reads);
 }
 
 void
@@ -310,7 +315,7 @@ L1xMesi::arrive(int l0x_id, Addr vline, Pid pid, CoherenceReq kind,
                               done = std::move(done)]() mutable {
             arrive(l0x_id, vline, pid, kind, std::move(done));
         });
-        *_stDeferred += 1;
+        ++_deferred;
         if (_tracer)
             _tracer->phase(_track, obs::SpanKind::MesiReq, vline,
                            "defer", _ctx.now());
@@ -319,12 +324,10 @@ L1xMesi::arrive(int l0x_id, Addr vline, Pid pid, CoherenceReq kind,
     d.busy = true;
     if (_tags.find(vline, pid)) {
         ++_hits;
-        *_stHits += 1;
         dirAction(l0x_id, vline, pid, kind, std::move(done));
         return;
     }
     ++_misses;
-    *_stMisses += 1;
     bool primary = _mshrs.allocate(
         vline, pid,
         [this, l0x_id, vline, pid, kind,
@@ -348,7 +351,7 @@ L1xMesi::startFill(Addr vline, Pid pid)
         Addr pline = lineAlign(pa);
         if (auto syn = _rmap.probeForSynonym(pline)) {
             if (syn->vline != vline || syn->pid != pid) {
-                _stats->scalar("synonym_evictions") += 1;
+                ++_synonymEvictions;
                 mem::CacheLine *dup =
                     _tags.find(syn->vline, syn->pid);
                 if (dup) {
@@ -402,7 +405,7 @@ L1xMesi::allocateFrame(Addr vline, Pid pid, Addr pline,
             return !d.busy && d.owner < 0 && d.sharers == 0;
         });
     if (!victim) {
-        _stats->scalar("frame_retries") += 1;
+        ++_frameRetries;
         _ctx.eq.scheduleIn(
             16, [this, vline, pid, pline,
                  installed = std::move(installed)]() mutable {
@@ -412,7 +415,7 @@ L1xMesi::allocateFrame(Addr vline, Pid pid, Addr pline,
         return;
     }
     if (victim->valid) {
-        _stats->scalar("evictions") += 1;
+        ++_evictions;
         _rmap.erase(victim->pline);
         if (victim->dirty) {
             _llc.writebackData(_agentId, victim->pline);
@@ -506,7 +509,6 @@ L1xMesi::clearTile(int except, Addr vline, Pid pid,
         std::make_shared<sim::SmallFn<void()>>(std::move(then));
     for (const Target &t : targets) {
         ++_probesSent;
-        _stats->scalar("probes_sent") += 1;
         // Probe + response cross the tile link (the ACC protocol
         // never sends these).
         _tileLink->book(MsgClass::Control);
@@ -589,7 +591,7 @@ L1xMesi::writeback(int l0x_id, Addr vline, Pid pid)
 {
     vline = lineAlign(vline);
     bookAccess(true);
-    _stats->scalar("l0x_writebacks") += 1;
+    ++_l0xWritebacks;
     DirInfo &d = _dir[key(vline, pid)];
     if (d.owner == l0x_id)
         d.owner = -1;
@@ -605,7 +607,7 @@ void
 L1xMesi::evictNotice(int l0x_id, Addr vline, Pid pid)
 {
     vline = lineAlign(vline);
-    _stats->scalar("evict_notices") += 1;
+    ++_evictNotices;
     DirInfo &d = _dir[key(vline, pid)];
     if (d.owner == l0x_id)
         d.owner = -1;
@@ -616,7 +618,7 @@ void
 L1xMesi::handleFwd(Addr pa, FwdKind kind, FwdDone done)
 {
     (void)kind;
-    _stats->scalar("fwd_recv") += 1;
+    ++_fwdRecv;
     DPRINTFN("MESI", "host fwd pa=", pa, " now=", _ctx.now());
     auto entry = _rmap.lookup(pa);
     if (!entry) {

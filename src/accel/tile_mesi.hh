@@ -73,7 +73,7 @@ class L0xMesi : public MemPort
                        sim::SmallFn<void(bool dirty)> done);
 
     std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
+    std::uint64_t misses() const { return _loadMisses + _storeMisses; }
     std::uint64_t probes() const { return _probes; }
     std::uint64_t fills() const { return _fills; }
     std::uint64_t writebacks() const { return _writebacks; }
@@ -95,18 +95,16 @@ class L0xMesi : public MemPort
     energy::SramFigures _fig;
     energy::ComponentId _ecL0x = energy::kInvalidComponent;
     Pid _pid = 1;
+    // Counters, bound into ctx.stats under "<name>.<stat>".
+    std::uint64_t _reads = 0;
+    std::uint64_t _writes = 0;
     std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
-    std::uint64_t _probes = 0;
+    std::uint64_t _loadMisses = 0;
+    std::uint64_t _storeMisses = 0;
+    std::uint64_t _evictions = 0;
     std::uint64_t _fills = 0;
+    std::uint64_t _probes = 0;
     std::uint64_t _writebacks = 0;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stReads;
-    stats::Scalar *_stWrites;
-    stats::Scalar *_stHits;
-    stats::Scalar *_stLoadMisses;
-    stats::Scalar *_stStoreMisses;
     stats::Histogram *_stAccessLatency;
     stats::Histogram *_stHitLatency;
     stats::Histogram *_stMissLatency;
@@ -214,16 +212,19 @@ class L1xMesi : public coherence::CoherentAgent
     int _agentId = -1;
     std::vector<L0xMesi *> _l0xs;
     std::unordered_map<LineKey, DirInfo, LineKeyHash> _dir;
+    // Counters, bound into ctx.stats under "l1x.<stat>".
+    std::uint64_t _reads = 0;
+    std::uint64_t _writes = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
+    std::uint64_t _deferred = 0;
+    std::uint64_t _synonymEvictions = 0;
+    std::uint64_t _frameRetries = 0;
+    std::uint64_t _evictions = 0;
     std::uint64_t _probesSent = 0;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stReads;
-    stats::Scalar *_stWrites;
-    stats::Scalar *_stHits;
-    stats::Scalar *_stMisses;
-    stats::Scalar *_stDeferred;
+    std::uint64_t _l0xWritebacks = 0;
+    std::uint64_t _evictNotices = 0;
+    std::uint64_t _fwdRecv = 0;
     /// Telemetry span tracer (null when tracing is off).
     obs::SpanTracer *_tracer = nullptr;
     std::uint32_t _track = 0;

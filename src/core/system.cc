@@ -13,13 +13,13 @@ namespace fusion::core
 namespace
 {
 
-/** Walk the stats tree collecting percentile summaries for every
- *  histogram that saw samples (dot-joined path as the key). */
+/** Percentile summaries for every histogram that saw samples,
+ *  keyed by its stats path. */
 void
-harvestLatency(const stats::Group &g, const std::string &prefix,
+harvestLatency(const stats::Registry &stats,
                std::map<std::string, obs::LatencyStat> &out)
 {
-    for (const auto &[name, h] : g.histograms()) {
+    for (const auto &[path, h] : stats.histograms()) {
         if (h.samples() == 0)
             continue;
         obs::LatencyStat ls;
@@ -29,10 +29,8 @@ harvestLatency(const stats::Group &g, const std::string &prefix,
         ls.p95 = h.percentile(95.0);
         ls.p99 = h.percentile(99.0);
         ls.max = h.maxValue();
-        out[prefix + name] = ls;
+        out[path] = ls;
     }
-    for (const auto &[name, child] : g.children())
-        harvestLatency(child, prefix + name + ".", out);
 }
 
 } // namespace
@@ -60,9 +58,7 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
         return static_cast<double>(_ctx.eq.executed());
     });
 
-    _stOverlapLaunches =
-        &_ctx.stats.root().child("scheduler").scalar(
-            "overlap_launches");
+    _ctx.stats.counter("scheduler.overlap_launches", _overlapLaunches);
 
     // Map every traced virtual page up front (the OS would have
     // faulted them in during the original execution).
@@ -404,7 +400,7 @@ System::pumpOverlap()
             continue;
         _invLaunched[j] = true;
         _accelBusy[accel] = true;
-        *_stOverlapLaunches += 1;
+        ++_overlapLaunches;
         launchInvocation(j, [this, j, accel] {
             _invDone[j] = true;
             _accelBusy[accel] = false;
@@ -420,30 +416,21 @@ System::collect(RunResult &r) const
     r.energyPj = _ctx.energy.components();
     r.workingSetBytes = trace::footprintLines(_prog) * kLineBytes;
 
-    const stats::Group &root = _ctx.stats.root();
-    auto link_scalar = [&root](const char *link,
-                               const char *stat) -> std::uint64_t {
-        auto it = root.children().find("links");
-        if (it == root.children().end())
-            return 0;
-        auto jt = it->second.children().find(link);
-        if (jt == it->second.children().end())
-            return 0;
-        if (!jt->second.hasScalar(stat))
-            return 0;
-        return static_cast<std::uint64_t>(
-            jt->second.scalarValue(stat));
+    // Summed over every link bound under the path (AUTO: one per
+    // frontend); 0 when the organization has no such link.
+    auto link_count = [this](const std::string &path) {
+        return _ctx.stats.has(path) ? _ctx.stats.value(path) : 0;
     };
-    r.l0xL1xCtrlMsgs = link_scalar("l0x_l1x", "ctrl_msgs");
-    r.l0xL1xDataMsgs = link_scalar("l0x_l1x", "data_msgs");
-    r.l0xL1xFlits = link_scalar("l0x_l1x", "flits");
+    r.l0xL1xCtrlMsgs = link_count("links.l0x_l1x.ctrl_msgs");
+    r.l0xL1xDataMsgs = link_count("links.l0x_l1x.data_msgs");
+    r.l0xL1xFlits = link_count("links.l0x_l1x.flits");
     // SCRATCH's DMA link books to the same ledger components but a
-    // distinct stats group; fold both into the L1X<->L2 counters.
-    r.l1xL2CtrlMsgs = link_scalar("l1x_l2", "ctrl_msgs") +
-                      link_scalar("dma", "ctrl_msgs");
-    r.l1xL2DataMsgs = link_scalar("l1x_l2", "data_msgs") +
-                      link_scalar("dma", "data_msgs");
-    r.l0xL0xDataMsgs = link_scalar("l0x_l0x", "data_msgs");
+    // distinct stats path; fold both into the L1X<->L2 counters.
+    r.l1xL2CtrlMsgs = link_count("links.l1x_l2.ctrl_msgs") +
+                      link_count("links.dma.ctrl_msgs");
+    r.l1xL2DataMsgs = link_count("links.l1x_l2.data_msgs") +
+                      link_count("links.dma.data_msgs");
+    r.l0xL0xDataMsgs = link_count("links.l0x_l0x.data_msgs");
 
     // Per-organization counters come from the frontends. Additive:
     // under AUTO every constructed frontend reports into the same
@@ -463,7 +450,7 @@ System::collect(RunResult &r) const
     // RunResult (and its JSON) must stay byte-identical to an
     // instrumentation-free build.
     if (_cfg.obs.anyEnabled())
-        harvestLatency(root, "", r.latency);
+        harvestLatency(_ctx.stats, r.latency);
 }
 
 } // namespace fusion::core

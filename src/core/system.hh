@@ -97,6 +97,8 @@ class System
 
     SystemConfig _cfg;
     const trace::Program &_prog;
+    /// Declared before every component: _ctx.stats points at their
+    /// counter members, so the components must be destroyed first.
     SimContext _ctx;
     vm::PageTable _pt;
 
@@ -129,7 +131,7 @@ class System
     std::uint32_t _obsTrack = 0;
 
     // Overlap scheduling state.
-    stats::Scalar *_stOverlapLaunches; ///< resolved once in the ctor
+    std::uint64_t _overlapLaunches = 0; ///< "scheduler.overlap_launches"
     std::vector<std::vector<std::uint32_t>> _invDeps;
     std::vector<bool> _invDone;
     std::vector<bool> _invLaunched;

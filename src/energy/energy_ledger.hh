@@ -11,12 +11,13 @@
  * construction via component() and receives a ComponentId indexing a
  * flat vector of totals, so the per-access path is one indexed add —
  * the old string-keyed add() hashed and probed a map on every cache,
- * link and DRAM access, the hottest path in the simulator. The
- * name-keyed views (components(), total(), totalWithPrefix(),
- * grandTotal()) iterate in name-sorted order over components that
- * have actually booked, which keeps reporter output — including the
- * floating-point accumulation order of the totals — byte-identical
- * to the map-backed ledger.
+ * link and DRAM access, the hottest path in the simulator. Nothing
+ * books by name, so no entry is ever created on a booking. The
+ * name-keyed views (components(), total(), grandTotal()) iterate in
+ * name-sorted order over components that have actually booked,
+ * which keeps reporter output — including the floating-point
+ * accumulation order of the totals — byte-identical to the
+ * map-backed ledger.
  */
 
 #ifndef FUSION_ENERGY_ENERGY_LEDGER_HH
@@ -91,14 +92,6 @@ class Ledger
         _booked[id] = true;
     }
 
-    /** Name-keyed booking (registers on demand; report-time and
-     *  cold paths only — hot paths hold a ComponentId). */
-    void
-    add(const std::string &name, double pj)
-    {
-        add(component(name), pj);
-    }
-
     /** Total booked against @p component (0 if never seen). */
     double
     total(const std::string &component) const
@@ -114,18 +107,6 @@ class Ledger
         double t = 0.0;
         for (const auto &[k, id] : _index) {
             if (_booked[id])
-                t += _vals[id];
-        }
-        return t;
-    }
-
-    /** Sum over all components whose name starts with @p prefix. */
-    double
-    totalWithPrefix(const std::string &prefix) const
-    {
-        double t = 0.0;
-        for (const auto &[k, id] : _index) {
-            if (_booked[id] && k.rfind(prefix, 0) == 0)
                 t += _vals[id];
         }
         return t;

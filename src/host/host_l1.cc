@@ -30,19 +30,22 @@ HostL1::HostL1(SimContext &ctx, const HostL1Params &p, Llc &llc,
     _fig = energy::evaluateSram(sp);
     _wordAccessScale = p.wordAccessScale;
     _agentId = llc.registerAgent(this, llc_link, p.ringNode);
-    _stats = &ctx.stats.root().child(p.name);
-    _stReads = &_stats->scalar("reads");
-    _stWrites = &_stats->scalar("writes");
-    _stHits = &_stats->scalar("hits");
-    _stMisses = &_stats->scalar("misses");
-    _stBankConflicts = &_stats->scalar("bank_conflicts");
-    _stMissLatency = &_stats->histogram("miss_latency", 0, 1024, 32);
+    ctx.stats.counters(p.name, {{"reads", _reads},
+                                {"writes", _writes},
+                                {"hits", _hits},
+                                {"misses", _misses},
+                                {"upgrades", _upgrades},
+                                {"bank_conflicts", _bankConflicts},
+                                {"evictions", _evictions},
+                                {"fwd_recv", _fwdRecv}});
+    _stMissLatency =
+        &ctx.stats.histogram(p.name + ".miss_latency", 0, 1024, 32);
 
     ctx.obs.registerGauge(p.name + ".mshrs", [this] {
         return static_cast<double>(_mshrs.size());
     });
     ctx.obs.registerCounter(p.name + ".misses", [this] {
-        return static_cast<double>(_misses);
+        return static_cast<double>(misses());
     });
 
     ctx.guard.registerSnapshot(_name, [this] {
@@ -86,7 +89,7 @@ HostL1::bookAccess(bool is_write, double scale)
 {
     _ctx.energy.add(_energyComponent,
                     (is_write ? _fig.writePj : _fig.readPj) * scale);
-    *(is_write ? _stWrites : _stReads) += 1;
+    ++(is_write ? _writes : _reads);
 }
 
 void
@@ -96,7 +99,7 @@ HostL1::access(Addr pa, bool is_write, AccessDone done)
     bookAccess(is_write, _wordAccessScale);
     Cycles bank_delay = _banks.reserve(line_addr, _ctx.now());
     if (bank_delay > 0)
-        *_stBankConflicts += 1;
+        ++_bankConflicts;
     _ctx.eq.scheduleIn(_fig.latency + bank_delay,
                        [this, line_addr, is_write,
                         done = std::move(done)]() mutable {
@@ -114,10 +117,8 @@ HostL1::lookup(Addr line_addr, bool is_write, AccessDone done,
         bool hit = !is_write || line->mesi == MesiState::M ||
                    line->mesi == MesiState::E;
         if (hit) {
-            if (!is_retry) {
+            if (!is_retry)
                 ++_hits;
-                *_stHits += 1;
-            }
             _tags.touch(*line);
             if (is_write) {
                 line->mesi = MesiState::M;
@@ -127,10 +128,8 @@ HostL1::lookup(Addr line_addr, bool is_write, AccessDone done,
             return;
         }
         // Store to a Shared line: upgrade.
-        if (!is_retry) {
-            ++_misses;
-            _stats->scalar("upgrades") += 1;
-        }
+        if (!is_retry)
+            ++_upgrades;
         if (_mshrs.allocate(
                 line_addr,
                 [this, line_addr, is_write,
@@ -153,10 +152,8 @@ HostL1::lookup(Addr line_addr, bool is_write, AccessDone done,
     }
 
     // Miss.
-    if (!is_retry) {
+    if (!is_retry)
         ++_misses;
-        *_stMisses += 1;
-    }
     bool primary = _mshrs.allocate(
         line_addr, [this, line_addr, is_write,
                     done = std::move(done)]() mutable {
@@ -182,7 +179,7 @@ HostL1::allocateFrame(Addr line_addr)
     mem::CacheLine *way = _tags.victim(line_addr);
     fusion_assert(way, "L1 victim selection failed");
     if (way->valid) {
-        _stats->scalar("evictions") += 1;
+        ++_evictions;
         if (way->dirty || way->mesi == MesiState::M) {
             _llc.writebackData(_agentId, way->lineAddr);
         } else {
@@ -221,7 +218,7 @@ HostL1::handleFwd(Addr pa, FwdKind kind, FwdDone done)
     }
     bool was_dirty = line->dirty || line->mesi == MesiState::M;
     bool retained = false;
-    _stats->scalar("fwd_recv") += 1;
+    ++_fwdRecv;
     bookAccess(false);
     if (_ctx.guard.fireFault(guard::FaultKind::StaleHostL1)) {
         // Ack the forward without acting on it: the directory clears

@@ -70,7 +70,8 @@ class HostL1 : public coherence::CoherentAgent
     const std::string &name() const override { return _name; }
 
     std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
+    /** Misses, counting store upgrades of Shared lines. */
+    std::uint64_t misses() const { return _misses + _upgrades; }
     /** LLC agent id assigned at registration (fwdsToAgent key). */
     int agentId() const { return _agentId; }
 
@@ -97,15 +98,15 @@ class HostL1 : public coherence::CoherentAgent
         energy::kInvalidComponent;
     double _wordAccessScale = 1.0;
     int _agentId = -1;
+    // Counters, bound into ctx.stats under "<name>.<stat>".
+    std::uint64_t _reads = 0;
+    std::uint64_t _writes = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stReads;
-    stats::Scalar *_stWrites;
-    stats::Scalar *_stHits;
-    stats::Scalar *_stMisses;
-    stats::Scalar *_stBankConflicts;
+    std::uint64_t _upgrades = 0;
+    std::uint64_t _bankConflicts = 0;
+    std::uint64_t _evictions = 0;
+    std::uint64_t _fwdRecv = 0;
     stats::Histogram *_stMissLatency;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "energy/sram_model.hh"
 #include "sim/logging.hh"
@@ -33,13 +34,18 @@ Llc::Llc(SimContext &ctx, const LlcParams &p, mem::Dram &dram)
     _bankReadPj = fig.readPj;
     _bankWritePj = fig.writePj;
     _ecLlc = ctx.energy.component(energy::comp::kLlc);
-    _stats = &ctx.stats.root().child("llc");
-    _stBankReads = &_stats->scalar("bank_reads");
-    _stBankWrites = &_stats->scalar("bank_writes");
-    _stRequests = &_stats->scalar("requests");
-    _stHits = &_stats->scalar("hits");
-    _stMisses = &_stats->scalar("misses");
-    _stDeferred = &_stats->scalar("deferred");
+    ctx.stats.counters("llc", {{"bank_reads", _bankReads},
+                               {"bank_writes", _bankWrites},
+                               {"requests", _requests},
+                               {"hits", _hits},
+                               {"misses", _misses},
+                               {"deferred", _deferred},
+                               {"victim_retries", _victimRetries},
+                               {"recalls", _recalls},
+                               {"writebacks", _writebacks},
+                               {"evict_notices", _evictNotices},
+                               {"dma_reads", _dmaReads},
+                               {"dma_writes", _dmaWrites}});
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
@@ -48,7 +54,7 @@ Llc::Llc(SimContext &ctx, const LlcParams &p, mem::Dram &dram)
         return static_cast<double>(_dir.size());
     });
     ctx.obs.registerCounter("llc.requests", [this] {
-        return _stRequests->value();
+        return static_cast<double>(_requests);
     });
 
     ctx.guard.registerSnapshot("llc", [this] {
@@ -107,6 +113,7 @@ Llc::registerAgent(coherence::CoherentAgent *agent,
 {
     fusion_assert(_agents.size() < 31, "too many coherent agents");
     _agents.push_back(AgentInfo{agent, link, ring_node, 0});
+    _ctx.stats.counter("llc.fwds", _agents.back().fwds);
     return static_cast<int>(_agents.size()) - 1;
 }
 
@@ -142,7 +149,7 @@ Llc::pathLatency(int agent, Addr pa) const
 void
 Llc::bankAccess(bool is_write)
 {
-    *(is_write ? _stBankWrites : _stBankReads) += 1;
+    ++(is_write ? _bankWrites : _bankReads);
     _ctx.energy.add(_ecLlc, is_write ? _bankWritePj : _bankReadPj);
 }
 
@@ -150,7 +157,7 @@ void
 Llc::request(int agent, Addr pa, CoherenceReq kind, LlcDone done)
 {
     pa = lineAlign(pa);
-    *_stRequests += 1;
+    ++_requests;
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::LlcReq, pa, _ctx.now());
     _agents[static_cast<std::size_t>(agent)].link->send(
@@ -169,7 +176,7 @@ Llc::arrive(int agent, Addr pa, CoherenceReq kind, LlcDone done)
                               done = std::move(done)]() mutable {
             arrive(agent, pa, kind, std::move(done));
         });
-        *_stDeferred += 1;
+        ++_deferred;
         return;
     }
     d.busy = true;
@@ -185,11 +192,11 @@ void
 Llc::lookup(int agent, Addr pa, CoherenceReq kind, LlcDone done)
 {
     if (_tags.find(pa)) {
-        *_stHits += 1;
+        ++_hits;
         dirAction(agent, pa, kind, std::move(done));
         return;
     }
-    *_stMisses += 1;
+    ++_misses;
     ensurePresent(pa, [this, agent, pa, kind,
                        done = std::move(done)]() mutable {
         dirAction(agent, pa, kind, std::move(done));
@@ -207,7 +214,7 @@ Llc::ensurePresent(Addr pa, sim::SmallFn<void()> then)
         });
     if (!victim) {
         // Every way is pinned by a busy transaction; retry shortly.
-        _stats->scalar("victim_retries") += 1;
+        ++_victimRetries;
         _ctx.eq.scheduleIn(
             8, [this, pa, then = std::move(then)]() mutable {
                 ensurePresent(pa, std::move(then));
@@ -236,7 +243,7 @@ Llc::ensurePresent(Addr pa, sim::SmallFn<void()> then)
     // new request to the victim line cannot start a conflicting
     // transaction mid-recall.
     Addr victim_addr = victim->lineAddr;
-    _stats->scalar("recalls") += 1;
+    ++_recalls;
     bool victim_dirty = victim->dirty;
     dirInfo(victim_addr).busy = true;
     clearRemote(-1, victim_addr, false,
@@ -348,8 +355,7 @@ Llc::clearRemote(int except_agent, Addr pa, bool downgrade_to_s,
         std::move(then));
     for (const Target &t : targets) {
         AgentInfo &ai = _agents[static_cast<std::size_t>(t.agent)];
-        ai.fwds += 1;
-        _stats->scalar("fwds") += 1;
+        ++ai.fwds;
         // Forward demand travels LLC -> agent.
         Cycles out_lat = pathLatency(t.agent, pa);
         FwdKind kind = t.kind;
@@ -448,7 +454,7 @@ void
 Llc::writebackData(int agent, Addr pa)
 {
     pa = lineAlign(pa);
-    _stats->scalar("writebacks") += 1;
+    ++_writebacks;
     AgentInfo &ai = _agents[static_cast<std::size_t>(agent)];
     ai.link->send(MsgClass::Data, pathLatency(agent, pa),
                   [this, agent, pa]() {
@@ -473,7 +479,7 @@ void
 Llc::evictNotice(int agent, Addr pa)
 {
     pa = lineAlign(pa);
-    _stats->scalar("evict_notices") += 1;
+    ++_evictNotices;
     AgentInfo &ai = _agents[static_cast<std::size_t>(agent)];
     ai.link->send(MsgClass::Control, pathLatency(agent, pa),
                   [this, agent, pa]() {
@@ -510,7 +516,7 @@ Llc::dmaArrive(Addr pa, bool is_write, interconnect::Link *dma_link,
         return;
     }
     d.busy = true;
-    _stats->scalar(is_write ? "dma_writes" : "dma_reads") += 1;
+    ++(is_write ? _dmaWrites : _dmaReads);
     bankAccess(is_write);
     _ctx.eq.scheduleIn(_p.bankLatency, [this, pa, is_write, dma_link,
                                         done =

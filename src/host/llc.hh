@@ -23,7 +23,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "coherence/protocol.hh"
 #include "interconnect/link.hh"
@@ -131,7 +130,7 @@ class Llc
         coherence::CoherentAgent *agent = nullptr;
         interconnect::Link *link = nullptr;
         std::uint32_t node = 0;
-        std::uint64_t fwds = 0;
+        std::uint64_t fwds = 0; ///< bound under "llc.fwds" (summed)
     };
 
     struct DirInfo
@@ -191,17 +190,24 @@ class Llc
     double _bankReadPj = 0.0;
     double _bankWritePj = 0.0;
     energy::ComponentId _ecLlc = energy::kInvalidComponent;
-    std::vector<AgentInfo> _agents;
+    /// A deque, so each agent's fwds counter keeps the address it
+    /// was bound into ctx.stats at while later agents register.
+    std::deque<AgentInfo> _agents;
     std::unordered_map<Addr, DirInfo> _dir;
     interconnect::Link _dramLink;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stBankReads;
-    stats::Scalar *_stBankWrites;
-    stats::Scalar *_stRequests;
-    stats::Scalar *_stHits;
-    stats::Scalar *_stMisses;
-    stats::Scalar *_stDeferred;
+    // Counters, bound into ctx.stats under "llc.<stat>".
+    std::uint64_t _bankReads = 0;
+    std::uint64_t _bankWrites = 0;
+    std::uint64_t _requests = 0;
+    std::uint64_t _hits = 0;
+    std::uint64_t _misses = 0;
+    std::uint64_t _deferred = 0;
+    std::uint64_t _victimRetries = 0;
+    std::uint64_t _recalls = 0;
+    std::uint64_t _writebacks = 0;
+    std::uint64_t _evictNotices = 0;
+    std::uint64_t _dmaReads = 0;
+    std::uint64_t _dmaWrites = 0;
     /// Telemetry span tracer (null when tracing is off).
     obs::SpanTracer *_tracer = nullptr;
     std::uint32_t _track = 0;

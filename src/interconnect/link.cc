@@ -10,11 +10,10 @@ Link::Link(SimContext &ctx, const LinkParams &p)
         _ecCtrl = ctx.energy.component(_p.ctrlComponent);
     if (!_p.dataComponent.empty())
         _ecData = ctx.energy.component(_p.dataComponent);
-    _stats = &ctx.stats.root().child("links").child(p.name);
-    _stCtrlMsgs = &_stats->scalar("ctrl_msgs");
-    _stDataMsgs = &_stats->scalar("data_msgs");
-    _stFlits = &_stats->scalar("flits");
-    _stBytes = &_stats->scalar("bytes");
+    ctx.stats.counters("links." + p.name, {{"ctrl_msgs", _ctrlMsgs},
+                                           {"data_msgs", _dataMsgs},
+                                           {"flits", _flits},
+                                           {"bytes", _bytes}});
 
     _live = ctx.obs.live();
     _tracer = ctx.obs.tracer();
@@ -118,18 +117,14 @@ Link::book(MsgClass cls, std::uint64_t count)
     double pj = _pjPerByte * static_cast<double>(bytes);
     if (cls == MsgClass::Control) {
         _ctrlMsgs += count;
-        *_stCtrlMsgs += static_cast<double>(count);
         if (_ecCtrl != energy::kInvalidComponent)
             _ctx.energy.add(_ecCtrl, pj);
     } else {
         // Word and full-line payloads both count as data traffic.
         _dataMsgs += count;
-        *_stDataMsgs += static_cast<double>(count);
         if (_ecData != energy::kInvalidComponent)
             _ctx.energy.add(_ecData, pj);
     }
-    *_stFlits += static_cast<double>(flits);
-    *_stBytes += static_cast<double>(bytes);
     if (_tracer) {
         // Senders that book() and schedule delivery themselves use
         // this same latency, so the span covers the real traversal.

@@ -25,7 +25,7 @@ namespace fusion::interconnect
 /** Construction parameters for one link. */
 struct LinkParams
 {
-    std::string name = "link";       ///< stats group name
+    std::string name = "link";       ///< stats path: links.<name>.*
     energy::LinkClass cls = energy::LinkClass::AxcToL1x;
     Cycles latency = 1;              ///< traversal latency
     std::string ctrlComponent;       ///< ledger name for control
@@ -90,17 +90,11 @@ class Link
     // component name is empty (unbooked link).
     energy::ComponentId _ecCtrl = energy::kInvalidComponent;
     energy::ComponentId _ecData = energy::kInvalidComponent;
+    // Counters, bound into ctx.stats under "links.<name>.<stat>".
     std::uint64_t _ctrlMsgs = 0;
     std::uint64_t _dataMsgs = 0;
     std::uint64_t _flits = 0;
     std::uint64_t _bytes = 0;
-    stats::Group *_stats;
-    // Stat handles resolved once at construction (map nodes are
-    // stable), so book() never does a string-keyed lookup.
-    stats::Scalar *_stCtrlMsgs;
-    stats::Scalar *_stDataMsgs;
-    stats::Scalar *_stFlits;
-    stats::Scalar *_stBytes;
     /// Telemetry (null when tracing is off). Each book() records a
     /// link_msg span of exactly the link latency — booking and
     /// delivery scheduling use the same latency on every send path.

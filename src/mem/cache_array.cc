@@ -158,19 +158,6 @@ CacheArray::forEachValid(
     }
 }
 
-void
-CacheArray::forEachValidInSet(std::uint32_t set,
-                              const std::function<void(CacheLine &)>
-                                  &fn)
-{
-    fusion_assert(set < _numSets, "set out of range");
-    CacheLine *base = setBase(set);
-    for (std::uint32_t w = 0; w < _geom.assoc; ++w) {
-        if (base[w].valid)
-            fn(base[w]);
-    }
-}
-
 std::uint64_t
 CacheArray::validCount() const
 {

@@ -161,9 +161,23 @@ class CacheArray
     void forEachValid(
         const std::function<void(const CacheLine &)> &fn) const;
 
-    /** Iterate valid lines of one set. */
-    void forEachValidInSet(std::uint32_t set,
-                           const std::function<void(CacheLine &)> &fn);
+    /**
+     * Iterate valid lines of one set. The callable is a template
+     * parameter, not a std::function: the L0X self-downgrade sweep
+     * calls this per expired set, and a std::function would
+     * heap-allocate its capture on every call.
+     */
+    template <typename Fn>
+    void
+    forEachValidInSet(std::uint32_t set, Fn &&fn)
+    {
+        fusion_assert(set < _numSets, "set out of range");
+        CacheLine *base = setBase(set);
+        for (std::uint32_t w = 0; w < _geom.assoc; ++w) {
+            if (base[w].valid)
+                fn(base[w]);
+        }
+    }
 
     /** Number of currently valid lines. */
     std::uint64_t validCount() const;

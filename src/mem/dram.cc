@@ -11,10 +11,9 @@ Dram::Dram(SimContext &ctx, const DramParams &p)
 {
     fusion_assert(p.channels > 0, "DRAM needs at least one channel");
     _ecDram = ctx.energy.component(energy::comp::kDram);
-    _stats = &ctx.stats.root().child("dram");
-    _stQueued = &_stats->scalar("queued");
-    _stAccesses = &_stats->scalar("accesses");
-    _stRowHits = &_stats->scalar("row_hits");
+    ctx.stats.counters("dram", {{"queued", _queued},
+                                {"accesses", _accesses},
+                                {"row_hits", _rowHits}});
 
     ctx.obs.registerGauge("dram.busy_channels", [this] {
         std::size_t busy = 0;
@@ -60,7 +59,7 @@ Dram::access(Addr pa, bool is_write, DramCallback done)
     // replay is naturally bounded by requester MLP).
     (void)is_write;
     c.queue.emplace_back(pa, std::move(done));
-    *_stQueued += 1;
+    ++_queued;
     if (!c.busy)
         serviceNext(ch);
 }
@@ -84,8 +83,6 @@ Dram::serviceNext(std::uint32_t ch)
 
     ++_accesses;
     _rowHits += hit ? 1 : 0;
-    *_stAccesses += 1;
-    *_stRowHits += hit ? 1 : 0;
     _ctx.energy.add(_ecDram, _p.accessPj);
 
     // Data burst occupies the channel; completion fires after the

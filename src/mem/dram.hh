@@ -70,13 +70,10 @@ class Dram
     DramParams _p;
     energy::ComponentId _ecDram = energy::kInvalidComponent;
     std::vector<Channel> _channels;
+    // Counters, bound into ctx.stats under "dram.<stat>".
+    std::uint64_t _queued = 0;
     std::uint64_t _accesses = 0;
     std::uint64_t _rowHits = 0;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stQueued;
-    stats::Scalar *_stAccesses;
-    stats::Scalar *_stRowHits;
 };
 
 } // namespace fusion::mem

@@ -19,20 +19,15 @@ Scratchpad::Scratchpad(SimContext &ctx, std::uint64_t capacity_bytes,
     // floor for decode/wordline costs.
     _wordAccessPj = _fig.readPj * 0.35;
     _ecSpm = ctx.energy.component(energy::comp::kScratchpad);
-    _stats = &ctx.stats.root().child(name);
-    _stReads = &_stats->scalar("reads");
-    _stWrites = &_stats->scalar("writes");
-    _stDmaLineXfers = &_stats->scalar("dma_line_xfers");
+    ctx.stats.counters(name, {{"reads", _reads},
+                              {"writes", _writes},
+                              {"dma_line_xfers", _dmaLineXfers}});
 }
 
 Cycles
 Scratchpad::access(bool is_write)
 {
-    if (is_write)
-        ++_writes;
-    else
-        ++_reads;
-    *(is_write ? _stWrites : _stReads) += 1;
+    ++(is_write ? _writes : _reads);
     _ctx.energy.add(_ecSpm, _wordAccessPj);
     return _fig.latency;
 }
@@ -40,7 +35,7 @@ Scratchpad::access(bool is_write)
 void
 Scratchpad::dmaLineAccess(bool is_write)
 {
-    *_stDmaLineXfers += 1;
+    ++_dmaLineXfers;
     _ctx.energy.add(_ecSpm,
                     is_write ? _fig.writePj : _fig.readPj);
 }

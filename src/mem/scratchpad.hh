@@ -24,7 +24,7 @@ class Scratchpad
     /**
      * @param ctx shared simulation services
      * @param capacity_bytes scratchpad capacity (paper: 4 or 8 KB)
-     * @param name stats group name (e.g. "axc0.spm")
+     * @param name stats path prefix (e.g. "spm")
      */
     Scratchpad(SimContext &ctx, std::uint64_t capacity_bytes,
                const std::string &name);
@@ -62,13 +62,10 @@ class Scratchpad
     energy::SramFigures _fig;
     double _wordAccessPj;
     energy::ComponentId _ecSpm = energy::kInvalidComponent;
+    // Counters, bound into ctx.stats under "<name>.<stat>".
     std::uint64_t _reads = 0;
     std::uint64_t _writes = 0;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stReads;
-    stats::Scalar *_stWrites;
-    stats::Scalar *_stDmaLineXfers;
+    std::uint64_t _dmaLineXfers = 0;
 };
 
 } // namespace fusion::mem

@@ -45,10 +45,9 @@ Orchestrator::Orchestrator(SimContext &ctx,
     }
     _funcEst.resize(prog.functions.size());
 
-    stats::Group &g = ctx.stats.root().child("orchestrator");
-    _stDecisions = &g.scalar("decisions");
-    _stSwitches = &g.scalar("switches");
-    _stFlushLines = &g.scalar("flush_lines");
+    ctx.stats.counters("orchestrator", {{"decisions", _decisions},
+                                        {"switches", _switches},
+                                        {"flush_lines", _flushLines}});
     _ecFlush = ctx.energy.component("orch.flush");
 
     _tracer = ctx.obs.tracer();
@@ -81,7 +80,7 @@ core::SystemKind
 Orchestrator::decide(std::size_t idx)
 {
     core::SystemKind pick = _policy->choose(outlook(idx));
-    *_stDecisions += 1;
+    ++_decisions;
     // Dwell hysteresis: a freshly adopted mode must run minDwell
     // invocations before the policy may move again, so borderline
     // outlooks cannot thrash (every switch pays the flush cost).
@@ -104,8 +103,7 @@ Orchestrator::transition(core::SystemKind from, core::SystemKind to,
 {
     const core::OrchestratorConfig &oc = _cfg.orchestrator;
     ++_switches;
-    *_stSwitches += 1;
-    *_stFlushLines += static_cast<double>(flush_lines);
+    _flushLines += flush_lines;
     // One flush/DMA event: the outgoing organization's dirty state
     // drains to the host (fixed controller cost + per-line burst),
     // with per-line energy on the same scale as a DMA line move.

@@ -106,14 +106,13 @@ class Orchestrator
     bool _haveMode = false;
     core::SystemKind _mode = core::SystemKind::Fusion;
     std::uint32_t _dwell = 0;
-    std::uint64_t _switches = 0;
     std::map<std::string, std::uint64_t> _modeInvocations;
     accel::FrontendCounters _snap;
 
-    // Bookkeeping sinks.
-    stats::Scalar *_stDecisions;
-    stats::Scalar *_stSwitches;
-    stats::Scalar *_stFlushLines;
+    // Counters, bound into ctx.stats under "orchestrator.<stat>".
+    std::uint64_t _decisions = 0;
+    std::uint64_t _switches = 0;
+    std::uint64_t _flushLines = 0;
     energy::ComponentId _ecFlush;
     obs::SpanTracer *_tracer = nullptr;
     std::uint32_t _track = 0;

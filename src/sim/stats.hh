@@ -2,10 +2,11 @@
  * @file
  * Lightweight statistics package.
  *
- * Components own Scalar / Histogram statistics registered in a
- * StatGroup tree; Registry::dump() renders the whole tree. The design
- * follows the gem5 stats package in miniature: stats are named,
- * hierarchical, and cheap to update on the hot path.
+ * Components own their counters (plain std::uint64_t members) and
+ * bind them once, at construction, into the system's Registry under
+ * dotted paths; histograms are owned by the registry and shared by
+ * path. Names are resolved only at report time (value(), dump(),
+ * latency harvesting), never on the per-event path.
  */
 
 #ifndef FUSION_SIM_STATS_HH
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <ostream>
 #include <string>
@@ -22,22 +24,6 @@
 
 namespace fusion::stats
 {
-
-/** A monotonically accumulating scalar statistic. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator+=(double v) { _value += v; return *this; }
-    Scalar &operator++() { _value += 1.0; return *this; }
-    void set(double v) { _value = v; }
-    double value() const { return _value; }
-    void reset() { _value = 0.0; }
-
-  private:
-    double _value = 0.0;
-};
 
 /** A fixed-bucket histogram over a linear range with overflow bins. */
 class Histogram
@@ -136,16 +122,6 @@ class Histogram
     double bucketLow() const { return _lo; }
     double bucketHigh() const { return _hi; }
 
-    void
-    reset()
-    {
-        _samples = 0;
-        _sum = 0.0;
-        _min = _max = 0.0;
-        _underflow = _overflow = 0;
-        std::fill(_counts.begin(), _counts.end(), 0);
-    }
-
   private:
     double _lo;
     double _hi;
@@ -160,106 +136,92 @@ class Histogram
 };
 
 /**
- * A named group of statistics. Groups nest; the full name of a stat
- * is the dot-joined path of its ancestors.
+ * The flat stats registry of one simulated system.
+ *
+ * Counters live in the components that count them, as plain
+ * std::uint64_t members incremented once per event; the registry
+ * only records where each one lives, bound once at construction
+ * under a dotted path ("axc0.l0x.evictions"). Several entries may
+ * share a path — AUTO builds one frontend per organization, all
+ * naming their L1X "l1x" — and every report-time reader sees their
+ * sum, while each component's own accessors keep reading its own
+ * member. Nothing is created on a bump, so the path set is fixed
+ * once construction ends.
+ *
+ * Entries point into their components: read the registry only while
+ * the components that bound into it are alive.
  */
-class Group
+class Registry
 {
   public:
-    explicit Group(std::string name) : _name(std::move(name)) {}
-
-    /** Create (or fetch) a child group. */
-    Group &
-    child(const std::string &name)
+    /** One member to bind under a group prefix (see counters()). */
+    struct CounterRef
     {
-        auto [it, inserted] = _children.try_emplace(name, name);
-        return it->second;
+        const char *name;
+        const std::uint64_t &value;
+    };
+
+    /** Bind @p value under @p path. */
+    void
+    counter(const std::string &path, const std::uint64_t &value)
+    {
+        _counters[path].push_back(&value);
     }
 
-    /** Create (or fetch) a named scalar. */
-    Scalar &
-    scalar(const std::string &name)
+    /** Bind each of @p refs under "<group>.<name>". */
+    void
+    counters(const std::string &group,
+             std::initializer_list<CounterRef> refs)
     {
-        return _scalars[name];
+        for (const CounterRef &r : refs)
+            counter(group + "." + r.name, r.value);
     }
 
-    /** Create (or fetch) a named histogram; shape set on creation. */
+    /**
+     * The histogram at @p path: created with this shape on the first
+     * request and shared by every later one (AUTO merges samples).
+     */
     Histogram &
-    histogram(const std::string &name, double lo = 0.0, double hi = 1.0,
-              std::size_t buckets = 16)
+    histogram(const std::string &path, double lo, double hi,
+              std::size_t buckets)
     {
-        auto it = _histograms.find(name);
+        auto it = _histograms.find(path);
         if (it == _histograms.end())
-            it = _histograms.emplace(name, Histogram(lo, hi, buckets))
+            it = _histograms.emplace(path, Histogram(lo, hi, buckets))
                      .first;
         return it->second;
     }
 
-    /** Read a scalar by name; panics if absent (test helper). */
-    double
-    scalarValue(const std::string &name) const
+    /** True when a counter is bound at @p path. */
+    bool has(const std::string &path) const
     {
-        auto it = _scalars.find(name);
-        fusion_assert(it != _scalars.end(), "no scalar ", _name, ".",
-                      name);
-        return it->second.value();
+        return _counters.count(path) != 0;
     }
 
-    bool hasScalar(const std::string &name) const
-    {
-        return _scalars.count(name) != 0;
-    }
+    /** Sum of the counters bound at @p path; panics if none is. */
+    std::uint64_t value(const std::string &path) const;
 
-    const std::string &name() const { return _name; }
-    const std::map<std::string, Scalar> &scalars() const
-    {
-        return _scalars;
-    }
+    /** Histograms by path, name-sorted (latency harvesting). */
     const std::map<std::string, Histogram> &histograms() const
     {
         return _histograms;
     }
-    const std::map<std::string, Group> &children() const
-    {
-        return _children;
-    }
 
-    /** Zero every stat in this group and all descendants. */
-    void
-    reset()
-    {
-        for (auto &[k, s] : _scalars)
-            s.reset();
-        for (auto &[k, h] : _histograms)
-            h.reset();
-        for (auto &[k, g] : _children)
-            g.reset();
-    }
+    /** Every bound counter and histogram path, sorted. */
+    std::vector<std::string> paths() const;
 
-    /** Render this subtree, one "path value" line per stat. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
+    /**
+     * Render one "sim.<path> value" line per counter path and four
+     * per histogram (samples, mean, min, max) in tree order: at each
+     * dotted level a group's counters, then its histograms, then its
+     * subgroups, each by name. Leaves @p os at precision 12.
+     */
+    void dump(std::ostream &os) const;
 
   private:
-    std::string _name;
-    std::map<std::string, Scalar> _scalars;
+    std::map<std::string, std::vector<const std::uint64_t *>>
+        _counters;
     std::map<std::string, Histogram> _histograms;
-    std::map<std::string, Group> _children;
-};
-
-/** The root of the stats tree for one simulated system. */
-class Registry
-{
-  public:
-    Registry() : _root("sim") {}
-
-    Group &root() { return _root; }
-    const Group &root() const { return _root; }
-
-    void reset() { _root.reset(); }
-    void dump(std::ostream &os) const { _root.dump(os); }
-
-  private:
-    Group _root;
 };
 
 } // namespace fusion::stats

@@ -9,10 +9,9 @@ namespace fusion::vm
 AxRmap::AxRmap(SimContext &ctx, const AxRmapParams &p)
     : _ctx(ctx), _p(p)
 {
-    _stats = &ctx.stats.root().child("ax_rmap");
-    _stInserts = &_stats->scalar("inserts");
-    _stLookups = &_stats->scalar("lookups");
-    _stSynonymProbes = &_stats->scalar("synonym_probes");
+    ctx.stats.counters("ax_rmap", {{"inserts", _inserts},
+                                   {"lookups", _lookups},
+                                   {"synonym_probes", _synonymProbes}});
     _ecRmap = ctx.energy.component(energy::comp::kAxRmap);
 }
 
@@ -20,7 +19,7 @@ void
 AxRmap::insert(Addr pline, Addr vline, Pid pid)
 {
     _map[lineAlign(pline)] = RmapEntry{lineAlign(vline), pid};
-    *_stInserts += 1;
+    ++_inserts;
 }
 
 void
@@ -33,7 +32,6 @@ std::optional<RmapEntry>
 AxRmap::lookup(Addr pline)
 {
     ++_lookups;
-    *_stLookups += 1;
     _ctx.energy.add(_ecRmap, _p.lookupPj);
     auto it = _map.find(lineAlign(pline));
     if (it == _map.end())
@@ -44,7 +42,7 @@ AxRmap::lookup(Addr pline)
 std::optional<RmapEntry>
 AxRmap::probeForSynonym(Addr pline)
 {
-    *_stSynonymProbes += 1;
+    ++_synonymProbes;
     _ctx.energy.add(_ecRmap, _p.lookupPj);
     auto it = _map.find(lineAlign(pline));
     if (it == _map.end())

@@ -75,13 +75,11 @@ class AxRmap
     SimContext &_ctx;
     AxRmapParams _p;
     std::unordered_map<Addr, RmapEntry> _map;
+    // Counters, bound into ctx.stats under "ax_rmap.<stat>".
+    std::uint64_t _inserts = 0;
     std::uint64_t _lookups = 0;
+    std::uint64_t _synonymProbes = 0;
     energy::ComponentId _ecRmap = energy::kInvalidComponent;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stInserts;
-    stats::Scalar *_stLookups;
-    stats::Scalar *_stSynonymProbes;
 };
 
 } // namespace fusion::vm

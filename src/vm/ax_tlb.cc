@@ -9,9 +9,7 @@ AxTlb::AxTlb(SimContext &ctx, const AxTlbParams &p,
              const PageTable &pt)
     : _ctx(ctx), _p(p), _pt(pt)
 {
-    _stats = &ctx.stats.root().child("ax_tlb");
-    _stLookups = &_stats->scalar("lookups");
-    _stMisses = &_stats->scalar("misses");
+    ctx.stats.counters("ax_tlb", {{"lookups", _lookups}, {"misses", _misses}});
     _ecTlb = ctx.energy.component(energy::comp::kAxTlb);
 }
 
@@ -19,7 +17,6 @@ void
 AxTlb::translate(Pid pid, Addr va, Translated done)
 {
     ++_lookups;
-    *_stLookups += 1;
     _ctx.energy.add(_ecTlb, _p.lookupPj);
 
     Key k{pid, pageNumber(va)};
@@ -35,7 +32,6 @@ AxTlb::translate(Pid pid, Addr va, Translated done)
     }
 
     ++_misses;
-    *_stMisses += 1;
     Addr pa = _pt.translate(pid, va);
     Addr ppage_base = pa & ~static_cast<Addr>(kPageBytes - 1);
     insert(k, ppage_base);

@@ -79,13 +79,10 @@ class AxTlb
     std::unordered_map<Key, std::pair<Addr, std::list<Key>::iterator>,
                        KeyHash>
         _entries;
+    // Counters, bound into ctx.stats under "ax_tlb.<stat>".
     std::uint64_t _lookups = 0;
     std::uint64_t _misses = 0;
     energy::ComponentId _ecTlb = energy::kInvalidComponent;
-    stats::Group *_stats;
-    // Per-access counters resolved once at construction.
-    stats::Scalar *_stLookups;
-    stats::Scalar *_stMisses;
 };
 
 } // namespace fusion::vm

@@ -105,13 +105,10 @@ TEST(AccProtocol, SecondLeaseHitsWithoutHostTraffic)
 {
     TileRig r;
     r.leaseSync(0, 0x10000000, 500, false);
-    double llc_reqs =
-        r.ctx.stats.root().child("llc").scalarValue("requests");
+    std::uint64_t llc_reqs = r.ctx.stats.value("llc.requests");
     r.leaseSync(1, 0x10000000, 500, false); // other accelerator
     EXPECT_EQ(r.tile->l1x().hits(), 1u);
-    EXPECT_DOUBLE_EQ(
-        r.ctx.stats.root().child("llc").scalarValue("requests"),
-        llc_reqs);
+    EXPECT_EQ(r.ctx.stats.value("llc.requests"), llc_reqs);
 }
 
 TEST(AccProtocol, ReadLeasesCoexist)
@@ -231,9 +228,7 @@ TEST(AccProtocol, LeasedLinesAreNotEvictable)
     // A's lease to expire before stealing the frame.
     Tick t = r.leaseSync(0, 0x10000080, 300, false);
     EXPECT_GE(t, endA);
-    EXPECT_GT(r.ctx.stats.root().child("l1x").scalarValue(
-                  "frame_retries"),
-              0.0);
+    EXPECT_GT(r.ctx.stats.value("l1x.frame_retries"), 0u);
 }
 
 TEST(AccProtocol, EvictionWritesBackDirtyLines)
@@ -263,10 +258,7 @@ TEST(AccProtocol, SynonymDuplicateIsEvicted)
     r.leaseSync(0, 0x10000000, 500, false);
     r.leaseSync(0, 0x20000000, 500, false);
     // Only one synonym may stay resident (Appendix).
-    EXPECT_DOUBLE_EQ(r.ctx.stats.root()
-                         .child("l1x")
-                         .scalarValue("synonym_evictions"),
-                     1.0);
+    EXPECT_EQ(r.ctx.stats.value("l1x.synonym_evictions"), 1u);
     EXPECT_EQ(r.tile->rmap().size(), 1u);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Cross-system conservation properties: quantities that must agree
  * between independent accounting paths (ledger vs link counters vs
- * stats tree) and across system organizations.
+ * stats registry) and across system organizations.
  */
 
 #include <gtest/gtest.h>
@@ -25,13 +25,11 @@ TEST(Conservation, LinkLedgerMatchesByteCounters)
     System sys(cfg, p);
     sys.run();
 
-    const auto &links =
-        sys.ctx().stats.root().children().at("links");
-    auto bytes_of = [&](const char *name) {
-        auto it = links.children().find(name);
-        return it == links.children().end()
-                   ? 0.0
-                   : it->second.scalarValue("bytes");
+    const stats::Registry &st = sys.ctx().stats;
+    auto bytes_of = [&](const std::string &name) {
+        std::string path = "links." + name + ".bytes";
+        return st.has(path) ? static_cast<double>(st.value(path))
+                            : 0.0;
     };
     double tile_pj =
         sys.ctx().energy.total(energy::comp::kLinkL0xL1xMsg) +
@@ -58,19 +56,15 @@ TEST(Conservation, DramAccessesMatchAcrossCachedSystems)
 {
     trace::Program p =
         *core::buildProgram("filter", workloads::Scale::Small);
-    std::vector<double> accesses;
+    std::vector<std::uint64_t> accesses;
     for (auto k : {SystemKind::Shared, SystemKind::Fusion,
                    SystemKind::FusionDx}) {
         System sys(SystemConfig::preset(SystemConfig::Preset::Paper, k), p);
         sys.run();
-        accesses.push_back(sys.ctx()
-                               .stats.root()
-                               .children()
-                               .at("dram")
-                               .scalarValue("accesses"));
+        accesses.push_back(sys.ctx().stats.value("dram.accesses"));
     }
-    EXPECT_DOUBLE_EQ(accesses[0], accesses[1]);
-    EXPECT_DOUBLE_EQ(accesses[1], accesses[2]);
+    EXPECT_EQ(accesses[0], accesses[1]);
+    EXPECT_EQ(accesses[1], accesses[2]);
 }
 
 /** The L0X's request counters and the tile link's control-message
@@ -80,22 +74,19 @@ TEST(Conservation, TileRequestsMatchLinkMessages)
     trace::Program p = *core::buildProgram("susan", workloads::Scale::Small);
     System sys(SystemConfig::preset(SystemConfig::Preset::Paper, SystemKind::Fusion), p);
     RunResult r = sys.run();
-    const auto &root = sys.ctx().stats.root();
-    double misses = 0;
-    for (const auto &[name, grp] : root.children()) {
-        if (name.find(".l0x") == std::string::npos)
+    const stats::Registry &st = sys.ctx().stats;
+    std::uint64_t misses = 0;
+    for (const std::string &path : st.paths()) {
+        if (path.find(".l0x.") == std::string::npos)
             continue;
-        misses += grp.hasScalar("load_misses")
-                      ? grp.scalarValue("load_misses")
-                      : 0;
-        misses += grp.hasScalar("store_misses")
-                      ? grp.scalarValue("store_misses")
-                      : 0;
+        if (path.ends_with(".load_misses") ||
+            path.ends_with(".store_misses"))
+            misses += st.value(path);
     }
     // Each distinct miss sends one request message (merged misses
     // share one), so requests <= misses; and every control message
     // on the tile link is either a request or a Dx lease transfer.
-    EXPECT_LE(r.l0xL1xCtrlMsgs, static_cast<std::uint64_t>(misses));
+    EXPECT_LE(r.l0xL1xCtrlMsgs, misses);
     EXPECT_GT(r.l0xL1xCtrlMsgs, 0u);
 }
 
@@ -108,20 +99,16 @@ TEST(Conservation, MemOpsSeenEqualTraceLength)
                    SystemKind::Fusion}) {
         System sys(SystemConfig::preset(SystemConfig::Preset::Paper, k), p);
         sys.run();
-        const auto &root = sys.ctx().stats.root();
-        double ops = 0;
-        for (const auto &[name, grp] : root.children()) {
-            if (name.rfind("axc", 0) != 0)
+        const stats::Registry &st = sys.ctx().stats;
+        std::uint64_t ops = 0;
+        for (const std::string &path : st.paths()) {
+            if (path.rfind("axc", 0) != 0)
                 continue;
-            auto it = grp.children().find("core");
-            if (it == grp.children().end())
-                continue;
-            ops += it->second.scalarValue("loads") +
-                   it->second.scalarValue("stores");
+            if (path.ends_with(".core.loads") ||
+                path.ends_with(".core.stores"))
+                ops += st.value(path);
         }
-        EXPECT_DOUBLE_EQ(ops,
-                         static_cast<double>(p.memOpCount()))
-            << systemKindName(k);
+        EXPECT_EQ(ops, p.memOpCount()) << systemKindName(k);
     }
 }
 

@@ -146,9 +146,7 @@ TEST(DmaEngine, ScratchpadSideBooked)
     auto ls = r.lines(3);
     r.dma.fill(ls, 1, r.spm, [&] { done = true; });
     r.drain();
-    EXPECT_DOUBLE_EQ(r.ctx.stats.root().child("spm").scalarValue(
-                         "dma_line_xfers"),
-                     3.0);
+    EXPECT_EQ(r.ctx.stats.value("spm.dma_line_xfers"), 3u);
 }
 
 TEST(DmaEngineDeathTest, OverlappingOperationsPanic)

@@ -108,28 +108,22 @@ TEST(LinkEnergy, Table2Values)
 TEST(Ledger, AccumulatesPerComponent)
 {
     Ledger l;
-    l.add("a", 1.0);
-    l.add("a", 2.0);
-    l.add("b", 4.0);
+    ComponentId a = l.component("a");
+    ComponentId b = l.component("b");
+    EXPECT_EQ(l.component("a"), a); // idempotent registration
+    l.add(a, 1.0);
+    l.add(a, 2.0);
+    l.add(b, 4.0);
     EXPECT_DOUBLE_EQ(l.total("a"), 3.0);
     EXPECT_DOUBLE_EQ(l.total("b"), 4.0);
     EXPECT_DOUBLE_EQ(l.total("absent"), 0.0);
     EXPECT_DOUBLE_EQ(l.grandTotal(), 7.0);
 }
 
-TEST(Ledger, PrefixSums)
-{
-    Ledger l;
-    l.add("link.a.msg", 1.0);
-    l.add("link.a.data", 2.0);
-    l.add("llc", 4.0);
-    EXPECT_DOUBLE_EQ(l.totalWithPrefix("link."), 3.0);
-}
-
 TEST(Ledger, ResetClears)
 {
     Ledger l;
-    l.add("x", 5.0);
+    l.add(l.component("x"), 5.0);
     l.reset();
     EXPECT_DOUBLE_EQ(l.grandTotal(), 0.0);
 }

@@ -3,11 +3,11 @@
  * Determinism anchor for the simulator's serialized output: the
  * RunResult of every static system kind, of AUTO, and of a few
  * non-default configurations (multi-tile, overlapped invocations,
- * guard and fault injection armed) must stay byte-identical to the
- * recorded FNV-1a goldens below. The static-kind rows were recorded
- * from the seed tree immediately before the TileFrontend refactor;
- * the rest from the tree just before the multi-domain event kernel
- * was deleted. A mismatch means a change perturbed construction order,
+ * guard and fault injection armed, interval metrics armed) must stay
+ * byte-identical to the recorded FNV-1a goldens below. The
+ * static-kind rows were recorded from the seed tree immediately
+ * before the TileFrontend refactor; the rest as noted per group. A
+ * mismatch means a change perturbed construction order,
  * stat naming, or scheduling — not just "a number moved".
  */
 
@@ -39,6 +39,12 @@ struct GoldenRun
     std::uint64_t hash;
     const Tweak *tweak = nullptr; ///< nullptr: the plain preset
 };
+
+// Interval metrics armed: toJson() then carries the "metrics" series
+// (every registered gauge and counter column) and the "latency"
+// percentiles harvested from the stats histograms.
+constexpr Tweak kMetrics{
+    "metrics", [](SystemConfig &c) { c.obs.metricsInterval = 512; }};
 
 constexpr Tweak kTwoTiles{
     "2tiles", [](SystemConfig &c) { c.numTiles = 2; }};
@@ -99,6 +105,19 @@ constexpr GoldenRun kGolden[] = {
     {"adpcm", SystemKind::Auto, 0xb14cf3f48f52e10eull},
     {"fft", SystemKind::Auto, 0x4eb7a8e1885e2c64ull},
     {"histogram", SystemKind::Auto, 0xebfa93878b683735ull},
+    // Recorded from the tree just before counters moved from
+    // stats::Scalar into component members. Each pins a column the
+    // move could shift silently: SHARED's l1x.misses (upgrades
+    // included), SCRATCH's dma.line_transfers and chunk latency,
+    // FUSION-Dx's per-L0X miss sums after forwards, and AUTO's
+    // same-path merges plus the orch.* columns.
+    {"adpcm", SystemKind::Shared, 0x8c92448b3f5b0b4cull, &kMetrics},
+    {"adpcm", SystemKind::Scratch, 0x2d99e8d3a07d0c28ull, &kMetrics},
+    {"fft", SystemKind::FusionDx, 0x03d855c2cdb9ac7dull, &kMetrics},
+    {"fft", SystemKind::FusionMesi, 0x1df26685cf0cf691ull,
+     &kMetrics},
+    {"histogram", SystemKind::Auto, 0x8f57dd8c9b70fd00ull,
+     &kMetrics},
 };
 
 class FrontendEquivalence

@@ -83,9 +83,7 @@ TEST(HostL1, ConcurrentMissesToOneLineMerge)
     EXPECT_EQ(done, 3);
     EXPECT_EQ(r.l1.misses(), 3u);
     // Only one LLC request was issued for the line.
-    EXPECT_EQ(r.ctx.stats.root().child("llc").scalarValue(
-                  "requests"),
-              1.0);
+    EXPECT_EQ(r.ctx.stats.value("llc.requests"), 1u);
 }
 
 TEST(HostL1, FlushAllReturnsEverything)

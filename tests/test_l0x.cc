@@ -108,10 +108,7 @@ TEST(L0x, SelfDowngradeWritesBackAtEpochEnd)
     EXPECT_EQ(r.tile->l0x(0).writebacksSent(), 1u);
     // Downgrade used the filtered sweep, not a full-cache scan per
     // line: exactly one sweep sufficed.
-    EXPECT_GE(r.ctx.stats.root()
-                  .child("axc0.l0x")
-                  .scalarValue("downgrade_sweeps"),
-              1.0);
+    EXPECT_GE(r.ctx.stats.value("axc0.l0x.downgrade_sweeps"), 1u);
 }
 
 TEST(L0x, DirtyEvictionWritesBackEarly)
@@ -150,14 +147,10 @@ TEST(L0x, ForwardMovesDirtyLineToConsumer)
     r.ctx.eq.runUntil(r.ctx.now() + 100);
     EXPECT_EQ(r.tile->l0x(0).forwardsOut(), 1u);
     // Consumer hits the pushed line without an L1X request.
-    std::uint64_t l1x_reads_before = static_cast<std::uint64_t>(
-        r.ctx.stats.root().child("l1x").scalarValue("reads"));
+    std::uint64_t l1x_reads_before = r.ctx.stats.value("l1x.reads");
     r.accessSync(1, 0x10000008, false);
     EXPECT_EQ(r.tile->l0x(1).hits(), 1u);
-    EXPECT_EQ(static_cast<std::uint64_t>(
-                  r.ctx.stats.root().child("l1x").scalarValue(
-                      "reads")),
-              l1x_reads_before);
+    EXPECT_EQ(r.ctx.stats.value("l1x.reads"), l1x_reads_before);
     // Write responsibility moved: the consumer eventually writes
     // the line back.
     r.ctx.eq.schedule(r.ctx.now() + 2000, [] {});

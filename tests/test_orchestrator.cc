@@ -159,10 +159,8 @@ TEST(Orchestrator, SwitchEmitsExactlyOneFlushTransition)
                          static_cast<double>(flush_lines));
 
     // Stats mirror the switch count.
-    const auto &g = ctx.stats.root().children().at("orchestrator");
-    EXPECT_EQ(g.scalarValue("switches"), 1.0);
-    EXPECT_EQ(g.scalarValue("flush_lines"),
-              static_cast<double>(flush_lines));
+    EXPECT_EQ(ctx.stats.value("orchestrator.switches"), 1u);
+    EXPECT_EQ(ctx.stats.value("orchestrator.flush_lines"), flush_lines);
 }
 
 TEST(Orchestrator, DwellHysteresisDampsThrashing)

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/stats.hh"
 
@@ -14,17 +16,6 @@ namespace fusion::stats
 {
 namespace
 {
-
-TEST(Scalar, AccumulatesAndResets)
-{
-    Scalar s;
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    s += 2.5;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
 
 TEST(Histogram, BucketsAndMoments)
 {
@@ -139,42 +130,82 @@ TEST(Histogram, PercentileEmptyAndClamping)
     EXPECT_DOUBLE_EQ(h.percentile(250.0), h.percentile(100.0));
 }
 
-TEST(Group, ChildrenAreStable)
+TEST(Registry, BoundCounterReadsTheLiveMember)
 {
-    Group g("root");
-    Group &a = g.child("a");
-    a.scalar("x") += 1;
-    Group &a2 = g.child("a");
-    EXPECT_EQ(&a, &a2);
-    EXPECT_DOUBLE_EQ(a2.scalarValue("x"), 1.0);
+    Registry r;
+    std::uint64_t hits = 0;
+    r.counter("llc.hits", hits);
+    EXPECT_TRUE(r.has("llc.hits"));
+    EXPECT_EQ(r.value("llc.hits"), 0u);
+    hits += 42; // no registry call on the bump
+    EXPECT_EQ(r.value("llc.hits"), 42u);
 }
 
-TEST(Group, HasScalarAndPanicOnMissing)
+TEST(Registry, SamePathEntriesSum)
 {
-    Group g("root");
-    g.scalar("present") += 1;
-    EXPECT_TRUE(g.hasScalar("present"));
-    EXPECT_FALSE(g.hasScalar("absent"));
-    EXPECT_DEATH(g.scalarValue("absent"), "no scalar");
+    Registry r;
+    std::uint64_t a = 3, b = 4, c = 5;
+    r.counters("l1x", {{"hits", a}, {"misses", c}});
+    r.counter("l1x.hits", b); // a second frontend's L1X (AUTO)
+    EXPECT_EQ(r.value("l1x.hits"), 7u);
+    EXPECT_EQ(r.value("l1x.misses"), 5u);
+    std::ostringstream os;
+    r.dump(os);
+    EXPECT_EQ(os.str(), "sim.l1x.hits 7\nsim.l1x.misses 5\n");
 }
 
-TEST(Group, ResetIsRecursive)
+TEST(RegistryDeathTest, UnknownPathPanics)
 {
-    Group g("root");
-    g.scalar("x") += 5;
-    g.child("c").scalar("y") += 7;
-    g.reset();
-    EXPECT_DOUBLE_EQ(g.scalarValue("x"), 0.0);
-    EXPECT_DOUBLE_EQ(g.child("c").scalarValue("y"), 0.0);
+    Registry r;
+    std::uint64_t present = 1;
+    r.counter("present", present);
+    EXPECT_TRUE(r.has("present"));
+    EXPECT_FALSE(r.has("absent"));
+    EXPECT_DEATH(r.value("absent"), "no counter at absent");
+}
+
+TEST(Registry, HistogramsAreSharedByPath)
+{
+    Registry r;
+    Histogram &h = r.histogram("l1x.fill_latency", 0, 64, 8);
+    Histogram &again = r.histogram("l1x.fill_latency", 0, 1024, 32);
+    EXPECT_EQ(&h, &again); // the first shape wins
+    EXPECT_DOUBLE_EQ(again.bucketHigh(), 64.0);
+    EXPECT_FALSE(r.has("l1x.fill_latency")); // not a counter
+    EXPECT_EQ(r.paths(), std::vector<std::string>{"l1x.fill_latency"});
 }
 
 TEST(Registry, DumpContainsDottedPaths)
 {
     Registry r;
-    r.root().child("llc").scalar("hits") += 42;
+    std::uint64_t hits = 42;
+    r.counter("llc.hits", hits);
     std::ostringstream os;
     r.dump(os);
     EXPECT_NE(os.str().find("sim.llc.hits 42"), std::string::npos);
+}
+
+TEST(Registry, DumpIsInTreeOrder)
+{
+    // Per dotted level: the group's counters, then its histograms,
+    // then its subgroups, each by name.
+    Registry r;
+    std::uint64_t v = 1;
+    r.counter("a.z", v);
+    r.counter("a.b.c", v);
+    r.counter("a.m", v);
+    r.histogram("a.h", 0, 8, 8).sample(2.5);
+    r.counter("b", v);
+    std::ostringstream os;
+    r.dump(os);
+    EXPECT_EQ(os.str(), "sim.b 1\n"
+                        "sim.a.m 1\n"
+                        "sim.a.z 1\n"
+                        "sim.a.h.samples 1\n"
+                        "sim.a.h.mean 2.5\n"
+                        "sim.a.h.min 2.5\n"
+                        "sim.a.h.max 2.5\n"
+                        "sim.a.b.c 1\n");
 }
 
 } // namespace

@@ -51,6 +51,33 @@ INSTANTIATE_TEST_SUITE_P(
                    : std::string(systemKindName(info.param));
     });
 
+/** Every stats path exists from construction on: components bind
+ *  their counters and histograms in their constructors and run()
+ *  only bumps members, so a run never adds a path. */
+TEST(SystemIntegration, StatsPathsAreFixedAtConstruction)
+{
+    trace::Program p = smallProgram("fft");
+    std::vector<SystemKind> kinds(std::begin(kStaticSystemKinds),
+                                  std::end(kStaticSystemKinds));
+    kinds.push_back(SystemKind::Auto);
+    for (SystemKind k : kinds) {
+        SCOPED_TRACE(systemKindName(k));
+        System sys(SystemConfig::preset(SystemConfig::Preset::Paper, k),
+                   p);
+        const stats::Registry &st = sys.ctx().stats;
+        std::vector<std::string> built = st.paths();
+        RunResult r = sys.run();
+        EXPECT_EQ(st.paths(), built);
+        if (k == SystemKind::Auto) {
+            // Same-path entries sum over the four frontends' L1Xs,
+            // while each frontend reports only its own events.
+            EXPECT_EQ(st.value("l1x.hits"), r.l1xHits);
+            EXPECT_EQ(st.value("l1x.misses") + st.value("l1x.upgrades"),
+                      r.l1xMisses);
+        }
+    }
+}
+
 TEST(SystemIntegration, DeterministicAcrossRuns)
 {
     trace::Program p = smallProgram();
