@@ -11,8 +11,9 @@
  *
  *   fault_campaign --small --trials 32 --seed 7 --jobs 4
  *
- * --shrink additionally delta-debugs the first failing trial down to
- * a minimal schedule and prints a one-line reproducer.
+ * --shrink additionally delta-debugs the most severe failing trial
+ * (CampaignReport::shrinkTarget) down to a minimal schedule and
+ * prints a one-line reproducer.
  *
  * --repro replays a single trial from the shared --fault /
  * --fault-seed flags (this is the command line the shrinker prints):
@@ -39,8 +40,8 @@ localUsage(const char *argv0)
         "  --max-faults N  max armed faults per trial (default 3)\n"
         "  --workload W    workload pool entry (repeatable; "
         "default adpcm)\n"
-        "  --shrink        delta-debug the first failing trial and "
-        "print a reproducer\n"
+        "  --shrink        delta-debug the most severe failing trial "
+        "and print a reproducer\n"
         "  --repro         replay one trial from --fault/--fault-seed "
         "instead of a campaign\n");
 }
@@ -158,14 +159,7 @@ main(int argc, char **argv)
     }
 
     if (shrink) {
-        const guard::TrialResult *victim = nullptr;
-        for (const auto &t : report.trials) {
-            if (t.outcome == guard::TrialOutcome::Benign ||
-                t.outcome == guard::TrialOutcome::Perturbed)
-                continue;
-            victim = &t;
-            break;
-        }
+        const guard::TrialResult *victim = report.shrinkTarget();
         if (!victim) {
             std::printf("\nshrink: no failing trial to minimize\n");
         } else if (auto s = guard::shrinkTrial(*victim, cc.scale)) {

@@ -2,13 +2,11 @@
 
 #include <sstream>
 
-#include "energy/sram_model.hh"
 #include "sim/logging.hh"
 
 namespace fusion::accel
 {
 
-using coherence::CoherenceReq;
 using coherence::FwdKind;
 using interconnect::MsgClass;
 using mem::MesiState;
@@ -17,46 +15,34 @@ L1xAcc::L1xAcc(SimContext &ctx, const L1xParams &p, host::Llc &llc,
                interconnect::Link *tile_link,
                interconnect::Link *llc_link, vm::AxTlb &tlb,
                vm::AxRmap &rmap)
-    : _ctx(ctx), _name(p.name), _llc(llc), _tileLink(tile_link),
-      _llcLink(llc_link), _tlb(tlb), _rmap(rmap),
-      _tags(mem::CacheGeometry{p.capacityBytes, p.assoc, kLineBytes}),
+    : _ctx(ctx), _name(p.name), _tileLink(tile_link),
+      _host(ctx, p, energy::SramKind::TimestampCache, *this, llc,
+            llc_link, tlb, rmap,
+            // Leased lines are pinned: the L1X must stay inclusive
+            // of every outstanding lease.
+            [&ctx](const mem::CacheLine &l) {
+                return !l.locked && l.gtime <= ctx.now();
+            },
+            &ctx.stats.histogram(p.name + ".fill_latency", 0, 1024,
+                                 32)),
       _banks(p.banks, 1)
 {
-    energy::SramParams sp;
-    sp.capacityBytes = p.capacityBytes;
-    sp.assoc = p.assoc;
-    sp.banks = p.banks;
-    sp.kind = energy::SramKind::TimestampCache;
-    _fig = energy::evaluateSram(sp);
-    _ecL1x = ctx.energy.component(energy::comp::kL1x);
-    _agentId = llc.registerAgent(this, llc_link, p.ringNode);
-    ctx.stats.counters(p.name, {{"reads", _reads},
-                                {"writes", _writes},
-                                {"hits", _hits},
+    ctx.stats.counters(p.name, {{"hits", _hits},
                                 {"misses", _misses},
                                 {"bank_conflicts", _bankConflicts},
                                 {"stalls_on_write_epoch", _stallsOnWriteEpoch},
-                                {"synonym_evictions", _synonymEvictions},
-                                {"frame_retries", _frameRetries},
-                                {"evictions", _evictions},
                                 {"write_epochs", _writeEpochs},
                                 {"read_leases", _readLeases},
                                 {"l0x_writebacks", _l0xWritebacks},
                                 {"lease_transfers", _leaseTransfers},
                                 {"write_through_stores", _writeThroughStores},
-                                {"fwd_recv", _fwdRecv},
                                 {"fwd_stalled_on_gtime", _fwdStalledOnGtime}});
-    _stFillLatency =
-        &ctx.stats.histogram(p.name + ".fill_latency", 0, 1024, 32);
     _stFwdLatency =
         &ctx.stats.histogram(p.name + ".fwd_latency", 0, 1024, 32);
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
         _track = _tracer->registerTrack(p.name);
-    ctx.obs.registerGauge(p.name + ".mshrs", [this] {
-        return static_cast<double>(_mshrs.size());
-    });
     ctx.obs.registerGauge(p.name + ".stalled", [this] {
         return static_cast<double>(_stalled.targets());
     });
@@ -65,7 +51,7 @@ L1xAcc::L1xAcc(SimContext &ctx, const L1xParams &p, host::Llc &llc,
     });
     ctx.obs.registerGauge(p.name + ".locked_lines", [this] {
         std::uint64_t locked = 0;
-        _tags.forEachValid([&](const mem::CacheLine &l) {
+        _host.tags().forEachValid([&](const mem::CacheLine &l) {
             if (l.locked)
                 ++locked;
         });
@@ -78,10 +64,10 @@ L1xAcc::L1xAcc(SimContext &ctx, const L1xParams &p, host::Llc &llc,
     ctx.guard.registerSnapshot(p.name, [this] {
         guard::ComponentState s;
         std::uint64_t stalled = _stalled.targets();
-        s.outstanding = _mshrs.size() + stalled + _wbBuffer.size();
+        s.outstanding = _host.mshrs() + stalled + _wbBuffer.size();
         if (s.outstanding != 0) {
             std::ostringstream os;
-            os << "mshrs=" << _mshrs.size() << " stalled=" << stalled
+            os << "mshrs=" << _host.mshrs() << " stalled=" << stalled
                << " wbbuf=" << _wbBuffer.size();
             s.detail = os.str();
         }
@@ -91,43 +77,26 @@ L1xAcc::L1xAcc(SimContext &ctx, const L1xParams &p, host::Llc &llc,
         _name,
         [this](const guard::InvariantContext &ic,
                std::vector<std::string> &out) {
-            _tags.forEachValid([&](const mem::CacheLine &l) {
-                // A locked line's write epoch is covered by the
-                // lease the L1X granted (GTIME bounds every copy).
-                if (l.locked && l.gtime < l.wepochEnd) {
+            // A locked line's write epoch is covered by the lease
+            // the L1X granted (GTIME bounds every copy).
+            std::uint64_t locked = 0;
+            _host.tags().forEachValid([&](const mem::CacheLine &l) {
+                if (!l.locked)
+                    return;
+                ++locked;
+                if (l.gtime < l.wepochEnd) {
                     std::ostringstream os;
                     os << "write epoch beyond GTIME @ 0x" << std::hex
                        << l.lineAddr;
                     out.push_back(os.str());
                 }
-                // MESI agreement: the tile fetches exclusively, so
-                // every quiesced resident line must be recorded as
-                // owned by this agent at the host directory.
-                if (!_llc.dirBusy(l.pline) &&
-                    !_llc.isOwner(_agentId, l.pline)) {
-                    std::ostringstream os;
-                    os << "resident line not owned per directory @ "
-                          "0x"
-                       << std::hex << l.lineAddr << " (pa 0x"
-                       << l.pline << ")";
-                    out.push_back(os.str());
-                }
             });
             if (!ic.atEnd)
                 return;
-            std::uint64_t locked = 0;
-            _tags.forEachValid([&](const mem::CacheLine &l) {
-                if (l.locked)
-                    ++locked;
-            });
             if (locked != 0) {
                 out.push_back(
                     std::to_string(locked) +
                     " line(s) still write-locked at end-of-sim");
-            }
-            if (_mshrs.size() != 0) {
-                out.push_back("leaked MSHRs at end-of-sim: " +
-                              std::to_string(_mshrs.size()));
             }
             std::uint64_t stalled = _stalled.targets();
             if (stalled != 0) {
@@ -144,19 +113,12 @@ L1xAcc::L1xAcc(SimContext &ctx, const L1xParams &p, host::Llc &llc,
 }
 
 void
-L1xAcc::bookAccess(bool is_write)
-{
-    _ctx.energy.add(_ecL1x, is_write ? _fig.writePj : _fig.readPj);
-    ++(is_write ? _writes : _reads);
-}
-
-void
 L1xAcc::requestLease(AccelId who, Addr vline, Pid pid,
                      Cycles lease_len, bool is_write, bool need_data,
                      LeaseDone done)
 {
     vline = lineAlign(vline);
-    bookAccess(false);
+    _host.bookAccess(false);
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::Lease, vline,
                        _ctx.now());
@@ -165,7 +127,7 @@ L1xAcc::requestLease(AccelId who, Addr vline, Pid pid,
     Cycles bank_delay = _banks.reserve(vline, _ctx.now());
     if (bank_delay > 0)
         ++_bankConflicts;
-    _ctx.eq.scheduleIn(_fig.latency + bank_delay,
+    _ctx.eq.scheduleIn(_host.latency() + bank_delay,
                        [this, who, vline, pid, lease_len, is_write,
                         need_data, done = std::move(done)]() mutable {
                            processLease(who, vline, pid, lease_len,
@@ -179,7 +141,7 @@ L1xAcc::processLease(AccelId who, Addr vline, Pid pid,
                      Cycles lease_len, bool is_write, bool need_data,
                      LeaseDone done, bool is_retry)
 {
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.tags().find(vline, pid);
     if (line) {
         if (line->locked) {
             // An un-expired write epoch: stall at the L1X until the
@@ -211,104 +173,16 @@ L1xAcc::processLease(AccelId who, Addr vline, Pid pid,
     // Miss at the L1X: cross to the host tile.
     if (!is_retry)
         ++_misses;
-    bool primary = _mshrs.allocate(
+    bool primary = _host.fetch(
         vline, pid,
         [this, who, vline, pid, lease_len, is_write, need_data,
          done = std::move(done)]() mutable {
             processLease(who, vline, pid, lease_len, is_write,
                          need_data, std::move(done), true);
         });
-    if (primary) {
-        if (_tracer)
-            _tracer->phase(_track, obs::SpanKind::Lease, vline,
-                           "miss", _ctx.now());
-        startFill(vline, pid);
-    }
-}
-
-void
-L1xAcc::startFill(Addr vline, Pid pid)
-{
-    Tick t0 = _ctx.now();
-    // The TLB sits on the L1X miss path: translate before entering
-    // the host tile's physical address space (Section 3.2).
-    _tlb.translate(pid, vline, [this, vline, pid, t0](Addr pa) {
-        Addr pline = lineAlign(pa);
-        // Synonym filter (Appendix): if the physical line is already
-        // cached in the tile under a different virtual address,
-        // evict the duplicate so at most one synonym is resident.
-        if (auto syn = _rmap.probeForSynonym(pline)) {
-            if (syn->vline != vline || syn->pid != pid) {
-                ++_synonymEvictions;
-                mem::CacheLine *dup = _tags.find(syn->vline,
-                                                 syn->pid);
-                if (dup) {
-                    if (dup->dirty) {
-                        _llc.writebackData(_agentId, dup->pline);
-                    } else {
-                        _llc.evictNotice(_agentId, dup->pline);
-                    }
-                    _rmap.erase(dup->pline);
-                    _tags.invalidate(*dup);
-                }
-            }
-        }
-        // The tile always requests exclusivity: M/E/I states only.
-        _llc.request(_agentId, pline, CoherenceReq::GetX,
-                     [this, vline, pid, pline,
-                      t0](const host::LlcResponse &) {
-                         finishFill(vline, pid, pline, t0);
-                     });
-    });
-}
-
-void
-L1xAcc::finishFill(Addr vline, Pid pid, Addr pline, Tick t0)
-{
-    allocateFrame(vline, pid, pline, [this, vline, pid, pline, t0]() {
-        mem::CacheLine *line = _tags.find(vline, pid);
-        fusion_assert(line, "fill lost its frame");
-        line->mesi = MesiState::E;
-        line->pline = pline;
-        _rmap.insert(pline, vline, pid);
-        bookAccess(true); // fill write
-        _stFillLatency->sample(static_cast<double>(_ctx.now() - t0));
-        _mshrs.complete(vline, pid);
-    });
-}
-
-void
-L1xAcc::allocateFrame(Addr vline, Pid pid, Addr pline,
-                      sim::SmallFn<void()> installed)
-{
-    Tick now = _ctx.now();
-    mem::CacheLine *victim = _tags.victim(
-        vline, [now](const mem::CacheLine &l) {
-            // Leased lines are pinned: the L1X must stay inclusive
-            // of every outstanding lease.
-            return !l.locked && l.gtime <= now;
-        });
-    if (!victim) {
-        ++_frameRetries;
-        _ctx.eq.scheduleIn(
-            16, [this, vline, pid, pline,
-                 installed = std::move(installed)]() mutable {
-                allocateFrame(vline, pid, pline,
-                              std::move(installed));
-            });
-        return;
-    }
-    if (victim->valid) {
-        ++_evictions;
-        _rmap.erase(victim->pline);
-        if (victim->dirty) {
-            _llc.writebackData(_agentId, victim->pline);
-        } else {
-            _llc.evictNotice(_agentId, victim->pline);
-        }
-    }
-    _tags.install(*victim, vline, pid);
-    installed();
+    if (primary && _tracer)
+        _tracer->phase(_track, obs::SpanKind::Lease, vline, "miss",
+                       _ctx.now());
 }
 
 void
@@ -325,7 +199,7 @@ L1xAcc::grant(mem::CacheLine &line, Cycles lease_len, bool is_write,
     } else {
         ++_readLeases;
     }
-    _tags.touch(line);
+    _host.tags().touch(line);
     if (_tracer) {
         // Span covers request arrival -> grant issue; the response
         // hop is accounted in the L0X access span.
@@ -350,9 +224,9 @@ L1xAcc::writeback(AccelId who, Addr vline, Pid pid)
 {
     (void)who;
     vline = lineAlign(vline);
-    bookAccess(true);
+    _host.bookAccess(true);
     ++_l0xWritebacks;
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.tags().find(vline, pid);
     if (line) {
         line->dirty = true;
         line->mesi = MesiState::M;
@@ -378,7 +252,7 @@ L1xAcc::leaseTransfer(Addr vline, Pid pid, Tick new_end, bool dirty)
 {
     vline = lineAlign(vline);
     ++_leaseTransfers;
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.tags().find(vline, pid);
     if (!line) {
         fusion_warn("lease transfer for absent line vline=", vline);
         return;
@@ -398,18 +272,16 @@ L1xAcc::writeThroughStore(AccelId who, Addr vline, Pid pid)
 {
     (void)who;
     vline = lineAlign(vline);
-    bookAccess(true);
+    _host.bookAccess(true);
     ++_writeThroughStores;
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.tags().find(vline, pid);
     if (line) {
         line->dirty = true;
         line->mesi = MesiState::M;
         return;
     }
     // Write-allocate through the regular miss path.
-    bool primary = _mshrs.allocate(vline, pid, [] {});
-    if (primary)
-        startFill(vline, pid);
+    _host.fetch(vline, pid, [] {});
 }
 
 void
@@ -425,13 +297,7 @@ void
 L1xAcc::handleFwd(Addr pa, FwdKind kind, FwdDone done)
 {
     (void)kind; // ACC answers every host demand identically.
-    ++_fwdRecv;
-    auto entry = _rmap.lookup(pa);
-    if (!entry) {
-        done(false, false);
-        return;
-    }
-    mem::CacheLine *line = _tags.find(entry->vline, entry->pid);
+    mem::CacheLine *line = _host.resolve(pa);
     if (!line) {
         done(false, false);
         return;
@@ -439,7 +305,7 @@ L1xAcc::handleFwd(Addr pa, FwdKind kind, FwdDone done)
     // Evict into the writeback buffer; the PUTX response stalls
     // until GTIME expires (Figure 4, right). The L0Xs are never
     // probed.
-    bookAccess(false);
+    _host.bookAccess(false);
     WbBufEntry w;
     w.id = _nextWbId++;
     w.pline = line->pline;
@@ -453,8 +319,7 @@ L1xAcc::handleFwd(Addr pa, FwdKind kind, FwdDone done)
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::HostFwd, w.pline,
                        w.t0);
-    _rmap.erase(line->pline);
-    _tags.invalidate(*line);
+    _host.drop(*line);
     std::uint64_t id = w.id;
     Tick ready_at = w.readyAt;
     _wbBuffer.push_back(std::move(w));
@@ -497,20 +362,6 @@ L1xAcc::hasWbBufferedLine(Addr vline, Pid pid) const
             return true;
     }
     return false;
-}
-
-void
-L1xAcc::flushAll()
-{
-    _tags.forEachValid([this](mem::CacheLine &l) {
-        _rmap.erase(l.pline);
-        if (l.dirty) {
-            _llc.writebackData(_agentId, l.pline);
-        } else {
-            _llc.evictNotice(_agentId, l.pline);
-        }
-        _tags.invalidate(l);
-    });
 }
 
 } // namespace fusion::accel

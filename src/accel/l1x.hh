@@ -16,18 +16,13 @@
  *  - Strict 2-hop within the tile: request -> grant, no
  *    invalidations, no acks.
  *
- * Host integration (MEI): the L1X always fetches lines exclusively
- * (GetX) from the host LLC, so its MESI states collapse to M/E/I
- * and silent S->I drops cannot happen; the host directory's sharer
- * information for the tile is exact. A forwarded host request is
- * translated through the AX-RMAP, evicts the line into a writeback
- * buffer, and the PUTX response is *stalled until GTIME expires*
- * (Figure 4, right).
- *
- * Virtual memory: the L1X is virtually indexed and PID tagged; the
- * AX-TLB sits on its miss path (Figure 3, top) and the AX-RMAP
- * provides the PA -> L1X pointer reverse translation, doubling as
- * the synonym filter of the Appendix.
+ * Host integration (MEI) is the L1xHost every tile L1X shares: lines
+ * are fetched exclusively (GetX), so the tile's MESI states collapse
+ * to M/E/I and the host directory's sharer information for the tile
+ * is exact. A forwarded host request is translated through the
+ * AX-RMAP, evicts the line into a writeback buffer, and the PUTX
+ * response is *stalled until GTIME expires* (Figure 4, right). A
+ * fill may only take the frame of a line whose leases have expired.
  */
 
 #ifndef FUSION_ACCEL_L1X_HH
@@ -36,30 +31,12 @@
 #include <list>
 #include <string>
 
-#include "energy/sram_model.hh"
-#include "coherence/protocol.hh"
-#include "host/llc.hh"
-#include "interconnect/link.hh"
-#include "mem/cache_array.hh"
+#include "accel/l1x_host.hh"
 #include "mem/bank_scheduler.hh"
-#include "mem/mshr.hh"
 #include "obs/span_tracer.hh"
-#include "sim/sim_context.hh"
-#include "vm/ax_rmap.hh"
-#include "vm/ax_tlb.hh"
 
 namespace fusion::accel
 {
-
-/** L1X configuration (Table 2: 64 KB or 256 KB, 16 banks, 8-way). */
-struct L1xParams
-{
-    std::string name = "l1x";
-    std::uint64_t capacityBytes = 64 * 1024;
-    std::uint32_t assoc = 8;
-    std::uint32_t banks = 16;
-    std::uint32_t ringNode = 4; ///< tile attachment on the LLC ring
-};
 
 /** Result of a lease request. */
 struct LeaseGrant
@@ -116,21 +93,17 @@ class L1xAcc : public coherence::CoherentAgent
                    FwdDone done) override;
     const std::string &name() const override { return _name; }
 
-    Cycles latency() const { return _fig.latency; }
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     /** LLC agent id assigned at registration (fwdsToAgent key). */
-    int agentId() const { return _agentId; }
-
-    /** Flush every line to the host (end-of-program barrier). */
-    void flushAll();
+    int agentId() const { return _host.agentId(); }
 
     // Guard hooks (tile-level invariant checkers).
     /** Valid line lookup without side effects. */
     const mem::CacheLine *
     findLine(Addr vline, Pid pid) const
     {
-        return _tags.find(lineAlign(vline), pid);
+        return _host.tags().find(lineAlign(vline), pid);
     }
     /** Is the line parked in the host-demand writeback buffer? */
     bool hasWbBufferedLine(Addr vline, Pid pid) const;
@@ -149,7 +122,6 @@ class L1xAcc : public coherence::CoherentAgent
         FwdDone done;
     };
 
-    void bookAccess(bool is_write);
     /** Main lease state machine, post bank-access latency. */
     void processLease(AccelId who, Addr vline, Pid pid,
                       Cycles lease_len, bool is_write,
@@ -157,51 +129,30 @@ class L1xAcc : public coherence::CoherentAgent
                       bool is_retry = false);
     void grant(mem::CacheLine &line, Cycles lease_len, bool is_write,
                bool need_data, LeaseDone done);
-    /** Miss path: translate, fetch exclusively, install. */
-    void startFill(Addr vline, Pid pid);
-    void finishFill(Addr vline, Pid pid, Addr pline, Tick t0);
-    /** Allocate a frame, evicting an expired victim. */
-    void allocateFrame(Addr vline, Pid pid, Addr pline,
-                       sim::SmallFn<void()> installed);
     void wakeStalled(Addr vline, Pid pid);
     void tryRespondWbBuf(std::uint64_t id);
 
     SimContext &_ctx;
     std::string _name;
-    host::Llc &_llc;
     interconnect::Link *_tileLink;
-    interconnect::Link *_llcLink;
-    vm::AxTlb &_tlb;
-    vm::AxRmap &_rmap;
-    mem::CacheArray _tags;
+    L1xHost _host;
     mem::BankScheduler _banks;
-    mem::MshrFile _mshrs; ///< keyed by (vline, pid)
-    energy::SramFigures _fig;
-    energy::ComponentId _ecL1x = energy::kInvalidComponent;
-    int _agentId = -1;
     /** Write-epoch stall queues — the same pooled (vline, pid)
      *  structure as the MSHR file; wakeStalled() drains one key. */
     mem::MshrFile _stalled;
     std::list<WbBufEntry> _wbBuffer;
     std::uint64_t _nextWbId = 1;
     // Counters, bound into ctx.stats under "<name>.<stat>".
-    std::uint64_t _reads = 0;
-    std::uint64_t _writes = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
     std::uint64_t _bankConflicts = 0;
     std::uint64_t _stallsOnWriteEpoch = 0;
-    std::uint64_t _synonymEvictions = 0;
-    std::uint64_t _frameRetries = 0;
-    std::uint64_t _evictions = 0;
     std::uint64_t _writeEpochs = 0;
     std::uint64_t _readLeases = 0;
     std::uint64_t _l0xWritebacks = 0;
     std::uint64_t _leaseTransfers = 0;
     std::uint64_t _writeThroughStores = 0;
-    std::uint64_t _fwdRecv = 0;
     std::uint64_t _fwdStalledOnGtime = 0;
-    stats::Histogram *_stFillLatency;
     stats::Histogram *_stFwdLatency;
     /// Telemetry span tracer (null when tracing is off).
     obs::SpanTracer *_tracer = nullptr;

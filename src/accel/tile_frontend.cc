@@ -300,10 +300,14 @@ class MesiFrontend final : public TileFrontend
         : TileFrontend(core::SystemKind::FusionMesi), _prog(e.prog),
           _llc(e.llc)
     {
-        _tile = std::make_unique<MesiTile>(
-            e.ctx, e.numAccels, e.cfg.l0xBytes, e.cfg.l0xAssoc,
-            e.cfg.l1xBytes, e.cfg.l1xAssoc, e.cfg.l1xBanks, e.llc,
-            e.pt);
+        L1xParams l1x;
+        l1x.capacityBytes = e.cfg.l1xBytes;
+        l1x.assoc = e.cfg.l1xAssoc;
+        l1x.banks = e.cfg.l1xBanks;
+        _tile = std::make_unique<MesiTile>(e.ctx, e.numAccels,
+                                           e.cfg.l0xBytes,
+                                           e.cfg.l0xAssoc, l1x,
+                                           e.llc, e.pt);
         for (std::uint32_t a = 0; a < e.numAccels; ++a)
             _tile->l0x(static_cast<AccelId>(a)).setPid(e.prog.pid);
     }

@@ -1,5 +1,7 @@
 #include "accel/tile_mesi.hh"
 
+#include <sstream>
+
 #include "sim/logging.hh"
 
 namespace fusion::accel
@@ -58,6 +60,13 @@ L0xMesi::L0xMesi(SimContext &ctx, std::string name,
     });
     ctx.obs.registerCounter(_name + ".misses", [this] {
         return static_cast<double>(misses());
+    });
+    ctx.guard.registerSnapshot(_name, [this] {
+        guard::ComponentState s;
+        s.outstanding = _mshrs.size();
+        if (s.outstanding != 0)
+            s.detail = "mshrs=" + std::to_string(_mshrs.size());
+        return s;
     });
 }
 
@@ -222,44 +231,36 @@ L0xMesi::handleTileFwd(Addr vline, FwdKind kind,
 // L1xMesi
 // ---------------------------------------------------------------
 
-L1xMesi::L1xMesi(SimContext &ctx, std::uint64_t bytes,
-                 std::uint32_t assoc, std::uint32_t banks,
-                 std::uint32_t ring_node, host::Llc &llc,
+L1xMesi::L1xMesi(SimContext &ctx, const L1xParams &p, host::Llc &llc,
                  interconnect::Link *tile_link,
                  interconnect::Link *llc_link, vm::AxTlb &tlb,
                  vm::AxRmap &rmap)
-    : _ctx(ctx), _llc(llc), _tileLink(tile_link),
-      _llcLink(llc_link), _tlb(tlb), _rmap(rmap),
-      _tags(mem::CacheGeometry{bytes, assoc, kLineBytes}),
-      _banks(banks, 1)
+    : _ctx(ctx), _name(p.name), _tileLink(tile_link),
+      _host(ctx, p, energy::SramKind::Cache, *this, llc, llc_link,
+            tlb, rmap,
+            // Only untracked lines evict: a busy or cached-below line
+            // is skipped, and a set with none retries until an L0X
+            // eviction frees one.
+            [this](const mem::CacheLine &l) {
+                auto it = _dir.find(key(l.lineAddr, l.pid));
+                if (it == _dir.end())
+                    return true;
+                const DirInfo &d = it->second;
+                return !d.busy && d.owner < 0 && d.sharers == 0;
+            },
+            nullptr),
+      _banks(p.banks, 1)
 {
-    energy::SramParams sp;
-    sp.capacityBytes = bytes;
-    sp.assoc = assoc;
-    sp.banks = banks;
-    sp.kind = energy::SramKind::Cache;
-    _fig = energy::evaluateSram(sp);
-    _ecL1x = ctx.energy.component(energy::comp::kL1x);
-    _agentId = llc.registerAgent(this, llc_link, ring_node);
-    ctx.stats.counters(_name, {{"reads", _reads},
-                               {"writes", _writes},
-                               {"hits", _hits},
+    ctx.stats.counters(_name, {{"hits", _hits},
                                {"misses", _misses},
                                {"deferred", _deferred},
-                               {"synonym_evictions", _synonymEvictions},
-                               {"frame_retries", _frameRetries},
-                               {"evictions", _evictions},
                                {"probes_sent", _probesSent},
                                {"l0x_writebacks", _l0xWritebacks},
-                               {"evict_notices", _evictNotices},
-                               {"fwd_recv", _fwdRecv}});
+                               {"evict_notices", _evictNotices}});
 
     _tracer = ctx.obs.tracer();
     if (_tracer)
         _track = _tracer->registerTrack(_name);
-    ctx.obs.registerGauge(_name + ".mshrs", [this] {
-        return static_cast<double>(_mshrs.size());
-    });
     ctx.obs.registerGauge(_name + ".dir_busy", [this] {
         std::uint64_t busy = 0;
         for (const auto &[k, d] : _dir)
@@ -268,6 +269,24 @@ L1xMesi::L1xMesi(SimContext &ctx, std::uint64_t bytes,
     });
     ctx.obs.registerCounter(_name + ".misses", [this] {
         return static_cast<double>(_misses);
+    });
+    ctx.guard.registerSnapshot(_name, [this] {
+        guard::ComponentState s;
+        std::uint64_t busy = 0;
+        std::uint64_t deferred = 0;
+        for (const auto &[k, d] : _dir) {
+            busy += d.busy ? 1 : 0;
+            deferred += d.deferred.size();
+        }
+        s.outstanding = _host.mshrs() + deferred;
+        if (s.outstanding != 0) {
+            std::ostringstream os;
+            os << "mshrs=" << _host.mshrs() << " busy=" << busy
+               << " deferred=" << deferred
+               << " frame_retries=" << _host.frameRetries();
+            s.detail = os.str();
+        }
+        return s;
     });
 }
 
@@ -280,24 +299,16 @@ L1xMesi::addL0x(L0xMesi *l0x)
 }
 
 void
-L1xMesi::bookAccess(bool is_write)
-{
-    _ctx.energy.add(_ecL1x,
-                    is_write ? _fig.writePj : _fig.readPj);
-    ++(is_write ? _writes : _reads);
-}
-
-void
 L1xMesi::request(int l0x_id, Addr vline, Pid pid,
                  CoherenceReq kind, GrantDone done)
 {
     vline = lineAlign(vline);
-    bookAccess(false);
+    _host.bookAccess(false);
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::MesiReq, vline,
                        _ctx.now());
     Cycles bank_delay = _banks.reserve(vline, _ctx.now());
-    _ctx.eq.scheduleIn(_fig.latency + bank_delay,
+    _ctx.eq.scheduleIn(_host.latency() + bank_delay,
                        [this, l0x_id, vline, pid, kind,
                         done = std::move(done)]() mutable {
                            arrive(l0x_id, vline, pid, kind,
@@ -322,109 +333,21 @@ L1xMesi::arrive(int l0x_id, Addr vline, Pid pid, CoherenceReq kind,
         return;
     }
     d.busy = true;
-    if (_tags.find(vline, pid)) {
+    if (_host.tags().find(vline, pid)) {
         ++_hits;
         dirAction(l0x_id, vline, pid, kind, std::move(done));
         return;
     }
     ++_misses;
-    bool primary = _mshrs.allocate(
+    bool primary = _host.fetch(
         vline, pid,
         [this, l0x_id, vline, pid, kind,
          done = std::move(done)]() mutable {
             dirAction(l0x_id, vline, pid, kind, std::move(done));
         });
-    if (primary) {
-        if (_tracer)
-            _tracer->phase(_track, obs::SpanKind::MesiReq, vline,
-                           "fill", _ctx.now());
-        startFill(vline, pid);
-    }
-}
-
-void
-L1xMesi::startFill(Addr vline, Pid pid)
-{
-    // Identical host-side behaviour to ACC: translate on the miss
-    // path, fetch exclusively (tile is M/E/I to the host).
-    _tlb.translate(pid, vline, [this, vline, pid](Addr pa) {
-        Addr pline = lineAlign(pa);
-        if (auto syn = _rmap.probeForSynonym(pline)) {
-            if (syn->vline != vline || syn->pid != pid) {
-                ++_synonymEvictions;
-                mem::CacheLine *dup =
-                    _tags.find(syn->vline, syn->pid);
-                if (dup) {
-                    if (dup->dirty) {
-                        _llc.writebackData(_agentId, dup->pline);
-                    } else {
-                        _llc.evictNotice(_agentId, dup->pline);
-                    }
-                    _rmap.erase(dup->pline);
-                    _tags.invalidate(*dup);
-                }
-            }
-        }
-        _llc.request(_agentId, pline, CoherenceReq::GetX,
-                     [this, vline, pid,
-                      pline](const host::LlcResponse &) {
-                         allocateFrame(vline, pid, pline,
-                                       [this, vline, pid, pline] {
-                                           mem::CacheLine *line =
-                                               _tags.find(vline,
-                                                          pid);
-                                           fusion_assert(
-                                               line,
-                                               "fill lost frame");
-                                           line->mesi =
-                                               MesiState::E;
-                                           line->pline = pline;
-                                           _rmap.insert(pline,
-                                                        vline, pid);
-                                           bookAccess(true);
-                                           _mshrs.complete(vline,
-                                                           pid);
-                                       });
-                     });
-    });
-}
-
-void
-L1xMesi::allocateFrame(Addr vline, Pid pid, Addr pline,
-                       sim::SmallFn<void()> installed)
-{
-    mem::CacheLine *victim = _tags.victim(
-        vline, [this](const mem::CacheLine &l) {
-            auto it = _dir.find(key(l.lineAddr, l.pid));
-            if (it == _dir.end())
-                return true;
-            const DirInfo &d = it->second;
-            // Only untracked lines evict without a recall; a busy
-            // or cached-below line is skipped (simple + safe: the
-            // L1X is 16x the L0X, so such sets are rare).
-            return !d.busy && d.owner < 0 && d.sharers == 0;
-        });
-    if (!victim) {
-        ++_frameRetries;
-        _ctx.eq.scheduleIn(
-            16, [this, vline, pid, pline,
-                 installed = std::move(installed)]() mutable {
-                allocateFrame(vline, pid, pline,
-                              std::move(installed));
-            });
-        return;
-    }
-    if (victim->valid) {
-        ++_evictions;
-        _rmap.erase(victim->pline);
-        if (victim->dirty) {
-            _llc.writebackData(_agentId, victim->pline);
-        } else {
-            _llc.evictNotice(_agentId, victim->pline);
-        }
-    }
-    _tags.install(*victim, vline, pid);
-    installed();
+    if (primary && _tracer)
+        _tracer->phase(_track, obs::SpanKind::MesiReq, vline, "fill",
+                       _ctx.now());
 }
 
 void
@@ -432,9 +355,9 @@ L1xMesi::dirAction(int l0x_id, Addr vline, Pid pid,
                    CoherenceReq kind, GrantDone done)
 {
     DirInfo &d = _dir[key(vline, pid)];
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.tags().find(vline, pid);
     fusion_assert(line, "dirAction without L1X frame");
-    _tags.touch(*line);
+    _host.tags().touch(*line);
 
     switch (kind) {
       case CoherenceReq::GetS: {
@@ -525,9 +448,9 @@ L1xMesi::clearTile(int except, Addr vline, Pid pid,
                                               : MsgClass::Control);
                         DirInfo &dd = _dir[key(vline, pid)];
                         if (dirty) {
-                            bookAccess(true);
+                            _host.bookAccess(true);
                             mem::CacheLine *l =
-                                _tags.find(vline, pid);
+                                _host.tags().find(vline, pid);
                             if (l)
                                 l->dirty = true;
                         }
@@ -590,13 +513,13 @@ void
 L1xMesi::writeback(int l0x_id, Addr vline, Pid pid)
 {
     vline = lineAlign(vline);
-    bookAccess(true);
+    _host.bookAccess(true);
     ++_l0xWritebacks;
     DirInfo &d = _dir[key(vline, pid)];
     if (d.owner == l0x_id)
         d.owner = -1;
     d.sharers &= ~bit(l0x_id);
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.tags().find(vline, pid);
     if (line) {
         line->dirty = true;
         line->mesi = MesiState::M;
@@ -618,20 +541,14 @@ void
 L1xMesi::handleFwd(Addr pa, FwdKind kind, FwdDone done)
 {
     (void)kind;
-    ++_fwdRecv;
     DPRINTFN("MESI", "host fwd pa=", pa, " now=", _ctx.now());
-    auto entry = _rmap.lookup(pa);
-    if (!entry) {
-        done(false, false);
-        return;
-    }
-    Addr vline = entry->vline;
-    Pid pid = entry->pid;
-    mem::CacheLine *line = _tags.find(vline, pid);
+    mem::CacheLine *line = _host.resolve(pa);
     if (!line) {
         done(false, false);
         return;
     }
+    Addr vline = line->lineAddr;
+    Pid pid = line->pid;
     auto k = key(vline, pid);
     DirInfo &d = _dir[k];
     if (d.busy) {
@@ -643,17 +560,15 @@ L1xMesi::handleFwd(Addr pa, FwdKind kind, FwdDone done)
         return;
     }
     d.busy = true;
-    bookAccess(false);
+    _host.bookAccess(false);
     // Conventional design: the host demand probes the L0Xs.
     clearTile(-1, vline, pid, false,
               [this, vline, pid, k,
                done = std::move(done)]() mutable {
-                  mem::CacheLine *l = _tags.find(vline, pid);
+                  mem::CacheLine *l = _host.tags().find(vline, pid);
                   bool dirty = l && l->dirty;
-                  if (l) {
-                      _rmap.erase(l->pline);
-                      _tags.invalidate(*l);
-                  }
+                  if (l)
+                      _host.drop(*l);
                   DirInfo &dd = _dir[k];
                   dd.busy = false;
                   if (!dd.deferred.empty()) {
@@ -671,8 +586,7 @@ L1xMesi::handleFwd(Addr pa, FwdKind kind, FwdDone done)
 
 MesiTile::MesiTile(SimContext &ctx, std::uint32_t num_accels,
                    std::uint64_t l0x_bytes, std::uint32_t l0x_assoc,
-                   std::uint64_t l1x_bytes, std::uint32_t l1x_assoc,
-                   std::uint32_t l1x_banks, host::Llc &llc,
+                   const L1xParams &l1x, host::Llc &llc,
                    const vm::PageTable &pt)
 {
     _tileLink = std::make_unique<interconnect::Link>(
@@ -687,9 +601,8 @@ MesiTile::MesiTile(SimContext &ctx, std::uint32_t num_accels,
                  energy::comp::kLinkL1xL2Data});
     _tlb = std::make_unique<vm::AxTlb>(ctx, vm::AxTlbParams{}, pt);
     _rmap = std::make_unique<vm::AxRmap>(ctx, vm::AxRmapParams{});
-    _l1x = std::make_unique<L1xMesi>(
-        ctx, l1x_bytes, l1x_assoc, l1x_banks, 4, llc,
-        _tileLink.get(), _llcLink.get(), *_tlb, *_rmap);
+    _l1x = std::make_unique<L1xMesi>(ctx, l1x, llc, _tileLink.get(),
+                                     _llcLink.get(), *_tlb, *_rmap);
     for (std::uint32_t a = 0; a < num_accels; ++a) {
         _l0xs.push_back(std::make_unique<L0xMesi>(
             ctx, "axc" + std::to_string(a) + ".l0x", l0x_bytes,

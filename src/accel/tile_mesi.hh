@@ -9,10 +9,10 @@
  * acks that ACC's timestamps eliminate. This module implements that
  * alternative so the claim is measurable: private MESI L0Xs under a
  * full-map directory at the shared L1X. Everything else — the
- * host-side MEI integration, AX-TLB/AX-RMAP, link energies, cache
- * geometries — is identical to the FUSION tile, so any difference
- * between `SystemKind::Fusion` and `SystemKind::FusionMesi` is the
- * intra-tile protocol alone.
+ * host-side MEI integration (the same L1xHost as the ACC L1X),
+ * AX-TLB/AX-RMAP, link energies, cache geometries — is identical to
+ * the FUSION tile, so any difference between `SystemKind::Fusion`
+ * and `SystemKind::FusionMesi` is the intra-tile protocol alone.
  *
  * Protocol summary (blocking directory, same discipline as the host
  * LLC's):
@@ -36,17 +36,10 @@
 #include <utility>
 #include <vector>
 
+#include "accel/l1x_host.hh"
 #include "accel/mem_port.hh"
-#include "coherence/protocol.hh"
-#include "energy/sram_model.hh"
-#include "host/llc.hh"
-#include "interconnect/link.hh"
 #include "mem/bank_scheduler.hh"
-#include "mem/cache_array.hh"
-#include "mem/mshr.hh"
 #include "obs/span_tracer.hh"
-#include "vm/ax_rmap.hh"
-#include "vm/ax_tlb.hh"
 #include "vm/page_table.hh"
 
 namespace fusion::accel
@@ -115,16 +108,15 @@ class L0xMesi : public MemPort
 
 /**
  * The shared L1X with an embedded full-map directory over the
- * tile's L0Xs; an M/E/I agent of the host LLC (like ACC's L1X).
+ * tile's L0Xs; an M/E/I agent of the host LLC (like ACC's L1X). A
+ * fill may only take the frame of a line no L0X caches.
  */
 class L1xMesi : public coherence::CoherentAgent
 {
   public:
     using GrantDone = sim::SmallFn<void(bool exclusive)>;
 
-    L1xMesi(SimContext &ctx, std::uint64_t bytes,
-            std::uint32_t assoc, std::uint32_t banks,
-            std::uint32_t ring_node, host::Llc &llc,
+    L1xMesi(SimContext &ctx, const L1xParams &p, host::Llc &llc,
             interconnect::Link *tile_link,
             interconnect::Link *llc_link, vm::AxTlb &tlb,
             vm::AxRmap &rmap);
@@ -146,12 +138,11 @@ class L1xMesi : public coherence::CoherentAgent
                    FwdDone done) override;
     const std::string &name() const override { return _name; }
 
-    Cycles latency() const { return _fig.latency; }
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     std::uint64_t probesSent() const { return _probesSent; }
     /** LLC agent id assigned at registration (fwdsToAgent key). */
-    int agentId() const { return _agentId; }
+    int agentId() const { return _host.agentId(); }
 
   private:
     struct DirInfo
@@ -182,7 +173,6 @@ class L1xMesi : public coherence::CoherentAgent
         return 1u << static_cast<std::uint32_t>(id);
     }
 
-    void bookAccess(bool is_write);
     void arrive(int l0x_id, Addr vline, Pid pid,
                 coherence::CoherenceReq kind, GrantDone done);
     void dirAction(int l0x_id, Addr vline, Pid pid,
@@ -193,38 +183,21 @@ class L1xMesi : public coherence::CoherentAgent
     void respond(int l0x_id, Addr vline, Pid pid, bool exclusive,
                  bool with_data, GrantDone done);
     void finishTransaction(Addr vline, Pid pid);
-    void startFill(Addr vline, Pid pid);
-    void allocateFrame(Addr vline, Pid pid, Addr pline,
-                       sim::SmallFn<void()> installed);
 
     SimContext &_ctx;
-    std::string _name = "l1x";
-    host::Llc &_llc;
+    std::string _name;
     interconnect::Link *_tileLink;
-    interconnect::Link *_llcLink;
-    vm::AxTlb &_tlb;
-    vm::AxRmap &_rmap;
-    mem::CacheArray _tags;
+    L1xHost _host;
     mem::BankScheduler _banks;
-    mem::MshrFile _mshrs;
-    energy::SramFigures _fig;
-    energy::ComponentId _ecL1x = energy::kInvalidComponent;
-    int _agentId = -1;
     std::vector<L0xMesi *> _l0xs;
     std::unordered_map<LineKey, DirInfo, LineKeyHash> _dir;
-    // Counters, bound into ctx.stats under "l1x.<stat>".
-    std::uint64_t _reads = 0;
-    std::uint64_t _writes = 0;
+    // Counters, bound into ctx.stats under "<name>.<stat>".
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
     std::uint64_t _deferred = 0;
-    std::uint64_t _synonymEvictions = 0;
-    std::uint64_t _frameRetries = 0;
-    std::uint64_t _evictions = 0;
     std::uint64_t _probesSent = 0;
     std::uint64_t _l0xWritebacks = 0;
     std::uint64_t _evictNotices = 0;
-    std::uint64_t _fwdRecv = 0;
     /// Telemetry span tracer (null when tracing is off).
     obs::SpanTracer *_tracer = nullptr;
     std::uint32_t _track = 0;
@@ -236,8 +209,7 @@ class MesiTile
   public:
     MesiTile(SimContext &ctx, std::uint32_t num_accels,
              std::uint64_t l0x_bytes, std::uint32_t l0x_assoc,
-             std::uint64_t l1x_bytes, std::uint32_t l1x_assoc,
-             std::uint32_t l1x_banks, host::Llc &llc,
+             const L1xParams &l1x, host::Llc &llc,
              const vm::PageTable &pt);
 
     L0xMesi &l0x(AccelId a)

@@ -227,6 +227,22 @@ CampaignReport::clean() const
            countOutcome(TrialOutcome::Crash) == 0;
 }
 
+const TrialResult *
+CampaignReport::shrinkTarget() const
+{
+    for (TrialOutcome o :
+         {TrialOutcome::SilentDivergence, TrialOutcome::Crash,
+          TrialOutcome::Hang, TrialOutcome::Detected}) {
+        const TrialResult *best = nullptr;
+        for (const TrialResult &t : trials)
+            if (t.outcome == o && (!best || t.index < best->index))
+                best = &t;
+        if (best)
+            return best;
+    }
+    return nullptr;
+}
+
 std::string
 CampaignReport::renderTable() const
 {

@@ -127,6 +127,12 @@ struct CampaignReport
     std::size_t countOutcome(TrialOutcome outcome) const;
     /** No silent divergence and no crash. */
     bool clean() const;
+    /**
+     * The trial most worth shrinking: the lowest-index trial of the
+     * most severe failing class (silent divergence, then crash, hang,
+     * detected); null when every trial is benign or perturbed.
+     */
+    const TrialResult *shrinkTarget() const;
     /** Render an aligned per-kind detection-rate table. */
     std::string renderTable() const;
     /** Full JSON report (trials + per-kind table + summary). */

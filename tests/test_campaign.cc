@@ -88,6 +88,34 @@ TEST(Campaign, CleanKindsDetectEverythingTheyFire)
     EXPECT_TRUE(r.clean());
 }
 
+TEST(Campaign, ShrinkTargetPrefersTheMostSevereClass)
+{
+    // Severity order: silent divergence, crash, hang, detected;
+    // lowest index within a class. Benign and perturbed trials are
+    // never targets.
+    CampaignReport r;
+    auto add = [&](std::size_t index, TrialOutcome outcome) {
+        TrialResult t;
+        t.index = index;
+        t.outcome = outcome;
+        r.trials.push_back(t);
+    };
+    EXPECT_EQ(r.shrinkTarget(), nullptr);
+    add(0, TrialOutcome::Benign);
+    add(1, TrialOutcome::Perturbed);
+    EXPECT_EQ(r.shrinkTarget(), nullptr);
+    add(2, TrialOutcome::Detected);
+    add(3, TrialOutcome::Detected);
+    EXPECT_EQ(r.shrinkTarget()->index, 2u);
+    add(4, TrialOutcome::Hang);
+    EXPECT_EQ(r.shrinkTarget()->index, 4u);
+    add(5, TrialOutcome::Crash);
+    EXPECT_EQ(r.shrinkTarget()->index, 5u);
+    add(7, TrialOutcome::SilentDivergence);
+    add(6, TrialOutcome::SilentDivergence);
+    EXPECT_EQ(r.shrinkTarget()->index, 6u);
+}
+
 TEST(Trial, TimingOnlyFaultTriagesAsPerturbed)
 {
     // Stall one DMA line completion long enough to move the final
@@ -117,12 +145,24 @@ TEST(Trial, UnfiredScheduleTriagesAsBenign)
 
 TEST(Trial, CorruptionTriagesAsDetected)
 {
-    FaultSchedule s;
-    s.arm(FaultKind::CorruptDir, /*trigger_after=*/2);
-    TrialResult t = runTrial(core::SystemKind::Fusion, "adpcm",
-                             workloads::Scale::Small, s);
-    EXPECT_EQ(t.outcome, TrialOutcome::Detected);
-    EXPECT_EQ(t.errorCategory, "invariant");
+    // Both tile protocols share the L1X host side and so its
+    // "resident line owned per directory" checker.
+    struct Case
+    {
+        core::SystemKind system;
+        std::uint64_t triggerAfter;
+    };
+    for (const Case &c : {Case{core::SystemKind::Fusion, 2},
+                          Case{core::SystemKind::FusionMesi, 23}}) {
+        FaultSchedule s;
+        s.arm(FaultKind::CorruptDir, c.triggerAfter);
+        TrialResult t = runTrial(c.system, "adpcm",
+                                 workloads::Scale::Small, s);
+        EXPECT_EQ(t.outcome, TrialOutcome::Detected)
+            << core::systemKindCliName(c.system);
+        EXPECT_EQ(t.errorCategory, "invariant")
+            << core::systemKindCliName(c.system);
+    }
 }
 
 TEST(Shrinker, BenignTrialHasNothingToShrink)

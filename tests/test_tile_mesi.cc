@@ -24,7 +24,7 @@ struct MesiTileRig : test::HostRig
     MesiTileRig()
     {
         tile = std::make_unique<accel::MesiTile>(
-            ctx, 2, 4096, 4, 64 * 1024, 8, 16, llc, pt);
+            ctx, 2, 4096, 4, accel::L1xParams{}, llc, pt);
         pt.ensureMappedRange(1, 0x10000000, 1 << 20);
         tile->l0x(0).setPid(1);
         tile->l0x(1).setPid(1);
@@ -53,6 +53,33 @@ TEST(TileMesi, MissThenHitNoLeaseExpiry)
     r.accessSync(0, 0x10000000, false);
     EXPECT_EQ(r.tile->l0x(0).hits(), 1u);
     EXPECT_EQ(r.tile->l0x(0).misses(), 1u);
+}
+
+TEST(TileMesi, GuardSnapshotNamesInFlightMiss)
+{
+    // A watchdog dump of a FUSION-MESI run names the tile's caches:
+    // a miss in flight shows at its L0X and at the L1X directory.
+    MesiTileRig r;
+    bool done = false;
+    r.tile->l0x(0).access(0x10000000, 8, false, [&] { done = true; });
+    std::string snap;
+    while (!done && r.ctx.eq.step()) {
+        std::string s = r.ctx.guard.renderSnapshot();
+        if (s.find("l1x: outstanding=1") != std::string::npos) {
+            snap = s;
+            break;
+        }
+    }
+    EXPECT_NE(snap.find("l1x: outstanding=1 mshrs=1 busy=1 deferred=0 "
+                        "frame_retries=0"),
+              std::string::npos)
+        << snap;
+    EXPECT_NE(snap.find("axc0.l0x: outstanding=1 mshrs=1"),
+              std::string::npos)
+        << snap;
+    r.ctx.eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(r.ctx.guard.outstandingTotal(), 0u);
 }
 
 TEST(TileMesi, SecondReaderDowngradesOwner)
