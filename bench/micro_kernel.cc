@@ -1,32 +1,20 @@
 /**
  * @file
  * Simulation-kernel throughput microbenchmark: schedule/dispatch
- * ops/sec of the event queue itself, with every component model
- * stripped away.
- *
- * Two implementations run the identical workload:
- *
- *  - "kernel": the production EventQueue (calendar buckets +
- *    allocation-free InlineEvent storage, DESIGN.md section 8)
- *  - "legacy": the pre-overhaul kernel, embedded below verbatim —
- *    a std::priority_queue of std::function entries with copy-pop
- *    semantics — as a toggleable baseline
+ * ops/sec of the production EventQueue itself (calendar buckets +
+ * allocation-free InlineEvent storage, DESIGN.md section 8), with
+ * every component model stripped away.
  *
  * The workload mimics the simulator's steady state: a fixed pending
  * set of self-rescheduling events whose deltas (1..8 ticks) look
  * like link/bank latencies and whose closures capture ~48 bytes
- * (this + state), past libstdc++'s 16-byte std::function SSO, so
- * the legacy queue pays one heap allocation per scheduled event
- * exactly as it did for real component closures.
+ * (this + state), like real component closures.
  *
- *   micro_kernel [--ops N] [--pending A,B,..] [--impl both|kernel|
- *                 legacy] [--repeat N] [--json FILE]
+ *   micro_kernel [--ops N] [--pending A,B,..] [--repeat N]
+ *                [--json FILE]
  *
- * Each row is measured --repeat times with the implementations
- * interleaved and the best (minimum-time) sample kept, which filters
- * scheduler noise on loaded machines. The summary line reports the
- * geometric mean of the per-row speedups plus the min/max row, so a
- * single outlier config can't hide behind the mean.
+ * Each row is measured --repeat times and the best (minimum-time)
+ * sample kept, which filters scheduler noise on loaded machines.
  *
  * With --json the report carries the same "perf" object shape
  * (hostSeconds / events / eventsPerSecond) the sweep reports emit.
@@ -35,13 +23,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -52,72 +36,6 @@ namespace
 {
 
 using namespace fusion;
-
-/**
- * The pre-overhaul event queue, kept here as the benchmark
- * baseline: one std::function per event (heap-allocating beyond 16
- * captured bytes) in a single binary heap, popped by copy. Ordering
- * semantics — (when, priority, insertion seq) — match the
- * production kernel, so both sides execute the same event sequence.
- */
-class LegacyEventQueue
-{
-  public:
-    Tick now() const { return _now; }
-
-    void
-    schedule(Tick when, std::function<void()> fn)
-    {
-        fusion_assert(when >= _now, "schedule in the past");
-        _heap.push(Entry{when, 0, _nextSeq++, std::move(fn)});
-    }
-
-    void
-    scheduleIn(Cycles delta, std::function<void()> fn)
-    {
-        schedule(_now + delta, std::move(fn));
-    }
-
-    Tick
-    run()
-    {
-        while (!_heap.empty()) {
-            Entry e = _heap.top(); // copy-pop, as the old kernel did
-            _heap.pop();
-            _now = e.when;
-            ++_executed;
-            e.fn();
-        }
-        return _now;
-    }
-
-    std::uint64_t executed() const { return _executed; }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        int pri;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.pri != b.pri)
-                return a.pri > b.pri;
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Entry, std::vector<Entry>, Later> _heap;
-    Tick _now = 0;
-    std::uint64_t _nextSeq = 0;
-    std::uint64_t _executed = 0;
-};
 
 /** xorshift step — cheap, deterministic per-chain delta source. */
 inline std::uint64_t
@@ -134,13 +52,11 @@ nextState(std::uint64_t x)
  * @p ops events total. Returns seconds of wall clock.
  *
  * Each chain's closure captures this-pointer, its xorshift state
- * and 32 bytes of payload (~48 bytes total): inline in InlineEvent,
- * one heap allocation per schedule in std::function.
+ * and 32 bytes of payload (~48 bytes total), inline in InlineEvent.
  */
-template <class Queue>
 struct ChurnBench
 {
-    Queue q;
+    EventQueue q;
     std::uint64_t remaining = 0;
     std::uint64_t sink = 0;
 
@@ -182,51 +98,19 @@ struct Row
 {
     std::size_t pending;
     std::uint64_t events;
-    double kernelSec = 0.0;
-    double legacySec = 0.0;
-};
-
-/** Geomean plus the min/max row of a speedup list, so the spread
- *  prints beside the mean. */
-struct SpeedupSummary
-{
-    double geomean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::size_t n = 0;
-
-    void
-    add(double s)
-    {
-        if (s <= 0.0)
-            return;
-        geomean += std::log(s);
-        min = n == 0 ? s : std::min(min, s);
-        max = n == 0 ? s : std::max(max, s);
-        ++n;
-    }
-    bool
-    finish()
-    {
-        if (n == 0)
-            return false;
-        geomean = std::exp(geomean / static_cast<double>(n));
-        return true;
-    }
+    double seconds = 0.0;
 };
 
 void
 usage(const char *argv0)
 {
     std::printf(
-        "usage: %s [--ops N] [--pending A,B,...] "
-        "[--impl both|kernel|legacy] [--repeat N] [--json FILE]\n"
+        "usage: %s [--ops N] [--pending A,B,...] [--repeat N] "
+        "[--json FILE]\n"
         "  --ops N        dispatches per pending-set size "
         "(default 2000000)\n"
         "  --pending L    comma-separated pending-set sizes "
         "(default 1,64,1024,16384)\n"
-        "  --impl WHICH   run only one implementation "
-        "(default both)\n"
         "  --repeat N     samples per row, best kept "
         "(default 3)\n"
         "  --json FILE    write machine-readable results with "
@@ -241,7 +125,6 @@ main(int argc, char **argv)
 {
     std::uint64_t ops = 2'000'000;
     std::vector<std::size_t> pendings{1, 64, 1024, 16384};
-    std::string impl = "both";
     std::string jsonPath;
     int repeat = 3;
 
@@ -269,13 +152,6 @@ main(int argc, char **argv)
                                   nullptr, 10)));
                 pos = comma + 1;
             }
-        } else if (a == "--impl") {
-            impl = next();
-            if (impl != "both" && impl != "kernel" &&
-                impl != "legacy") {
-                usage(argv[0]);
-                fusion_fatal("unknown --impl: ", impl);
-            }
         } else if (a == "--repeat") {
             repeat = static_cast<int>(
                 std::strtol(next().c_str(), nullptr, 10));
@@ -298,61 +174,22 @@ main(int argc, char **argv)
     std::printf("=== kernel dispatch throughput ===\n");
     std::printf("%llu dispatches per row; closures capture ~48 B\n\n",
                 static_cast<unsigned long long>(ops));
-    std::printf("%10s %14s %14s %8s\n", "pending", "kernel ev/s",
-                "legacy ev/s", "speedup");
+    std::printf("%10s %14s\n", "pending", "kernel ev/s");
 
     std::vector<Row> rows;
     for (std::size_t p : pendings) {
         Row row;
         row.pending = p;
         row.events = p + ops;
-        // Interleave the implementations across repeats and keep the
-        // fastest sample of each, so a load spike hits both sides
-        // rather than biasing one row.
         for (int rep = 0; rep < repeat; ++rep) {
-            if (impl != "legacy") {
-                double s = ChurnBench<EventQueue>{}.measure(p, ops);
-                row.kernelSec = rep
-                                    ? std::min(row.kernelSec, s)
-                                    : s;
-            }
-            if (impl != "kernel") {
-                double s =
-                    ChurnBench<LegacyEventQueue>{}.measure(p, ops);
-                row.legacySec = rep
-                                    ? std::min(row.legacySec, s)
-                                    : s;
-            }
+            double s = ChurnBench{}.measure(p, ops);
+            row.seconds = rep ? std::min(row.seconds, s) : s;
         }
-        auto rate = [&](double sec) {
-            return sec > 0.0
-                       ? static_cast<double>(row.events) / sec
-                       : 0.0;
-        };
-        std::printf("%10zu %14.3e %14.3e %8s\n", p,
-                    rate(row.kernelSec), rate(row.legacySec),
-                    (row.kernelSec > 0.0 && row.legacySec > 0.0)
-                        ? (std::to_string(row.legacySec /
-                                          row.kernelSec)
-                               .substr(0, 5) +
-                           "x")
-                              .c_str()
-                        : "-");
+        std::printf("%10zu %14.3e\n", p,
+                    row.seconds > 0.0
+                        ? static_cast<double>(row.events) / row.seconds
+                        : 0.0);
         rows.push_back(row);
-    }
-
-    SpeedupSummary sum;
-    for (const Row &r : rows) {
-        if (r.kernelSec > 0.0 && r.legacySec > 0.0)
-            sum.add(r.legacySec / r.kernelSec);
-    }
-    double geomean = 0.0;
-    std::size_t speedups = sum.n;
-    if (sum.finish()) {
-        geomean = sum.geomean;
-        std::printf("\ngeomean speedup: %.2fx (min %.2fx, max "
-                    "%.2fx over %zu configs)\n",
-                    sum.geomean, sum.min, sum.max, sum.n);
     }
 
     if (!jsonPath.empty()) {
@@ -366,30 +203,18 @@ main(int argc, char **argv)
             const Row &r = rows[i];
             std::fprintf(f, "%s{\"pending\":%zu", i ? "," : "",
                          r.pending);
-            auto put = [&](const char *name, double sec) {
-                if (sec <= 0.0)
-                    return;
+            if (r.seconds > 0.0) {
                 std::fprintf(
                     f,
-                    ",\"%s\":{\"hostSeconds\":%.17g,"
+                    ",\"perf\":{\"hostSeconds\":%.17g,"
                     "\"events\":%llu,\"eventsPerSecond\":%.17g}",
-                    name, sec,
+                    r.seconds,
                     static_cast<unsigned long long>(r.events),
-                    static_cast<double>(r.events) / sec);
-            };
-            put("perf", r.kernelSec);
-            put("legacyPerf", r.legacySec);
+                    static_cast<double>(r.events) / r.seconds);
+            }
             std::fprintf(f, "}");
         }
-        if (speedups > 0) {
-            std::fprintf(f,
-                         "],\"geomeanSpeedup\":%.17g,"
-                         "\"minSpeedup\":%.17g,"
-                         "\"maxSpeedup\":%.17g}\n",
-                         geomean, sum.min, sum.max);
-        } else {
-            std::fprintf(f, "]}\n");
-        }
+        std::fprintf(f, "]}\n");
         std::fclose(f);
         std::fprintf(stderr, "kernel bench report written to %s\n",
                      jsonPath.c_str());

@@ -1,91 +1,130 @@
 #!/bin/sh
-# Kernel-throughput bench driver: runs micro_kernel's production-
-# vs-legacy EventQueue comparison plus the micro_txn end-to-end rows,
-# and folds the per-run reports into one BENCH_kernel.json.
+# Perf trajectory driver: runs the end-to-end benchmark
+# (fusionbench/run.py over BENCHMARK.json's workloads, each run with
+# BENCHMARK.json's run_seconds) on one checkout and appends one row
+# for it to BENCH_e2e.json and BENCH_layers.json at the root of this
+# repository.
 #
-#   bench/run_bench.sh [BUILD_DIR] [OUT_JSON] [CACHE_OUT_JSON]
+#   bench/run_bench.sh [CHECKOUT]
 #
-# Defaults: BUILD_DIR=build, OUT_JSON=BENCH_kernel.json and
-# CACHE_OUT_JSON=BENCH_sweep_cache.json (in the current directory).
-# Shell + the bench binaries only — no python.
-# The kernel events/sec come from the "perf" objects micro_kernel
-# emits ("legacyPerf" carries the pre-overhaul baseline), so the
-# speedup is readable straight off the file.
-# BENCH_sweep_cache.json records the cold-vs-warm wall clock of one
-# identical sweep re-run against the result cache (DESIGN.md §10).
+# CHECKOUT defaults to this repository. Pass a clone of another
+# commit (the parent of a change, say) to record its row here too.
+#
+# For each workload it runs --trace 0 three times (seeds 1..3) and
+# keeps the correct run with the lowest wall_s for BENCH_e2e.json,
+# then runs --trace 1 once for BENCH_layers.json. A workload without
+# a correct run of either kind fails the script and appends nothing.
+# Both rows carry the commit, the host's CPU count and the traced
+# run's bench.drift. A checkout with uncommitted changes to tracked
+# files other than *.md and BENCH_*.json is labelled
+# "<commit>-dirty-<hash>": the first 12 digits of
+# `git diff <commit> --binary -- . ':(exclude)*.md'
+# ':(exclude)BENCH_*.json' | git hash-object --stdin`, which the
+# same diff between two commits reproduces. The files are JSON arrays
+# with one row per line.
 set -eu
 
-BUILD_DIR=${1:-build}
-OUT=${2:-BENCH_kernel.json}
-CACHE_OUT=${3:-BENCH_sweep_cache.json}
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+CHECKOUT=$(cd "${1:-$ROOT}" && pwd)
+SPEC="$CHECKOUT/BENCHMARK.json"
+SECONDS_PER_RUN=$(python3 -c \
+    'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$SPEC")
+WORKLOADS=$(python3 -c \
+    'import json, sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    "$SPEC")
 
-KERNEL="$BUILD_DIR/bench/micro_kernel"
-TXN="$BUILD_DIR/bench/micro_txn"
-ABLATION="$BUILD_DIR/bench/ablation_lease_time"
-for bin in "$KERNEL" "$TXN" "$ABLATION"; do
-    if [ ! -x "$bin" ]; then
-        echo "run_bench.sh: $bin not built (cmake --build $BUILD_DIR)" >&2
-        exit 1
-    fi
-done
+COMMIT=$(git -C "$CHECKOUT" rev-parse --short=12 HEAD)
+if [ -n "$(git -C "$CHECKOUT" status --porcelain --untracked-files=no \
+        -- . ':(exclude)*.md' ':(exclude)BENCH_*.json')" ]; then
+    DIFF=$(git -C "$CHECKOUT" diff HEAD --binary -- . ':(exclude)*.md' \
+        ':(exclude)BENCH_*.json' | git hash-object --stdin | cut -c1-12)
+    COMMIT="$COMMIT-dirty-$DIFF"
+fi
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# Kernel dispatch rows: production EventQueue vs the embedded legacy
-# queue at every default pending-set size, repeat=3 best-kept inside
-# the harness.
-echo "== micro_kernel ==" >&2
-"$KERNEL" --ops 1000000 --repeat 3 --json "$TMP/kernel.json" >&2
+# One run.py call; its last stdout line is the result (empty when
+# the run produced none).
+run() {
+    (cd "$CHECKOUT" && python3 fusionbench/run.py --workload "$1" \
+        --seed "$2" --seconds "$SECONDS_PER_RUN" --trace "$3") |
+        tail -n 1 > "$4"
+}
 
-# End-to-end transaction path (serial kernel; per-workload rows).
-echo "== micro_txn ==" >&2
-"$TXN" --churn-ops 50000 --workloads adpcm,fft --repeat 2 \
-    --json "$TMP/txn.json" >&2
+for w in $WORKLOADS; do
+    for seed in 1 2 3; do
+        echo "run_bench.sh: $w --trace 0 --seed $seed" >&2
+        run "$w" "$seed" 0 "$TMP/$w.e2e.$seed"
+    done
+    echo "run_bench.sh: $w --trace 1" >&2
+    run "$w" 1 1 "$TMP/$w.layers"
+done
 
-# Fold the reports into one file. Each per-run report is a complete
-# JSON object; BENCH_kernel.json nests them verbatim.
-{
-    printf '{"bench":"BENCH_kernel","kernel":'
-    cat "$TMP/kernel.json"
-    printf ',"txn":'
-    cat "$TMP/txn.json"
-    printf '}\n'
-} | tr -d '\n' > "$OUT"
-echo "" >> "$OUT"
+python3 - "$ROOT" "$TMP" "$COMMIT" "$SECONDS_PER_RUN" $WORKLOADS <<'EOF'
+import datetime
+import json
+import os
+import sys
+from pathlib import Path
 
-echo "wrote $OUT" >&2
+root, tmp, commit, seconds, *workloads = sys.argv[1:]
+tmp = Path(tmp)
 
-# Result-cache cold-vs-warm: the same sweep twice against a fresh
-# private cache. The first pass simulates and populates the cache;
-# the second replays every point from disk. date +%s%N is GNU
-# coreutils (nanoseconds), which the bench environments ship.
-CACHE_DIR="$TMP/result-cache"
-echo "== ablation_lease_time (cold) ==" >&2
-c0=$(date +%s%N)
-"$ABLATION" --small --jobs 2 --cache-dir "$CACHE_DIR" \
-    --json "$TMP/sweep_cold.json" >&2
-c1=$(date +%s%N)
-echo "== ablation_lease_time (warm) ==" >&2
-w0=$(date +%s%N)
-"$ABLATION" --small --jobs 2 --cache-dir "$CACHE_DIR" \
-    --json "$TMP/sweep_warm.json" >&2
-w1=$(date +%s%N)
 
-# Cache counters straight out of the warm report's "cache" object.
-WARM_CACHE=$(sed -n 's/.*"cache":{\([^}]*\)}.*/{\1}/p' \
-    "$TMP/sweep_warm.json")
-[ -n "$WARM_CACHE" ] || WARM_CACHE='{}'
+def load(path):
+    """A run's result if it printed one with correct: true, else None
+    (with a warning)."""
+    try:
+        result = json.loads(path.read_text())
+    except (OSError, ValueError):
+        result = None
+    if result is None or result.get("correct") is not True:
+        print(f"run_bench.sh: {path.name}: no correct result",
+              file=sys.stderr)
+        return None
+    return result
 
-awk -v c0="$c0" -v c1="$c1" -v w0="$w0" -v w1="$w1" \
-    -v cache="$WARM_CACHE" 'BEGIN {
-    cold = (c1 - c0) / 1e9
-    warm = (w1 - w0) / 1e9
-    printf "{\"bench\":\"BENCH_sweep_cache\"," \
-           "\"harness\":\"ablation_lease_time --small --jobs 2\"," \
-           "\"coldSeconds\":%.3f,\"warmSeconds\":%.3f," \
-           "\"speedup\":%.2f,\"warmCache\":%s}\n",
-           cold, warm, (warm > 0 ? cold / warm : 0), cache
-}' > "$CACHE_OUT"
 
-echo "wrote $CACHE_OUT" >&2
+def flat(result):
+    """correct/attempted/failed plus every metric's value."""
+    row = {k: result[k] for k in ("correct", "attempted", "failed")}
+    row.update({n: m["value"] for n, m in result["metrics"].items()})
+    return row
+
+
+def append(name, row):
+    path = Path(root) / name
+    rows = json.loads(path.read_text()) if path.exists() else []
+    rows.append(row)
+    path.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) +
+                    "\n]\n")
+    print(f"run_bench.sh: appended {commit} to {path}", file=sys.stderr)
+
+
+head = {"commit": commit,
+        "date": datetime.date.today().isoformat(),
+        "cpus": os.cpu_count(),
+        "seconds": float(seconds)}
+e2e = dict(head, runs=3, workloads={})
+layers = dict(head, runs=1, workloads={})
+missing = []
+for w in workloads:
+    traced = load(tmp / f"{w}.layers")
+    runs = [r for r in (load(tmp / f"{w}.e2e.{s}") for s in (1, 2, 3))
+            if r is not None]
+    if traced is None or not runs:
+        missing.append(w)
+        continue
+    best = min(runs, key=lambda r: r["metrics"]["wall_s"]["value"])
+    traced = flat(traced)
+    e2e["workloads"][w] = dict(flat(best),
+                               **{"bench.drift": traced["bench.drift"]})
+    layers["workloads"][w] = traced
+if missing:
+    sys.exit(f"run_bench.sh: no correct run for {', '.join(missing)}; "
+             "nothing appended")
+append("BENCH_e2e.json", e2e)
+append("BENCH_layers.json", layers)
+EOF

@@ -8,6 +8,7 @@ namespace fusion::accel
 {
 
 using coherence::CoherenceReq;
+using coherence::Directory;
 using coherence::FwdKind;
 using interconnect::MsgClass;
 using mem::MesiState;
@@ -204,13 +205,13 @@ L0xMesi::fillDone(Addr vline, bool is_write, bool exclusive)
 
 void
 L0xMesi::handleTileFwd(Addr vline, FwdKind kind,
-                       sim::SmallFn<void(bool dirty)> done)
+                       coherence::CoherentAgent::FwdDone done)
 {
     ++_probes;
     bookAccess(false, false); // tag probe energy
     mem::CacheLine *line = _tags.find(lineAlign(vline), _pid);
     if (!line) {
-        done(false);
+        done(false, false);
         return;
     }
     bool dirty = line->dirty || line->mesi == MesiState::M;
@@ -224,7 +225,7 @@ L0xMesi::handleTileFwd(Addr vline, FwdKind kind,
         line->dirty = false;
         break;
     }
-    done(dirty);
+    done(dirty, kind == FwdKind::FwdGetS);
 }
 
 // ---------------------------------------------------------------
@@ -242,14 +243,11 @@ L1xMesi::L1xMesi(SimContext &ctx, const L1xParams &p, host::Llc &llc,
             // is skipped, and a set with none retries until an L0X
             // eviction frees one.
             [this](const mem::CacheLine &l) {
-                auto it = _dir.find(key(l.lineAddr, l.pid));
-                if (it == _dir.end())
-                    return true;
-                const DirInfo &d = it->second;
-                return !d.busy && d.owner < 0 && d.sharers == 0;
+                return _dir.idle({l.lineAddr, l.pid});
             },
             nullptr),
-      _banks(p.banks, 1)
+      _banks(p.banks, 1),
+      _dir([this](Key k, int id, FwdKind kind) { probe(k, id, kind); })
 {
     ctx.stats.counters(_name, {{"hits", _hits},
                                {"misses", _misses},
@@ -262,32 +260,65 @@ L1xMesi::L1xMesi(SimContext &ctx, const L1xParams &p, host::Llc &llc,
     if (_tracer)
         _track = _tracer->registerTrack(_name);
     ctx.obs.registerGauge(_name + ".dir_busy", [this] {
-        std::uint64_t busy = 0;
-        for (const auto &[k, d] : _dir)
-            busy += d.busy ? 1 : 0;
-        return static_cast<double>(busy);
+        return static_cast<double>(_dir.busyCount());
     });
     ctx.obs.registerCounter(_name + ".misses", [this] {
         return static_cast<double>(_misses);
     });
     ctx.guard.registerSnapshot(_name, [this] {
         guard::ComponentState s;
-        std::uint64_t busy = 0;
-        std::uint64_t deferred = 0;
-        for (const auto &[k, d] : _dir) {
-            busy += d.busy ? 1 : 0;
-            deferred += d.deferred.size();
-        }
-        s.outstanding = _host.mshrs() + deferred;
+        s.outstanding = _host.mshrs() + _dir.parkedCount();
         if (s.outstanding != 0) {
             std::ostringstream os;
-            os << "mshrs=" << _host.mshrs() << " busy=" << busy
-               << " deferred=" << deferred
+            os << "mshrs=" << _host.mshrs()
+               << " busy=" << _dir.busyCount()
+               << " deferred=" << _dir.parkedCount()
                << " frame_retries=" << _host.frameRetries();
             s.detail = os.str();
         }
         return s;
     });
+    ctx.guard.registerInvariant(
+        _name + ".dir", [this](const guard::InvariantContext &,
+                               std::vector<std::string> &out) {
+            _dir.check(
+                "L1X",
+                [this](Key k) {
+                    return _host.tags().find(k.line, k.pid) != nullptr;
+                },
+                out);
+        });
+    ctx.guard.registerInvariant(
+        "tile.mesi", [this](const guard::InvariantContext &,
+                            std::vector<std::string> &out) {
+            // The directory agrees with every quiesced L0X copy: the
+            // copy is recorded for its L0X, and an M/E copy is the
+            // owner and the only copy. Inclusion of recorded copies
+            // is <l1x>.dir's check.
+            for (std::size_t i = 0; i < _l0xs.size(); ++i) {
+                const L0xMesi &l0 = *_l0xs[i];
+                int id = static_cast<int>(i);
+                l0.tags().forEachValid([&](const mem::CacheLine &l) {
+                    Directory::State d =
+                        _dir.state({l.lineAddr, l.pid});
+                    if (d.busy)
+                        return;
+                    auto report = [&](const char *why) {
+                        std::ostringstream os;
+                        os << l0.name() << ' ' << why << " @ 0x"
+                           << std::hex << l.lineAddr;
+                        out.push_back(os.str());
+                    };
+                    bool owner = d.owner == id;
+                    bool exclusive = l.mesi == MesiState::M ||
+                                     l.mesi == MesiState::E;
+                    if (!owner && (d.sharers & Directory::bit(id)) == 0)
+                        report("copy not recorded in directory");
+                    else if (exclusive && (!owner || d.sharers != 0))
+                        report("M/E copy is not the sole owner");
+                });
+            }
+        });
 }
 
 int
@@ -320,10 +351,9 @@ void
 L1xMesi::arrive(int l0x_id, Addr vline, Pid pid, CoherenceReq kind,
                 GrantDone done)
 {
-    DirInfo &d = _dir[key(vline, pid)];
-    if (d.busy) {
-        d.deferred.push_back([this, l0x_id, vline, pid, kind,
-                              done = std::move(done)]() mutable {
+    if (!_dir.begin({vline, pid})) {
+        _dir.park({vline, pid}, [this, l0x_id, vline, pid, kind,
+                                 done = std::move(done)]() mutable {
             arrive(l0x_id, vline, pid, kind, std::move(done));
         });
         ++_deferred;
@@ -332,7 +362,6 @@ L1xMesi::arrive(int l0x_id, Addr vline, Pid pid, CoherenceReq kind,
                            "defer", _ctx.now());
         return;
     }
-    d.busy = true;
     if (_host.tags().find(vline, pid)) {
         ++_hits;
         dirAction(l0x_id, vline, pid, kind, std::move(done));
@@ -354,159 +383,58 @@ void
 L1xMesi::dirAction(int l0x_id, Addr vline, Pid pid,
                    CoherenceReq kind, GrantDone done)
 {
-    DirInfo &d = _dir[key(vline, pid)];
     mem::CacheLine *line = _host.tags().find(vline, pid);
     fusion_assert(line, "dirAction without L1X frame");
     _host.tags().touch(*line);
-
-    switch (kind) {
-      case CoherenceReq::GetS: {
-        if (d.owner >= 0 && d.owner != l0x_id) {
-            clearTile(l0x_id, vline, pid, true,
-                      [this, l0x_id, vline, pid,
-                       done = std::move(done)]() mutable {
-                          DirInfo &dd = _dir[key(vline, pid)];
-                          dd.sharers |= bit(l0x_id);
-                          respond(l0x_id, vline, pid, false, true,
-                                  std::move(done));
-                      });
-            return;
-        }
-        bool exclusive = d.sharers == 0 && d.owner < 0;
-        if (exclusive)
-            d.owner = l0x_id;
-        else
-            d.sharers |= bit(l0x_id);
-        respond(l0x_id, vline, pid, exclusive, true,
-                std::move(done));
-        return;
-      }
-      case CoherenceReq::GetX:
-      case CoherenceReq::Upgrade: {
-        bool had_copy = kind == CoherenceReq::Upgrade &&
-                        ((d.sharers & bit(l0x_id)) != 0 ||
-                         d.owner == l0x_id);
-        clearTile(l0x_id, vline, pid, false,
-                  [this, l0x_id, vline, pid, had_copy,
-                   done = std::move(done)]() mutable {
-                      DirInfo &dd = _dir[key(vline, pid)];
-                      dd.owner = l0x_id;
-                      dd.sharers = 0;
-                      respond(l0x_id, vline, pid, true, !had_copy,
-                              std::move(done));
-                  });
-        return;
-      }
-    }
-    fusion_panic("unhandled tile MESI request");
+    Key k{vline, pid};
+    _dir.serve(k, l0x_id, kind,
+               [this, k, done = std::move(done)](
+                   Directory::Grant g) mutable {
+                   respond(k, g, std::move(done));
+               });
 }
 
 void
-L1xMesi::clearTile(int except, Addr vline, Pid pid,
-                   bool downgrade_to_s, sim::SmallFn<void()> then)
+L1xMesi::probe(Key k, int id, FwdKind kind)
 {
-    DirInfo &d = _dir[key(vline, pid)];
-    struct Target
-    {
-        int id;
-        FwdKind kind;
-    };
-    std::vector<Target> targets;
-    if (d.owner >= 0 && d.owner != except) {
-        targets.push_back({d.owner, downgrade_to_s
-                                        ? FwdKind::FwdGetS
-                                        : FwdKind::FwdGetX});
-    }
-    for (int i = 0; i < static_cast<int>(_l0xs.size()); ++i) {
-        if (i == except || i == d.owner)
-            continue;
-        if (d.sharers & bit(i))
-            targets.push_back({i, FwdKind::Inv});
-    }
-    if (targets.empty()) {
-        then();
-        return;
-    }
-    auto remaining = std::make_shared<std::size_t>(targets.size());
-    auto cont =
-        std::make_shared<sim::SmallFn<void()>>(std::move(then));
-    for (const Target &t : targets) {
-        ++_probesSent;
-        // Probe + response cross the tile link (the ACC protocol
-        // never sends these).
-        _tileLink->book(MsgClass::Control);
-        int id = t.id;
-        FwdKind kind = t.kind;
-        _ctx.eq.scheduleIn(
-            _tileLink->latency(),
-            [this, id, kind, vline, pid, remaining, cont] {
-                _l0xs[static_cast<std::size_t>(id)]->handleTileFwd(
-                    vline, kind,
-                    [this, id, kind, vline, pid, remaining,
-                     cont](bool dirty) {
-                        _tileLink->book(dirty ? MsgClass::Data
-                                              : MsgClass::Control);
-                        DirInfo &dd = _dir[key(vline, pid)];
-                        if (dirty) {
-                            _host.bookAccess(true);
-                            mem::CacheLine *l =
-                                _host.tags().find(vline, pid);
-                            if (l)
-                                l->dirty = true;
-                        }
-                        switch (kind) {
-                          case FwdKind::Inv:
-                          case FwdKind::FwdGetX:
-                            dd.sharers &= ~bit(id);
-                            if (dd.owner == id)
-                                dd.owner = -1;
-                            break;
-                          case FwdKind::FwdGetS:
-                            if (dd.owner == id) {
-                                dd.owner = -1;
-                                dd.sharers |= bit(id);
-                            }
-                            break;
-                        }
-                        _ctx.eq.scheduleIn(
-                            _tileLink->latency(),
-                            [remaining, cont] {
-                                if (--*remaining == 0)
-                                    (*cont)();
-                            });
-                    });
+    ++_probesSent;
+    // Probe + response cross the tile link (the ACC protocol never
+    // sends these).
+    _tileLink->book(MsgClass::Control);
+    _ctx.eq.scheduleIn(_tileLink->latency(), [this, k, id, kind] {
+        _l0xs[static_cast<std::size_t>(id)]->handleTileFwd(
+            k.line, kind,
+            [this, k, id, kind](bool dirty, bool retained) {
+                _tileLink->book(dirty ? MsgClass::Data
+                                      : MsgClass::Control);
+                if (dirty) {
+                    _host.bookAccess(true);
+                    if (mem::CacheLine *l =
+                            _host.tags().find(k.line, k.pid))
+                        l->dirty = true;
+                }
+                _dir.probed(k, id, kind, retained);
+                _ctx.eq.scheduleIn(_tileLink->latency(),
+                                   [this, k] { _dir.acked(k); });
             });
-    }
+    });
 }
 
 void
-L1xMesi::respond(int l0x_id, Addr vline, Pid pid, bool exclusive,
-                 bool with_data, GrantDone done)
+L1xMesi::respond(Key k, Directory::Grant g, GrantDone done)
 {
-    (void)l0x_id;
-    _tileLink->book(with_data ? MsgClass::Data : MsgClass::Control);
+    _tileLink->book(g.withData ? MsgClass::Data : MsgClass::Control);
     if (_tracer)
-        _tracer->end(_track, obs::SpanKind::MesiReq, vline,
+        _tracer->end(_track, obs::SpanKind::MesiReq, k.line,
                      _ctx.now());
-    finishTransaction(vline, pid);
+    // The grant goes out before finish() starts a parked request, so
+    // that request's probes cannot overtake it on the tile link.
     _ctx.eq.scheduleIn(_tileLink->latency(),
-                       [exclusive,
+                       [exclusive = g.exclusive,
                         done = std::move(done)]() mutable {
                            done(exclusive);
                        });
-}
-
-void
-L1xMesi::finishTransaction(Addr vline, Pid pid)
-{
-    DirInfo &d = _dir[key(vline, pid)];
-    fusion_assert(d.busy, "finishing idle tile transaction");
-    d.busy = false;
-    if (!d.deferred.empty()) {
-        auto next = std::move(d.deferred.front());
-        d.deferred.pop_front();
-        next();
-    }
+    _dir.finish(k);
 }
 
 void
@@ -515,10 +443,7 @@ L1xMesi::writeback(int l0x_id, Addr vline, Pid pid)
     vline = lineAlign(vline);
     _host.bookAccess(true);
     ++_l0xWritebacks;
-    DirInfo &d = _dir[key(vline, pid)];
-    if (d.owner == l0x_id)
-        d.owner = -1;
-    d.sharers &= ~bit(l0x_id);
+    _dir.drop({vline, pid}, l0x_id);
     mem::CacheLine *line = _host.tags().find(vline, pid);
     if (line) {
         line->dirty = true;
@@ -531,10 +456,7 @@ L1xMesi::evictNotice(int l0x_id, Addr vline, Pid pid)
 {
     vline = lineAlign(vline);
     ++_evictNotices;
-    DirInfo &d = _dir[key(vline, pid)];
-    if (d.owner == l0x_id)
-        d.owner = -1;
-    d.sharers &= ~bit(l0x_id);
+    _dir.drop({vline, pid}, l0x_id);
 }
 
 void
@@ -547,37 +469,26 @@ L1xMesi::handleFwd(Addr pa, FwdKind kind, FwdDone done)
         done(false, false);
         return;
     }
-    Addr vline = line->lineAddr;
-    Pid pid = line->pid;
-    auto k = key(vline, pid);
-    DirInfo &d = _dir[k];
-    if (d.busy) {
-        // A tile transaction is mid-flight: retry shortly.
+    Key k{line->lineAddr, line->pid};
+    if (!_dir.begin(k)) {
+        // A tile transaction is mid-flight: poll shortly.
         _ctx.eq.scheduleIn(4, [this, pa, kind,
                                done = std::move(done)]() mutable {
             handleFwd(pa, kind, std::move(done));
         });
         return;
     }
-    d.busy = true;
     _host.bookAccess(false);
     // Conventional design: the host demand probes the L0Xs.
-    clearTile(-1, vline, pid, false,
-              [this, vline, pid, k,
-               done = std::move(done)]() mutable {
-                  mem::CacheLine *l = _host.tags().find(vline, pid);
-                  bool dirty = l && l->dirty;
-                  if (l)
-                      _host.drop(*l);
-                  DirInfo &dd = _dir[k];
-                  dd.busy = false;
-                  if (!dd.deferred.empty()) {
-                      auto next = std::move(dd.deferred.front());
-                      dd.deferred.pop_front();
-                      next();
-                  }
-                  done(dirty, false);
-              });
+    _dir.clear(k, -1, false,
+               [this, k, done = std::move(done)]() mutable {
+                   mem::CacheLine *l = _host.tags().find(k.line, k.pid);
+                   bool dirty = l && l->dirty;
+                   if (l)
+                       _host.drop(*l);
+                   _dir.finish(k);
+                   done(dirty, false);
+               });
 }
 
 // ---------------------------------------------------------------

@@ -14,8 +14,8 @@
  * the FUSION tile, so any difference between `SystemKind::Fusion`
  * and `SystemKind::FusionMesi` is the intra-tile protocol alone.
  *
- * Protocol summary (blocking directory, same discipline as the host
- * LLC's):
+ * Protocol summary (the host LLC's blocking directory,
+ * coherence::Directory, over the L0Xs):
  *  - L0X load miss -> GetS: directory downgrades an M/E owner
  *    (probe + data) and grants S (or E when sole).
  *  - L0X store miss/upgrade -> GetX: directory invalidates every
@@ -30,14 +30,12 @@
 #ifndef FUSION_ACCEL_TILE_MESI_HH
 #define FUSION_ACCEL_TILE_MESI_HH
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "accel/l1x_host.hh"
 #include "accel/mem_port.hh"
+#include "coherence/directory.hh"
 #include "mem/bank_scheduler.hh"
 #include "obs/span_tracer.hh"
 #include "vm/page_table.hh"
@@ -61,9 +59,10 @@ class L0xMesi : public MemPort
     void access(Addr va, std::uint32_t size, bool is_write,
                 PortDone done) override;
 
-    /** Directory demand from the L1X (probe). kind as in MESI. */
+    /** Directory probe from the L1X, kind as in MESI; @p done reports
+     *  dirty data and whether a copy stays (S). */
     void handleTileFwd(Addr vline, coherence::FwdKind kind,
-                       sim::SmallFn<void(bool dirty)> done);
+                       coherence::CoherentAgent::FwdDone done);
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _loadMisses + _storeMisses; }
@@ -71,6 +70,8 @@ class L0xMesi : public MemPort
     std::uint64_t fills() const { return _fills; }
     std::uint64_t writebacks() const { return _writebacks; }
     AccelId id() const { return _id; }
+    const std::string &name() const { return _name; }
+    const mem::CacheArray &tags() const { return _tags; }
 
   private:
     void lookup(Addr vline, bool is_write, Tick start, PortDone done,
@@ -145,44 +146,16 @@ class L1xMesi : public coherence::CoherentAgent
     int agentId() const { return _host.agentId(); }
 
   private:
-    struct DirInfo
-    {
-        int owner = -1;
-        std::uint32_t sharers = 0;
-        bool busy = false;
-        std::deque<sim::SmallFn<void()>> deferred;
-    };
-
-    /** Directory key: the (vline, pid) composite itself — an XOR
-     *  fold of the PID into the address aliases distinct lines. */
-    using LineKey = std::pair<Addr, Pid>;
-    struct LineKeyHash
-    {
-        std::size_t operator()(const LineKey &k) const
-        {
-            return static_cast<std::size_t>(
-                mem::mixLinePid(k.first, k.second));
-        }
-    };
-    static LineKey key(Addr vline, Pid pid)
-    {
-        return LineKey{vline, pid};
-    }
-    static std::uint32_t bit(int id)
-    {
-        return 1u << static_cast<std::uint32_t>(id);
-    }
+    using Key = coherence::Directory::Key;
 
     void arrive(int l0x_id, Addr vline, Pid pid,
                 coherence::CoherenceReq kind, GrantDone done);
     void dirAction(int l0x_id, Addr vline, Pid pid,
                    coherence::CoherenceReq kind, GrantDone done);
-    /** Probe tile holders (downgrade or invalidate), then @p then. */
-    void clearTile(int except, Addr vline, Pid pid,
-                   bool downgrade_to_s, sim::SmallFn<void()> then);
-    void respond(int l0x_id, Addr vline, Pid pid, bool exclusive,
-                 bool with_data, GrantDone done);
-    void finishTransaction(Addr vline, Pid pid);
+    /** The directory's probe transport: L1X -> L0X @p id and back
+     *  over the tile link. */
+    void probe(Key k, int id, coherence::FwdKind kind);
+    void respond(Key k, coherence::Directory::Grant g, GrantDone done);
 
     SimContext &_ctx;
     std::string _name;
@@ -190,7 +163,7 @@ class L1xMesi : public coherence::CoherentAgent
     L1xHost _host;
     mem::BankScheduler _banks;
     std::vector<L0xMesi *> _l0xs;
-    std::unordered_map<LineKey, DirInfo, LineKeyHash> _dir;
+    coherence::Directory _dir;
     // Counters, bound into ctx.stats under "<name>.<stat>".
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

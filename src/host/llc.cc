@@ -1,7 +1,6 @@
 #include "host/llc.hh"
 
-#include <algorithm>
-#include <memory>
+#include <bit>
 #include <sstream>
 #include <vector>
 
@@ -12,6 +11,7 @@ namespace fusion::host
 {
 
 using coherence::CoherenceReq;
+using coherence::Directory;
 using coherence::FwdKind;
 using interconnect::MsgClass;
 
@@ -19,6 +19,9 @@ Llc::Llc(SimContext &ctx, const LlcParams &p, mem::Dram &dram)
     : _ctx(ctx), _p(p), _dram(dram),
       _ring(p.nucaBanks, p.hopLatency),
       _tags(mem::CacheGeometry{p.capacityBytes, p.assoc, kLineBytes}),
+      _dir([this](Directory::Key k, int agent, FwdKind kind) {
+          probe(k.line, agent, kind);
+      }),
       _dramLink(ctx,
                 interconnect::LinkParams{
                     "llc_dram", energy::LinkClass::LlcToDram, 4,
@@ -59,21 +62,14 @@ Llc::Llc(SimContext &ctx, const LlcParams &p, mem::Dram &dram)
 
     ctx.guard.registerSnapshot("llc", [this] {
         guard::ComponentState s;
-        std::vector<Addr> busy;
-        std::uint64_t deferred = 0;
-        for (const auto &[pa, d] : _dir) {
-            if (d.busy)
-                busy.push_back(pa);
-            deferred += d.deferred.size();
-        }
-        s.outstanding = busy.size() + deferred;
+        std::vector<Directory::Key> busy = _dir.busyKeys();
+        s.outstanding = busy.size() + _dir.parkedCount();
         if (!busy.empty()) {
-            std::sort(busy.begin(), busy.end());
             std::ostringstream os;
             os << "busy_lines=[" << std::hex;
             for (std::size_t i = 0; i < busy.size(); ++i)
-                os << (i ? "," : "") << "0x" << busy[i];
-            os << ']' << std::dec << " deferred=" << deferred;
+                os << (i ? "," : "") << "0x" << busy[i].line;
+            os << ']' << std::dec << " deferred=" << _dir.parkedCount();
             s.detail = os.str();
         }
         return s;
@@ -82,28 +78,12 @@ Llc::Llc(SimContext &ctx, const LlcParams &p, mem::Dram &dram)
         "llc.dir",
         [this](const guard::InvariantContext &,
                std::vector<std::string> &out) {
-            // Directory self-consistency for quiesced entries:
-            // exclusive ownership excludes sharers, and the LLC is
-            // inclusive of everything the directory records. Busy
-            // entries are mid-transaction by design.
-            std::vector<std::pair<Addr, const char *>> bad;
-            for (const auto &[pa, d] : _dir) {
-                if (d.busy)
-                    continue;
-                if (d.owner >= 0 && d.sharers != 0)
-                    bad.emplace_back(pa, "owner and sharers coexist");
-                if ((d.owner >= 0 || d.sharers != 0) &&
-                    !_tags.find(pa)) {
-                    bad.emplace_back(
-                        pa, "directory entry without LLC frame");
-                }
-            }
-            std::sort(bad.begin(), bad.end());
-            for (const auto &[pa, why] : bad) {
-                std::ostringstream os;
-                os << why << " @ 0x" << std::hex << pa;
-                out.push_back(os.str());
-            }
+            _dir.check(
+                "LLC",
+                [this](Directory::Key k) {
+                    return _tags.find(k.line) != nullptr;
+                },
+                out);
         });
 }
 
@@ -115,27 +95,6 @@ Llc::registerAgent(coherence::CoherentAgent *agent,
     _agents.push_back(AgentInfo{agent, link, ring_node, 0});
     _ctx.stats.counter("llc.fwds", _agents.back().fwds);
     return static_cast<int>(_agents.size()) - 1;
-}
-
-Llc::DirInfo &
-Llc::dirInfo(Addr pa)
-{
-    return _dir[lineAlign(pa)];
-}
-
-const Llc::DirInfo *
-Llc::dirInfoIfAny(Addr pa) const
-{
-    auto it = _dir.find(lineAlign(pa));
-    return it == _dir.end() ? nullptr : &it->second;
-}
-
-void
-Llc::maybeGarbageCollect(Addr pa)
-{
-    auto it = _dir.find(lineAlign(pa));
-    if (it != _dir.end() && it->second.idle())
-        _dir.erase(it);
 }
 
 Cycles
@@ -170,16 +129,14 @@ Llc::request(int agent, Addr pa, CoherenceReq kind, LlcDone done)
 void
 Llc::arrive(int agent, Addr pa, CoherenceReq kind, LlcDone done)
 {
-    DirInfo &d = dirInfo(pa);
-    if (d.busy) {
-        d.deferred.push_back([this, agent, pa, kind,
-                              done = std::move(done)]() mutable {
+    if (!_dir.begin(pa)) {
+        _dir.park(pa, [this, agent, pa, kind,
+                       done = std::move(done)]() mutable {
             arrive(agent, pa, kind, std::move(done));
         });
         ++_deferred;
         return;
     }
-    d.busy = true;
     bankAccess(false);
     _ctx.eq.scheduleIn(_p.bankLatency,
                        [this, agent, pa, kind,
@@ -209,8 +166,7 @@ Llc::ensurePresent(Addr pa, sim::SmallFn<void()> then)
     fusion_assert(!_tags.find(pa), "ensurePresent on present line");
     mem::CacheLine *victim = _tags.victim(
         pa, [this](const mem::CacheLine &l) {
-            const DirInfo *d = dirInfoIfAny(l.lineAddr);
-            return !d || !d->busy;
+            return !_dir.state(l.lineAddr).busy;
         });
     if (!victim) {
         // Every way is pinned by a busy transaction; retry shortly.
@@ -239,179 +195,73 @@ Llc::ensurePresent(Addr pa, sim::SmallFn<void()> then)
     }
 
     // Inclusive LLC: recall remote copies of the victim first. The
-    // victim's directory entry is marked busy for the duration so a
-    // new request to the victim line cannot start a conflicting
+    // victim's directory entry is busy for the duration so a new
+    // request to the victim line cannot start a conflicting
     // transaction mid-recall.
     Addr victim_addr = victim->lineAddr;
     ++_recalls;
     bool victim_dirty = victim->dirty;
-    dirInfo(victim_addr).busy = true;
-    clearRemote(-1, victim_addr, false,
-                [this, victim_addr, victim_dirty, victim,
-                 finish_fill = std::move(finish_fill)]() mutable {
-                    mem::CacheLine *v = _tags.find(victim_addr);
-                    bool dirty = victim_dirty ||
-                                 (v != nullptr && v->dirty);
-                    if (dirty) {
-                        _dramLink.book(MsgClass::Data);
-                        _dram.access(victim_addr, true, [] {});
-                    }
-                    if (v)
-                        _tags.invalidate(*v);
-                    finishTransaction(victim_addr);
-                    finish_fill();
-                });
+    bool began = _dir.begin(victim_addr);
+    fusion_assert(began, "recalling a busy LLC victim");
+    _dir.clear(victim_addr, -1, false,
+               [this, victim_addr, victim_dirty, victim,
+                finish_fill = std::move(finish_fill)]() mutable {
+                   mem::CacheLine *v = _tags.find(victim_addr);
+                   bool dirty = victim_dirty ||
+                                (v != nullptr && v->dirty);
+                   if (dirty) {
+                       _dramLink.book(MsgClass::Data);
+                       _dram.access(victim_addr, true, [] {});
+                   }
+                   if (v)
+                       _tags.invalidate(*v);
+                   _dir.finish(victim_addr);
+                   finish_fill();
+               });
 }
 
 void
 Llc::dirAction(int agent, Addr pa, CoherenceReq kind, LlcDone done)
 {
-    DirInfo &d = dirInfo(pa);
     mem::CacheLine *line = _tags.find(pa);
     fusion_assert(line, "dirAction without LLC frame");
     _tags.touch(*line);
-
-    switch (kind) {
-      case CoherenceReq::GetS: {
-        if (d.owner >= 0 && d.owner != agent) {
-            clearRemote(agent, pa, true,
-                        [this, agent, pa,
-                         done = std::move(done)]() mutable {
-                            // The previous owner is now a sharer if
-                            // it retained a copy (clearRemote
-                            // updated the map); the requester joins
-                            // the sharer list.
-                            DirInfo &dd = dirInfo(pa);
-                            dd.sharers |= bit(agent);
-                            respond(agent, pa, MsgClass::Data,
-                                    false, std::move(done));
-                        });
-            return;
-        }
-        if (d.owner == agent) {
-            // Requester already owns it (stale request); just reply.
-            respond(agent, pa, MsgClass::Data, true, std::move(done));
-            return;
-        }
-        bool exclusive = (d.sharers == 0);
-        if (exclusive) {
-            d.owner = agent; // grant Exclusive
-        } else {
-            d.sharers |= bit(agent);
-        }
-        respond(agent, pa, MsgClass::Data, exclusive, std::move(done));
-        return;
-      }
-      case CoherenceReq::GetX:
-      case CoherenceReq::Upgrade: {
-        bool had_sharer_copy =
-            (kind == CoherenceReq::Upgrade) &&
-            ((d.sharers & bit(agent)) != 0 || d.owner == agent);
-        clearRemote(agent, pa, false,
-                    [this, agent, pa, had_sharer_copy,
-                     done = std::move(done)]() mutable {
-                        DirInfo &dd = dirInfo(pa);
-                        dd.owner = agent;
-                        dd.sharers = 0;
-                        respond(agent, pa,
-                                had_sharer_copy ? MsgClass::Control
-                                                : MsgClass::Data,
-                                true, std::move(done));
-                    });
-        return;
-      }
-    }
-    fusion_panic("unhandled coherence request");
+    _dir.serve(pa, agent, kind,
+               [this, agent, pa,
+                done = std::move(done)](Directory::Grant g) mutable {
+                   respond(agent, pa, g, std::move(done));
+               });
 }
 
 void
-Llc::clearRemote(int except_agent, Addr pa, bool downgrade_to_s,
-                 sim::SmallFn<void()> then)
+Llc::probe(Addr pa, int agent, FwdKind kind)
 {
-    DirInfo &d = dirInfo(pa);
-    struct Target
-    {
-        int agent;
-        FwdKind kind;
-    };
-    std::vector<Target> targets;
-    if (d.owner >= 0 && d.owner != except_agent) {
-        targets.push_back({d.owner, downgrade_to_s ? FwdKind::FwdGetS
-                                                   : FwdKind::FwdGetX});
-    }
-    for (int a = 0; a < static_cast<int>(_agents.size()); ++a) {
-        if (a == except_agent || a == d.owner)
-            continue;
-        if (d.sharers & bit(a))
-            targets.push_back({a, FwdKind::Inv});
-    }
-    if (targets.empty()) {
-        then();
-        return;
-    }
-
-    auto remaining = std::make_shared<std::size_t>(targets.size());
-    auto cont = std::make_shared<sim::SmallFn<void()>>(
-        std::move(then));
-    for (const Target &t : targets) {
-        AgentInfo &ai = _agents[static_cast<std::size_t>(t.agent)];
-        ++ai.fwds;
-        // Forward demand travels LLC -> agent.
-        Cycles out_lat = pathLatency(t.agent, pa);
-        FwdKind kind = t.kind;
-        int agent_id = t.agent;
-        ai.link->send(MsgClass::Control, out_lat,
-                      [this, agent_id, pa, kind, remaining, cont]() {
-            AgentInfo &target = _agents[
-                static_cast<std::size_t>(agent_id)];
-            target.agent->handleFwd(pa, kind, [this, agent_id, pa,
-                                               kind, remaining,
-                                               cont](bool dirty,
-                                                     bool retained) {
-                AgentInfo &ta = _agents[
-                    static_cast<std::size_t>(agent_id)];
-                MsgClass resp_cls = MsgClass::Control; // ack only
+    AgentInfo &ai = _agents[static_cast<std::size_t>(agent)];
+    ++ai.fwds;
+    ai.link->send(MsgClass::Control, pathLatency(agent, pa),
+                  [this, agent, pa, kind]() {
+        _agents[static_cast<std::size_t>(agent)].agent->handleFwd(
+            pa, kind,
+            [this, agent, pa, kind](bool dirty, bool retained) {
                 if (dirty) {
                     // Owner supplies data (3-hop): the payload
                     // crosses the owner's link and updates the LLC.
-                    resp_cls = MsgClass::Data;
                     bankAccess(true);
-                    mem::CacheLine *l = _tags.find(pa);
-                    if (l)
+                    if (mem::CacheLine *l = _tags.find(pa))
                         l->dirty = true;
                 }
-                DirInfo &dd = dirInfo(pa);
-                switch (kind) {
-                  case FwdKind::Inv:
-                    dd.sharers &= ~bit(agent_id);
-                    break;
-                  case FwdKind::FwdGetX:
-                    if (dd.owner == agent_id)
-                        dd.owner = -1;
-                    dd.sharers &= ~bit(agent_id);
-                    break;
-                  case FwdKind::FwdGetS:
-                    if (dd.owner == agent_id)
-                        dd.owner = -1;
-                    if (retained)
-                        dd.sharers |= bit(agent_id);
-                    else
-                        dd.sharers &= ~bit(agent_id);
-                    break;
-                }
-                Cycles back = pathLatency(agent_id, pa);
-                ta.link->send(resp_cls, back, [remaining, cont]() {
-                    if (--*remaining == 0)
-                        (*cont)();
-                });
+                _dir.probed(pa, agent, kind, retained);
+                _agents[static_cast<std::size_t>(agent)].link->send(
+                    dirty ? MsgClass::Data : MsgClass::Control,
+                    pathLatency(agent, pa), [this, pa] {
+                        _dir.acked(pa);
+                    });
             });
-        });
-    }
+    });
 }
 
 void
-Llc::respond(int agent, Addr pa, MsgClass cls, bool exclusive,
-             LlcDone done)
+Llc::respond(int agent, Addr pa, Directory::Grant g, LlcDone done)
 {
     if (_ctx.guard.fireFault(guard::FaultKind::CorruptDir)) {
         // The directory "forgets" what it just recorded: the owner
@@ -419,35 +269,21 @@ Llc::respond(int agent, Addr pa, MsgClass cls, bool exclusive,
         // stays live (and the response below still tells the agent
         // it has the line). Caught by the agent-side residency
         // checkers on the next invariant sweep.
-        DirInfo &d = dirInfo(pa);
+        Directory::State d = _dir.state(pa);
         if (d.owner >= 0)
-            d.owner = -1;
+            _dir.drop(pa, d.owner);
         else if (d.sharers != 0)
-            d.sharers &= d.sharers - 1;
+            _dir.drop(pa, std::countr_zero(d.sharers));
     }
     Cycles lat = pathLatency(agent, pa);
     if (_tracer)
         _tracer->end(_track, obs::SpanKind::LlcReq, pa, _ctx.now());
-    finishTransaction(pa);
+    _dir.finish(pa);
     _agents[static_cast<std::size_t>(agent)].link->send(
-        cls, lat, [exclusive, done = std::move(done)]() mutable {
+        g.withData ? MsgClass::Data : MsgClass::Control, lat,
+        [exclusive = g.exclusive, done = std::move(done)]() mutable {
             done(LlcResponse{exclusive});
         });
-}
-
-void
-Llc::finishTransaction(Addr pa)
-{
-    DirInfo &d = dirInfo(pa);
-    fusion_assert(d.busy, "finishing idle transaction");
-    d.busy = false;
-    if (!d.deferred.empty()) {
-        auto next = std::move(d.deferred.front());
-        d.deferred.pop_front();
-        next();
-    } else {
-        maybeGarbageCollect(pa);
-    }
 }
 
 void
@@ -459,10 +295,7 @@ Llc::writebackData(int agent, Addr pa)
     ai.link->send(MsgClass::Data, pathLatency(agent, pa),
                   [this, agent, pa]() {
         bankAccess(true);
-        DirInfo &d = dirInfo(pa);
-        if (d.owner == agent)
-            d.owner = -1;
-        d.sharers &= ~bit(agent);
+        _dir.drop(pa, agent);
         mem::CacheLine *line = _tags.find(pa);
         if (line) {
             line->dirty = true;
@@ -471,7 +304,6 @@ Llc::writebackData(int agent, Addr pa)
             _dramLink.book(MsgClass::Data);
             _dram.access(pa, true, [] {});
         }
-        maybeGarbageCollect(pa);
     });
 }
 
@@ -482,13 +314,7 @@ Llc::evictNotice(int agent, Addr pa)
     ++_evictNotices;
     AgentInfo &ai = _agents[static_cast<std::size_t>(agent)];
     ai.link->send(MsgClass::Control, pathLatency(agent, pa),
-                  [this, agent, pa]() {
-        DirInfo &d = dirInfo(pa);
-        if (d.owner == agent)
-            d.owner = -1;
-        d.sharers &= ~bit(agent);
-        maybeGarbageCollect(pa);
-    });
+                  [this, agent, pa]() { _dir.drop(pa, agent); });
 }
 
 void
@@ -507,63 +333,39 @@ void
 Llc::dmaArrive(Addr pa, bool is_write, interconnect::Link *dma_link,
                DmaDone done)
 {
-    DirInfo &d = dirInfo(pa);
-    if (d.busy) {
-        d.deferred.push_back([this, pa, is_write, dma_link,
-                              done = std::move(done)]() mutable {
+    if (!_dir.begin(pa)) {
+        _dir.park(pa, [this, pa, is_write, dma_link,
+                       done = std::move(done)]() mutable {
             dmaArrive(pa, is_write, dma_link, std::move(done));
         });
         return;
     }
-    d.busy = true;
     ++(is_write ? _dmaWrites : _dmaReads);
     bankAccess(is_write);
     _ctx.eq.scheduleIn(_p.bankLatency, [this, pa, is_write, dma_link,
                                         done =
                                             std::move(done)]() mutable {
+        // A write invalidates every copy, then installs dirty data
+        // at the LLC. A read snoops the freshest copy (downgrading a
+        // dirty owner), then pushes the line to the scratchpad.
         auto proceed = [this, pa, is_write, dma_link,
                         done = std::move(done)]() mutable {
-            if (is_write) {
-                // Invalidate all stale copies, then install dirty
-                // data at the LLC.
-                clearRemote(-1, pa, false,
-                            [this, pa, dma_link,
-                             done = std::move(done)]() mutable {
-                                DirInfo &dd = dirInfo(pa);
-                                dd.owner = -1;
-                                dd.sharers = 0;
-                                mem::CacheLine *l = _tags.find(pa);
-                                fusion_assert(l, "DMA write lost frame");
-                                l->dirty = true;
-                                finishTransaction(pa);
-                                // Data crossed scratchpad -> LLC.
-                                dma_link->send(
-                                    MsgClass::Data,
-                                    dma_link->latency(),
-                                    [done = std::move(done)]() mutable {
-                                        done();
-                                    });
-                            });
-            } else {
-                // Snoop the freshest copy (downgrade a dirty owner),
-                // then push the line to the scratchpad.
-                clearRemote(-1, pa, true,
-                            [this, pa, dma_link,
-                             done = std::move(done)]() mutable {
-                                DirInfo &dd = dirInfo(pa);
-                                if (dd.owner >= 0) {
-                                    dd.sharers |= bit(dd.owner);
-                                    dd.owner = -1;
-                                }
-                                finishTransaction(pa);
-                                dma_link->send(
-                                    MsgClass::Data,
-                                    dma_link->latency(),
-                                    [done = std::move(done)]() mutable {
-                                        done();
-                                    });
-                            });
-            }
+            _dir.clear(pa, -1, !is_write,
+                       [this, pa, is_write, dma_link,
+                        done = std::move(done)]() mutable {
+                           if (is_write) {
+                               mem::CacheLine *l = _tags.find(pa);
+                               fusion_assert(l, "DMA write lost frame");
+                               l->dirty = true;
+                           }
+                           _dir.finish(pa);
+                           // The data crosses the DMA link.
+                           dma_link->send(
+                               MsgClass::Data, dma_link->latency(),
+                               [done = std::move(done)]() mutable {
+                                   done();
+                               });
+                       });
         };
         if (_tags.find(pa)) {
             proceed();
@@ -582,22 +384,20 @@ Llc::fwdsToAgent(int agent) const
 bool
 Llc::isOwner(int agent, Addr pa) const
 {
-    const DirInfo *d = dirInfoIfAny(pa);
-    return d && d->owner == agent;
+    return _dir.state(lineAlign(pa)).owner == agent;
 }
 
 bool
 Llc::isSharer(int agent, Addr pa) const
 {
-    const DirInfo *d = dirInfoIfAny(pa);
-    return d && (d->sharers & bit(agent)) != 0;
+    return (_dir.state(lineAlign(pa)).sharers &
+            Directory::bit(agent)) != 0;
 }
 
 bool
 Llc::dirBusy(Addr pa) const
 {
-    const DirInfo *d = dirInfoIfAny(pa);
-    return d && d->busy;
+    return _dir.state(lineAlign(pa)).busy;
 }
 
 } // namespace fusion::host

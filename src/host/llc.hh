@@ -21,9 +21,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <unordered_map>
 
+#include "coherence/directory.hh"
 #include "coherence/protocol.hh"
 #include "interconnect/link.hh"
 #include "interconnect/ring.hh"
@@ -133,30 +132,6 @@ class Llc
         std::uint64_t fwds = 0; ///< bound under "llc.fwds" (summed)
     };
 
-    struct DirInfo
-    {
-        int owner = -1;
-        std::uint32_t sharers = 0;
-        bool busy = false;
-        std::deque<sim::SmallFn<void()>> deferred;
-
-        bool
-        idle() const
-        {
-            return owner < 0 && sharers == 0 && !busy &&
-                   deferred.empty();
-        }
-    };
-
-    static std::uint32_t bit(int agent)
-    {
-        return 1u << static_cast<std::uint32_t>(agent);
-    }
-
-    DirInfo &dirInfo(Addr pa);
-    const DirInfo *dirInfoIfAny(Addr pa) const;
-    void maybeGarbageCollect(Addr pa);
-
     /** Path latency agent <-> home bank (link + ring). */
     Cycles pathLatency(int agent, Addr pa) const;
 
@@ -172,12 +147,10 @@ class Llc
     void ensurePresent(Addr pa, sim::SmallFn<void()> then);
     void dirAction(int agent, Addr pa, coherence::CoherenceReq kind,
                    LlcDone done);
-    /** Invalidate/downgrade all remote holders, then @p then. */
-    void clearRemote(int except_agent, Addr pa, bool downgrade_to_s,
-                     sim::SmallFn<void()> then);
-    void respond(int agent, Addr pa, interconnect::MsgClass cls,
-                 bool exclusive, LlcDone done);
-    void finishTransaction(Addr pa);
+    /** The directory's probe transport: LLC -> @p agent and back. */
+    void probe(Addr pa, int agent, coherence::FwdKind kind);
+    void respond(int agent, Addr pa, coherence::Directory::Grant g,
+                 LlcDone done);
 
     void dmaArrive(Addr pa, bool is_write,
                    interconnect::Link *dma_link, DmaDone done);
@@ -193,7 +166,7 @@ class Llc
     /// A deque, so each agent's fwds counter keeps the address it
     /// was bound into ctx.stats at while later agents register.
     std::deque<AgentInfo> _agents;
-    std::unordered_map<Addr, DirInfo> _dir;
+    coherence::Directory _dir;
     interconnect::Link _dramLink;
     // Counters, bound into ctx.stats under "llc.<stat>".
     std::uint64_t _bankReads = 0;

@@ -96,6 +96,32 @@ TEST(TileMesi, SecondReaderDowngradesOwner)
     EXPECT_EQ(r.tile->l1x().probesSent(), msgs);
 }
 
+TEST(TileMesi, ConcurrentColdReadsBothRecorded)
+{
+    // Both L0Xs read one cold line at once: L0X-1 parks behind
+    // L0X-0's L1X miss, and its downgrade probe of the new owner must
+    // arrive after that owner's E grant, not overtake it.
+    MesiTileRig r;
+    int done = 0;
+    r.tile->l0x(0).access(0x10000000, 8, false, [&] { ++done; });
+    r.tile->l0x(1).access(0x10000000, 8, false, [&] { ++done; });
+    r.ctx.eq.run();
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(r.ctx.stats.value("l1x.deferred"), 1u);
+    EXPECT_EQ(r.tile->l0x(0).probes(), 1u);
+    for (AccelId a : {0, 1}) {
+        const mem::CacheLine *l =
+            r.tile->l0x(a).tags().find(0x10000000, 1);
+        ASSERT_NE(l, nullptr) << a;
+        EXPECT_EQ(l->mesi, mem::MesiState::S) << a;
+    }
+    EXPECT_TRUE(r.ctx.guard.runInvariants(r.ctx.now(), true).empty());
+    // Both copies are recorded, so a write still invalidates L0X-0.
+    r.accessSync(1, 0x10000000, true);
+    EXPECT_EQ(r.tile->l0x(0).tags().find(0x10000000, 1), nullptr);
+    EXPECT_TRUE(r.ctx.guard.runInvariants(r.ctx.now(), true).empty());
+}
+
 TEST(TileMesi, WriterInvalidatesSharers)
 {
     MesiTileRig r;
