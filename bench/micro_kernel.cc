@@ -2,8 +2,8 @@
  * @file
  * Simulation-kernel throughput microbenchmark: schedule/dispatch
  * ops/sec of the production EventQueue itself (calendar buckets +
- * allocation-free InlineEvent storage, DESIGN.md section 8), with
- * every component model stripped away.
+ * pooled in-place closures, DESIGN.md section 8), with every
+ * component model stripped away.
  *
  * The workload mimics the simulator's steady state: a fixed pending
  * set of self-rescheduling events whose deltas (1..8 ticks) look

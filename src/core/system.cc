@@ -165,15 +165,17 @@ System::fusionTiles()
 RunResult
 System::run()
 {
-    bool finished = false;
+    // Set by the completion closure; kTickNever until the program
+    // finishes.
+    Tick finish_tick = kTickNever;
 
     // Bind this thread's panics to our clock and stand up the
     // forward-progress watchdog for the duration of the run.
     guard::TickScope tick_scope(_ctx.eq);
     guard::Watchdog wd(_ctx.guard, _ctx.eq);
 
-    _ctx.eq.scheduleIn(0, [this, &finished] {
-        _hostCore->run(_prog.hostInit, _prog.pid, [this, &finished] {
+    _ctx.eq.scheduleIn(0, [this, &finish_tick] {
+        _hostCore->run(_prog.hostInit, _prog.pid, [this, &finish_tick] {
             _accelStart = _ctx.now();
             auto run_all = [this](sim::SmallFn<void()> then) {
                 // AUTO runs serially (the orchestrator's decisions
@@ -187,11 +189,11 @@ System::run()
                     runInvocation(0, std::move(then));
                 }
             };
-            run_all([this, &finished] {
+            run_all([this, &finish_tick] {
                 _accelEnd = _ctx.now();
                 _hostCore->run(_prog.hostFinal, _prog.pid,
-                               [this, &finished] {
-                                   finished = true;
+                               [this, &finish_tick] {
+                                   finish_tick = _ctx.now();
                                });
             });
         });
@@ -204,17 +206,11 @@ System::run()
 
     // Drain: completion plus any outstanding lease-expiry
     // housekeeping (self-downgrades schedule into the future).
-    Tick finish_tick = 0;
     const std::uint64_t events_before = _ctx.eq.executed();
     const auto host_start = std::chrono::steady_clock::now();
-    while (!_ctx.eq.empty()) {
-        wd.beforeStep();
-        _ctx.eq.step();
-        if (finished && finish_tick == 0)
-            finish_tick = _ctx.now();
-    }
+    wd.drain();
     const auto host_end = std::chrono::steady_clock::now();
-    wd.onDrained(finished);
+    wd.onDrained(finish_tick != kTickNever);
     wd.atEnd();
 
     RunResult r;
@@ -250,7 +246,7 @@ System::scheduleSample(Tick interval)
         static_cast<Cycles>(interval),
         [this, interval] {
             _ctx.obs.sample(_ctx.now());
-            // popBucket removed this event from the pending count
+            // The queue removed this event from the pending count
             // before invoking it, so pending() now counts only real
             // simulation work: reschedule while any remains, else
             // let the drain loop terminate.

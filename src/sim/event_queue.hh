@@ -7,26 +7,33 @@
  * order), which makes every run bit-reproducible regardless of the
  * container behaviour of the host standard library.
  *
- * The queue is a hybrid calendar/bucket queue. Nearly every event in
- * this simulator lands 0–7 ticks in the future (link latencies,
- * bank/SRAM latencies, next-cycle re-pumps), so near-future events
- * go into a power-of-two circular array of per-tick buckets — O(1)
+ * Each closure is constructed once, in a node taken from the queue's
+ * pooled freelist; it runs in that node and is destroyed there. A
+ * node never moves while its event is queued or running, so a running
+ * closure may schedule freely, even into its own tick. The ordering
+ * structures hold only 16-byte {key, node} slots, where the key packs
+ * (priority, insertion seq) into one word.
+ *
+ * The ordering is a hybrid calendar/bucket queue. Nearly every event
+ * in this simulator lands 0–7 ticks in the future (link latencies,
+ * bank/SRAM latencies, next-cycle re-pumps), so near-future events go
+ * into a power-of-two circular array of per-tick buckets — O(1)
  * scheduling, with a 64-bit occupancy mask giving O(1) next-tick
  * lookup. Within a bucket, events sharing a priority fire in
  * insertion order, which append order already provides — so buckets
- * are plain FIFO vectors, and only a bucket that actually mixes
- * priorities (or receives a late spill migration) pays one
- * sort-on-demand before its first pop. Far-future events (lease
- * expiries, DRAM activates, DMA window turnarounds) spill into a
- * conventional binary heap and migrate into the calendar as the
- * clock approaches them. Events are *moved* in and out of both
- * structures (InlineEvent is move-only) — closures are constructed
- * directly in bucket storage and relocated exactly once on pop, and
- * for the common capture sizes never touch the allocator.
+ * are plain FIFO slot vectors, and only a bucket that actually mixes
+ * priorities pays one sort-on-demand before its next pop. Far-future
+ * events (lease expiries, DRAM activates, DMA window turnarounds)
+ * spill into a binary heap and migrate into the calendar as the clock
+ * approaches them.
  *
- * Ordering semantics are bit-identical to the classic single-heap
- * implementation: global (when, priority, sequence) order, proven by
- * the randomized property test in tests/test_event_queue.cc.
+ * Dispatch runs one tick at a time: runBatch() executes the events of
+ * the next pending tick, at most kBatchCap of them, so a driver
+ * (guard::Watchdog::drain) looks at the queue once per batch instead
+ * of once per event.
+ *
+ * Ordering is global (when, priority, sequence) order, proven by the
+ * randomized property test in tests/test_event_queue.cc.
  */
 
 #ifndef FUSION_SIM_EVENT_QUEUE_HH
@@ -35,7 +42,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "sim/inline_event.hh"
@@ -74,17 +84,22 @@ class EventQueue
      *  spill to the heap. */
     static constexpr Tick kWindow = 64;
 
+    /** Most events one runBatch() executes, even within one tick, so
+     *  the driver between batches still sees a same-tick livelock. */
+    static constexpr std::size_t kBatchCap = 1024;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
+    ~EventQueue() { destroyPending(); }
 
     /** Current simulated time. */
     Tick now() const { return _now; }
 
     /**
      * Schedule @p fn to run at absolute tick @p when. Templated on
-     * the callable so the closure is constructed directly in queue
-     * storage (no intermediate InlineEvent move).
+     * the callable so the closure is constructed directly in its
+     * node, where it later runs.
      * @pre when >= now()
      */
     template <typename F>
@@ -94,20 +109,31 @@ class EventQueue
     {
         fusion_assert(when >= _now, "schedule in the past: when=", when,
                       " now=", _now);
+        const int p = static_cast<int>(pri);
+        fusion_assert(p >= kMinPriority && p <= kMaxPriority,
+                      "event priority ", p,
+                      " does not fit the packed key");
+        Node *n = acquire();
+        try {
+            ::new (static_cast<void *>(&n->fn))
+                EventFn(std::forward<F>(fn));
+        } catch (...) {
+            release(n);
+            throw;
+        }
+        // 56 sequence bits outlast any run (2^56 events); the biased
+        // priority above them orders first.
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(p - kMinPriority) << kSeqBits) |
+            _nextSeq++;
         // _base <= _now at every external call and during event
         // execution, so the membership test below keeps all bucketed
         // events inside one window-length range (unique tick per
         // bucket slot).
         if (when - _base < kWindow) {
-            auto idx = static_cast<std::size_t>(when & kMask);
-            auto &b = _buckets[idx];
-            b.v.emplace_back(when, static_cast<int>(pri), _nextSeq++,
-                             std::forward<F>(fn));
-            b.noteAppend();
-            _occupied |= std::uint64_t{1} << idx;
+            pushBucket(when, Slot{key, n});
         } else {
-            _spill.emplace_back(when, static_cast<int>(pri),
-                                _nextSeq++, std::forward<F>(fn));
+            _spill.push_back(SpillSlot{when, key, n});
             std::push_heap(_spill.begin(), _spill.end(), Later{});
         }
         ++_pending;
@@ -135,7 +161,7 @@ class EventQueue
         return t;
     }
 
-    /** Number of pending events. */
+    /** Number of pending events (the running one excluded). */
     std::size_t pending() const { return _pending; }
 
     /** Total events executed so far. */
@@ -159,50 +185,30 @@ class EventQueue
     Tick
     runUntil(Tick limit)
     {
-        while (_pending != 0) {
-            Tick t = advanceTo(limit);
-            if (t == kTickNever)
-                break;
-            Entry e = popBucket(t);
-            fusion_assert(e.when >= _now,
-                          "event queue went backwards");
-            _now = e.when;
-            ++_executed;
-            e.fn();
+        while (runTick(limit, kBatchCap) != 0) {
         }
         return _now;
     }
 
     /**
+     * Execute the events of the next pending tick, at most kBatchCap
+     * of them; events a batch schedules into its own tick run in the
+     * same batch.
+     * @return the number of events run (0 when the queue is empty).
+     */
+    std::size_t runBatch() { return runTick(kTickNever, kBatchCap); }
+
+    /**
      * Execute exactly one event if any is pending.
      * @return true if an event ran.
      */
-    bool
-    step()
-    {
-        if (_pending == 0)
-            return false;
-        Tick t = advanceTo(kTickNever);
-        Entry e = popBucket(t);
-        fusion_assert(e.when >= _now, "event queue went backwards");
-        _now = e.when;
-        ++_executed;
-        e.fn();
-        return true;
-    }
+    bool step() { return runTick(kTickNever, 1) != 0; }
 
     /** Reset time and drop all pending events (for unit tests). */
     void
     reset()
     {
-        for (auto &b : _buckets) {
-            b.v.clear();
-            b.head = 0;
-            b.dirty = false;
-        }
-        _occupied = 0;
-        _spill.clear();
-        _pending = 0;
+        destroyPending();
         _now = 0;
         _base = 0;
         _nextSeq = 0;
@@ -213,79 +219,120 @@ class EventQueue
     static constexpr Tick kMask = kWindow - 1;
     static_assert((kWindow & kMask) == 0,
                   "calendar window must be a power of two");
+    /** Priority range the packed (priority, seq) key can order. */
+    static constexpr int kMinPriority = -128;
+    static constexpr int kMaxPriority = 127;
+    static constexpr unsigned kSeqBits = 56;
+    static_assert(kMaxPriority - kMinPriority < (1 << (64 - kSeqBits)),
+                  "priority range must fit above the sequence bits");
 
-    struct Entry
+    /** Home of one closure, from construction to destruction. */
+    struct Node
+    {
+        union
+        {
+            Node *next; ///< while on the freelist
+            EventFn fn; ///< while queued or running
+        };
+        Node() {}
+        ~Node() {}
+    };
+
+    /** Nodes come in chunks that never move; chunks are freed only
+     *  with the queue. */
+    static constexpr std::size_t kChunkNodes = 256;
+    struct Chunk
+    {
+        std::unique_ptr<Chunk> next;
+        Node nodes[kChunkNodes];
+    };
+
+    /** A bucketed event: packed (priority, seq) key and its node. */
+    struct Slot
+    {
+        std::uint64_t key;
+        Node *node;
+    };
+
+    /** A spilled event: full (when, key) order. */
+    struct SpillSlot
     {
         Tick when;
-        int pri;
-        std::uint64_t seq;
-        EventFn fn;
+        std::uint64_t key;
+        Node *node;
     };
 
-    /** Sort comparator inside one bucket: (pri, seq) order (all
-     *  live entries of a bucket share one tick). */
-    struct EarlierWithinTick
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.pri != b.pri)
-                return a.pri < b.pri;
-            return a.seq < b.seq;
-        }
-    };
-
-    /** Spill-heap comparator: full (when, pri, seq) order. */
+    /** Spill-heap comparator: a min-heap on (when, key). */
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const SpillSlot &a, const SpillSlot &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.pri != b.pri)
-                return a.pri > b.pri;
-            return a.seq > b.seq;
+            return a.key > b.key;
         }
     };
 
     /**
      * One calendar slot. Appends are pops for the common case: fresh
      * schedules carry monotonically increasing sequence numbers, so
-     * same-priority events are already in (pri, seq) order and the
-     * bucket acts as a plain FIFO ([head, v.end()) is the live
-     * range). An append that breaks the order — a lower priority, or
-     * a spill migration carrying an old sequence number — marks the
-     * bucket dirty and the next pop re-sorts the live range once.
+     * same-priority events are already in key order and the bucket
+     * acts as a plain FIFO ([head, v.end()) is the live range). An
+     * append whose key is below the last one (a lower priority in the
+     * same tick) marks the bucket dirty and the next pop re-sorts the
+     * live range once.
      */
     struct Bucket
     {
-        std::vector<Entry> v;
+        std::vector<Slot> v;
         std::size_t head = 0;
         bool dirty = false;
-
-        /** Update @c dirty after an emplace_back on @c v. */
-        void
-        noteAppend()
-        {
-            auto n = v.size();
-            if (n - head > 1) {
-                const Entry &prev = v[n - 2];
-                const Entry &cur = v[n - 1];
-                if (cur.pri < prev.pri ||
-                    (cur.pri == prev.pri && cur.seq < prev.seq))
-                    dirty = true;
-            }
-        }
     };
 
-    void
-    pushBucket(Entry &&e)
+    Node *
+    acquire()
     {
-        auto idx = static_cast<std::size_t>(e.when & kMask);
-        auto &b = _buckets[idx];
-        b.v.push_back(std::move(e));
-        b.noteAppend();
+        if (_free == nullptr) [[unlikely]]
+            grow();
+        Node *n = _free;
+        _free = n->next;
+        return n;
+    }
+
+    void
+    release(Node *n) noexcept
+    {
+        n->next = _free;
+        _free = n;
+    }
+
+    /** Destroy a node's closure and return the node to the pool. */
+    void
+    retire(Node *n) noexcept
+    {
+        n->fn.~EventFn();
+        release(n);
+    }
+
+    void
+    grow()
+    {
+        std::unique_ptr<Chunk> c(new Chunk);
+        for (std::size_t i = kChunkNodes; i-- > 0;)
+            release(&c->nodes[i]);
+        c->next = std::move(_chunks);
+        _chunks = std::move(c);
+    }
+
+    void
+    pushBucket(Tick when, Slot s)
+    {
+        auto idx = static_cast<std::size_t>(when & kMask);
+        Bucket &b = _buckets[idx];
+        if (!b.v.empty() && s.key < b.v.back().key)
+            b.dirty = true;
+        b.v.push_back(s);
         _occupied |= std::uint64_t{1} << idx;
     }
 
@@ -296,9 +343,9 @@ class EventQueue
         while (!_spill.empty() &&
                _spill.front().when - _base < kWindow) {
             std::pop_heap(_spill.begin(), _spill.end(), Later{});
-            Entry e = std::move(_spill.back());
+            SpillSlot s = _spill.back();
             _spill.pop_back();
-            pushBucket(std::move(e));
+            pushBucket(s.when, Slot{s.key, s.node});
         }
     }
 
@@ -329,7 +376,8 @@ class EventQueue
         // Snap the window base to the clock: every bucketed event is
         // >= _now, so this only widens the usable window.
         _base = _now;
-        migrateNear();
+        if (!_spill.empty())
+            migrateNear();
         Tick t = nextBucketTick();
         if (t == kTickNever) {
             // Everything pending is far-future: jump the window.
@@ -343,30 +391,79 @@ class EventQueue
         return t <= limit ? t : kTickNever;
     }
 
-    /** Pop the (priority, seq)-least event of bucketed tick @p t. */
-    Entry
-    popBucket(Tick t)
+    /**
+     * Run up to @p cap events of the next tick, if it is at or before
+     * @p limit. Each event leaves its slot before it runs, so
+     * pending() excludes it and the bucket may grow under it; an
+     * event that throws still has its closure destroyed.
+     */
+    std::size_t
+    runTick(Tick limit, std::size_t cap)
     {
-        auto idx = static_cast<std::size_t>(t & kMask);
-        auto &b = _buckets[idx];
-        if (b.dirty) {
-            std::sort(b.v.begin() + static_cast<std::ptrdiff_t>(b.head),
-                      b.v.end(), EarlierWithinTick{});
+        if (_pending == 0)
+            return 0;
+        const Tick t = advanceTo(limit);
+        if (t == kTickNever)
+            return 0;
+        fusion_assert(t >= _now, "event queue went backwards");
+        _now = t;
+        const auto idx = static_cast<std::size_t>(t & kMask);
+        const std::uint64_t bit = std::uint64_t{1} << idx;
+        Bucket &b = _buckets[idx];
+        std::size_t ran = 0;
+        do {
+            if (b.dirty) {
+                std::sort(b.v.begin() +
+                              static_cast<std::ptrdiff_t>(b.head),
+                          b.v.end(), [](const Slot &x, const Slot &y) {
+                              return x.key < y.key;
+                          });
+                b.dirty = false;
+            }
+            Node *n = b.v[b.head].node;
+            if (++b.head == b.v.size()) {
+                b.v.clear(); // keeps capacity; steady state stays alloc-free
+                b.head = 0;
+                _occupied &= ~bit;
+            }
+            --_pending;
+            ++_executed;
+            ++ran;
+            struct Retire
+            {
+                EventQueue &q;
+                Node *n;
+                ~Retire() { q.retire(n); }
+            } done{*this, n};
+            n->fn();
+        } while (ran < cap && (_occupied & bit) != 0);
+        return ran;
+    }
+
+    /** Destroy every pending closure exactly once and empty the
+     *  ordering structures; the nodes go back to the pool. */
+    void
+    destroyPending() noexcept
+    {
+        for (Bucket &b : _buckets) {
+            for (std::size_t i = b.head; i < b.v.size(); ++i)
+                retire(b.v[i].node);
+            b.v.clear();
+            b.head = 0;
             b.dirty = false;
         }
-        Entry e = std::move(b.v[b.head]);
-        if (++b.head == b.v.size()) {
-            b.v.clear(); // keeps capacity; steady state stays alloc-free
-            b.head = 0;
-            _occupied &= ~(std::uint64_t{1} << idx);
-        }
-        --_pending;
-        return e;
+        for (const SpillSlot &s : _spill)
+            retire(s.node);
+        _spill.clear();
+        _occupied = 0;
+        _pending = 0;
     }
 
     std::array<Bucket, kWindow> _buckets;
-    std::uint64_t _occupied = 0; ///< bit i: bucket i non-empty
-    std::vector<Entry> _spill;   ///< far-future min-heap
+    std::uint64_t _occupied = 0;    ///< bit i: bucket i non-empty
+    std::vector<SpillSlot> _spill;  ///< far-future min-heap
+    std::unique_ptr<Chunk> _chunks; ///< node storage, newest first
+    Node *_free = nullptr;          ///< pooled node freelist
     std::size_t _pending = 0;
     Tick _now = 0;
     Tick _base = 0; ///< calendar window base (<= _now at rest)

@@ -12,18 +12,37 @@
 namespace fusion::guard
 {
 
-Watchdog::Watchdog(GuardRegistry &reg, const EventQueue &eq)
+namespace
+{
+
+/** Executed events between two wall-clock reads. */
+constexpr std::uint64_t kWallCheckEvents = 1024;
+
+} // namespace
+
+Watchdog::Watchdog(GuardRegistry &reg, EventQueue &eq)
     : _reg(reg), _eq(eq), _active(reg.config().anyEnabled()),
+      _nextWallCheck(eq.executed() + kWallCheckEvents),
       _start(std::chrono::steady_clock::now())
 {
 }
 
 void
-Watchdog::beforeStep()
+Watchdog::drain()
 {
-    if (!_active)
+    if (!_active) {
+        _eq.run();
         return;
+    }
+    while (!_eq.empty()) {
+        check();
+        _eq.runBatch();
+    }
+}
 
+void
+Watchdog::check()
+{
     const GuardConfig &cfg = _reg.config();
     const Tick now = _eq.now();
     const Tick head = _eq.headTick();
@@ -60,7 +79,10 @@ Watchdog::beforeStep()
     }
 
     // Wall-clock checks are amortized: one clock read per 1k events.
-    if (cfg.maxWallMs != 0 && (++_steps & 1023) == 0) {
+    // A batch stops after EventQueue::kBatchCap events even inside
+    // one tick, so a same-tick livelock still reaches this read.
+    if (cfg.maxWallMs != 0 && _eq.executed() >= _nextWallCheck) {
+        _nextWallCheck = _eq.executed() + kWallCheckEvents;
         auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - _start)

@@ -1,9 +1,11 @@
 /**
  * @file
- * Forward-progress watchdog wired into the System::run() event loop.
+ * Forward-progress watchdog that drives the System::run() event loop.
  *
- * Checks run at tick boundaries (when the next pending event is at a
- * later tick than the one just completed), so same-tick protocol
+ * The watchdog drains the queue one tick-bounded batch at a time
+ * (EventQueue::runBatch) and checks between batches. Liveness checks
+ * run at tick boundaries (when the next pending event is at a later
+ * tick than the one just completed), so same-tick protocol
  * transients — an L0X->L0X forward and its lease-transfer notice,
  * for instance — are never observed half-applied. On trip, the
  * watchdog throws a SimErrorException carrying a structured
@@ -33,14 +35,15 @@ namespace guard
 class Watchdog
 {
   public:
-    Watchdog(GuardRegistry &reg, const EventQueue &eq);
+    Watchdog(GuardRegistry &reg, EventQueue &eq);
 
     /**
-     * Call before each EventQueue::step(). Runs periodic invariants
-     * and liveness checks at tick boundaries; throws
+     * Run the queue until it drains, checking before each batch:
+     * periodic invariants and liveness at tick boundaries, the wall
+     * clock once per 1,024 executed events. Throws
      * SimErrorException on any trip.
      */
-    void beforeStep();
+    void drain();
 
     /**
      * Call after the queue drains. Throws a Deadlock SimError when
@@ -52,16 +55,17 @@ class Watchdog
     void atEnd();
 
   private:
+    void check();
     [[noreturn]] void trip(ErrorCategory cat, std::string message);
     void checkInvariants(Tick now, bool at_end);
 
     GuardRegistry &_reg;
-    const EventQueue &_eq;
+    EventQueue &_eq;
     bool _active; ///< any liveness/safety check enabled
     Tick _nextInvariantTick = 0;
     std::uint64_t _lastProgress = 0;
     Tick _lastProgressTick = 0;
-    std::uint64_t _steps = 0;
+    std::uint64_t _nextWallCheck; ///< executed() of the next clock read
     std::chrono::steady_clock::time_point _start;
 };
 

@@ -7,16 +7,34 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <random>
 #include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/guard/sim_error.hh"
 
 namespace fusion
 {
 namespace
 {
+
+/** Counts live copies: a leak leaves the count above zero, a double
+ *  destruction drives it below. */
+struct Probe
+{
+    int *count;
+    explicit Probe(int *c) : count(c) { ++*count; }
+    Probe(const Probe &o) : count(o.count) { ++*count; }
+    Probe(Probe &&o) noexcept : count(o.count) { o.count = nullptr; }
+    ~Probe()
+    {
+        if (count)
+            --*count;
+    }
+    void operator()() const {}
+};
 
 TEST(EventQueue, StartsAtTickZeroAndEmpty)
 {
@@ -214,6 +232,98 @@ TEST(EventQueue, RunUntilParksBeforeFarFutureWork)
     EXPECT_EQ(eq.now(), 10'000u);
 }
 
+TEST(EventQueue, SameTickBurstGrowsStorageUnderRunningEvent)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<Tick> ticks;
+    std::array<std::uint64_t, 4> seen{};
+    eq.schedule(7, [&, payload = std::array<std::uint64_t, 4>{
+                           1, 2, 3, 4}]() mutable {
+        for (int i = 0; i < 4096; ++i) {
+            eq.scheduleIn(0, [&order, &ticks, &eq, i] {
+                order.push_back(i);
+                ticks.push_back(eq.now());
+            });
+        }
+        // Its own tick's storage grew many times under it; the
+        // closure's captures must still be its own.
+        for (auto &v : payload)
+            v *= 10;
+        seen = payload;
+    });
+    // The first batch stops at the cap inside tick 7; the rest of the
+    // burst follows in later batches of the same tick.
+    EXPECT_EQ(eq.runBatch(), EventQueue::kBatchCap);
+    std::size_t total = EventQueue::kBatchCap;
+    while (std::size_t n = eq.runBatch())
+        total += n;
+    EXPECT_EQ(total, 4097u);
+    EXPECT_EQ(seen, (std::array<std::uint64_t, 4>{10, 20, 30, 40}));
+    ASSERT_EQ(order.size(), 4096u);
+    for (int i = 0; i < 4096; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_TRUE(std::all_of(ticks.begin(), ticks.end(),
+                            [](Tick t) { return t == 7; }));
+    EXPECT_EQ(eq.now(), 7u);
+}
+
+TEST(EventQueue, EveryClosureDestroyedExactlyOnce)
+{
+    int live = 0;
+    int ran = 0;
+    // 10,000 pending events spread over bucketed and spilled ticks,
+    // half inline with a non-trivial destructor, half too large for
+    // the inline buffer (slab-stored).
+    auto fill = [&](EventQueue &eq) {
+        for (int i = 0; i < 10'000; ++i) {
+            Tick when = eq.now() + static_cast<Tick>(i * 7 % 5000);
+            if (i % 2) {
+                eq.schedule(when, [&ran, p = Probe(&live)] { ++ran; });
+            } else {
+                eq.schedule(when, [&ran, p = Probe(&live),
+                                   pad = std::array<char, 100>{}] {
+                    ran += 1 + pad[0];
+                });
+            }
+        }
+    };
+
+    {
+        EventQueue eq;
+        fill(eq);
+        EXPECT_EQ(live, 10'000);
+        eq.reset();
+        EXPECT_EQ(live, 0);
+        EXPECT_TRUE(eq.empty());
+
+        fill(eq);
+        eq.run();
+        EXPECT_EQ(ran, 10'000);
+        EXPECT_EQ(live, 0);
+
+        // A throwing event (a panic under TickScope) loses its
+        // closure; everything else stays queued and runs later.
+        eq.schedule(eq.now(), [p = Probe(&live)] {
+            fusion_panic("event failed");
+        });
+        fill(eq);
+        {
+            guard::TickScope scope(eq);
+            EXPECT_THROW(eq.run(), guard::SimErrorException);
+        }
+        EXPECT_EQ(live, 10'000);
+        EXPECT_EQ(eq.pending(), 10'000u);
+        eq.run();
+        EXPECT_EQ(ran, 20'000);
+        EXPECT_EQ(live, 0);
+
+        fill(eq);
+        EXPECT_EQ(live, 10'000);
+    } // destroyed with 10,000 events pending
+    EXPECT_EQ(live, 0);
+}
+
 /**
  * Property test: random schedules (including same-tick bursts and
  * events scheduling events) must execute in exactly the order of a
@@ -238,36 +348,65 @@ TEST(EventQueue, RandomizedOrderMatchesReferenceStableSort)
         };
         std::vector<Ref> ref;
         std::vector<std::uint64_t> executed;
+        std::vector<Tick> executedAt;
         EventQueue eq;
         std::uint64_t next_seq = 0;
 
-        // Deltas start at 1: a runtime spawn at delta 0 with a
-        // *lower* priority than the executing event would run after
-        // it (the tick is already past that priority band), which a
-        // plain sort of (when, pri, seq) cannot express.
+        // Random spawns use deltas from 1. Delta-0 spawns (AccelCore's
+        // one-cycle re-pump pattern) take the spawner's priority or a
+        // later one: a same-tick spawn at a *lower* priority than the
+        // executing event would run after it (the tick is already
+        // past that priority band), which a plain sort of
+        // (when, pri, seq) cannot express.
         std::uniform_int_distribution<Tick> delta_pick(
             1, round % 2 ? 90 : 9000); // near-heavy and far-heavy
-        std::function<void()> schedule_random = [&] {
-            Tick when = eq.now() + delta_pick(rng);
-            EventPriority pri = kPris[static_cast<std::size_t>(
-                pri_pick(rng))];
+        std::function<void()> schedule_random;
+        std::function<void(Tick, int)> schedule_at = [&](Tick when,
+                                                         int pi) {
+            EventPriority pri = kPris[static_cast<std::size_t>(pi)];
             std::uint64_t seq = next_seq++;
             ref.push_back(Ref{when, static_cast<int>(pri), seq});
             bool spawn = (seq % 5) == 0; // events schedule events
+            bool repump = (seq % 7) == 3;
             eq.schedule(
                 when,
-                [&, seq, spawn] {
+                [&, seq, spawn, repump, pi] {
                     executed.push_back(seq);
-                    if (spawn && next_seq < 600)
+                    executedAt.push_back(eq.now());
+                    if (next_seq >= 600)
+                        return;
+                    if (spawn)
                         schedule_random();
+                    if (repump) {
+                        std::uniform_int_distribution<int> later(pi, 2);
+                        schedule_at(eq.now(), later(rng));
+                    }
                 },
                 pri);
+        };
+        schedule_random = [&] {
+            Tick when = eq.now() + delta_pick(rng);
+            schedule_at(when, pri_pick(rng));
         };
         // 400 seeds over a small tick range: same-tick bursts are
         // guaranteed by pigeonhole; runtime spawns extend the tail.
         for (int i = 0; i < 400; ++i)
             schedule_random();
-        eq.run();
+        if (round % 4 == 0) {
+            // The watchdog's drain: every batch stays inside one
+            // tick and under the cap.
+            while (true) {
+                std::size_t from = executed.size();
+                std::size_t n = eq.runBatch();
+                if (n == 0)
+                    break;
+                ASSERT_LE(n, EventQueue::kBatchCap);
+                for (std::size_t i = from; i < executedAt.size(); ++i)
+                    ASSERT_EQ(executedAt[i], eq.now());
+            }
+        } else {
+            eq.run();
+        }
 
         ASSERT_EQ(executed.size(), ref.size());
         std::stable_sort(ref.begin(), ref.end(),
@@ -324,22 +463,6 @@ TEST(InlineEvent, MoveTransfersOwnership)
 
 TEST(InlineEvent, DestructorRunsForBothStorageKinds)
 {
-    struct Probe
-    {
-        int *count;
-        explicit Probe(int *c) : count(c) { ++*count; }
-        Probe(const Probe &o) : count(o.count) { ++*count; }
-        Probe(Probe &&o) noexcept : count(o.count)
-        {
-            o.count = nullptr;
-        }
-        ~Probe()
-        {
-            if (count)
-                --*count;
-        }
-        void operator()() const {}
-    };
     int live = 0;
     {
         InlineEvent small{Probe(&live)};

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "core/runner.hh"
@@ -48,10 +49,7 @@ runGuardedLoop(EventQueue &eq, guard::GuardRegistry &reg)
 {
     guard::Watchdog wd(reg, eq);
     try {
-        while (!eq.empty()) {
-            wd.beforeStep();
-            eq.step();
-        }
+        wd.drain();
     } catch (const guard::SimErrorException &ex) {
         return ex.error();
     }
@@ -99,12 +97,7 @@ TEST(WatchdogUnit, NoProgressIgnoredWithoutOutstandingWork)
     scheduleIdleChain(eq, 100);
 
     guard::Watchdog wd(reg, eq);
-    EXPECT_NO_THROW({
-        while (!eq.empty()) {
-            wd.beforeStep();
-            eq.step();
-        }
-    });
+    EXPECT_NO_THROW(wd.drain());
 }
 
 TEST(WatchdogUnit, CycleBudgetTrips)
@@ -136,15 +129,37 @@ TEST(WatchdogUnit, WallClockBudgetTrips)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     guard::SimError e;
     try {
-        while (!eq.empty()) {
-            wd.beforeStep();
-            eq.step();
-        }
+        wd.drain();
         FAIL() << "wall-clock watchdog did not trip";
     } catch (const guard::SimErrorException &ex) {
         e = ex.error();
     }
     EXPECT_EQ(e.category, guard::ErrorCategory::WallClock);
+}
+
+TEST(WatchdogUnit, SameTickLivelockTripsWallClock)
+{
+    EventQueue eq;
+    guard::GuardRegistry reg;
+    guard::GuardConfig cfg;
+    cfg.maxWallMs = 1;
+    reg.configure(cfg);
+    // One event respawns itself at delta 0, so the clock never leaves
+    // tick 0 and only the batch cap hands control back to the
+    // watchdog. The spin gives up after a fixed count: a batch that
+    // ran the whole tick would drain the queue untripped and fail
+    // here instead of hanging.
+    std::uint64_t spins = 0;
+    std::function<void()> spin = [&] {
+        if (++spins < (1u << 22))
+            eq.scheduleIn(0, [&] { spin(); });
+    };
+    eq.scheduleIn(0, [&] { spin(); });
+
+    guard::SimError e = runGuardedLoop(eq, reg);
+    EXPECT_EQ(e.category, guard::ErrorCategory::WallClock);
+    EXPECT_EQ(e.tick, 0u);
+    EXPECT_LT(spins, 1u << 22);
 }
 
 TEST(WatchdogUnit, PeriodicInvariantViolationTrips)
