@@ -1,0 +1,101 @@
+#!/bin/sh
+# Byte-identity check against another checkout (the parent of a
+# change, say): builds this repository and CHECKOUT, runs the same
+# simulations on both and compares what they print.
+#
+#   bench/compare_outputs.sh CHECKOUT
+#
+# Each checkout is built in Release into its own
+# .bench_build/compare/ (the build type fusionbench/run.py uses);
+# the outputs go to a temporary directory that is removed on exit.
+# Compared, byte for byte:
+#   - example_simulate stdout and its --stats dump for 7 workloads x
+#     {the 5 static kinds, auto} x {small, --paper};
+#   - ablation_auto_mode --no-cache stdout at --small and at paper
+#     scale.
+# Prints "N/N identical" and exits 0, or names the first file that
+# differs (with the head of its diff) and exits 1.
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 CHECKOUT" >&2
+    exit 2
+fi
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+OTHER=$(cd "$1" && pwd)
+
+WORKLOADS="adpcm fft disparity tracking susan filter histogram"
+KINDS="scratch shared fusion fusion-dx fusion-mesi auto"
+
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
+# quiet CMD...: run CMD, showing its output only when it fails.
+quiet() {
+    if ! "$@" > "$TMP/quiet.log" 2>&1; then
+        cat "$TMP/quiet.log" >&2
+        exit 1
+    fi
+}
+
+# build CHECKOUT: configure once, then build the two binaries.
+build() {
+    dir="$1/.bench_build/compare"
+    echo "compare_outputs.sh: building $1" >&2
+    if [ ! -f "$dir/CMakeCache.txt" ]; then
+        quiet cmake -S "$1" -B "$dir" -DCMAKE_BUILD_TYPE=Release
+    fi
+    quiet cmake --build "$dir" -j 4 --target example_simulate \
+        ablation_auto_mode
+}
+
+# run CHECKOUT SIDE: every simulation, outputs under $TMP/SIDE. The
+# runs use relative --stats paths so stdout names the same file on
+# both sides.
+run() {
+    bin="$1/.bench_build/compare"
+    mkdir "$TMP/$2"
+    echo "compare_outputs.sh: running $2" >&2
+    (
+        cd "$TMP/$2"
+        for scale in small paper; do
+            flag=
+            [ "$scale" = paper ] && flag=--paper
+            for w in $WORKLOADS; do
+                for k in $KINDS; do
+                    name="$w.$k.$scale"
+                    if ! "$bin/examples/example_simulate" -w "$w" \
+                        -s "$k" $flag --stats "$name.stats" \
+                        > "$name.out"; then
+                        echo "compare_outputs.sh: $2: $name failed" >&2
+                        exit 1
+                    fi
+                done
+            done
+        done
+        "$bin/bench/ablation_auto_mode" --small --no-cache \
+            --jobs 2 > auto_mode.small.out
+        "$bin/bench/ablation_auto_mode" --no-cache --jobs 2 \
+            > auto_mode.paper.out
+    )
+}
+
+build "$OTHER"
+build "$ROOT"
+run "$OTHER" other
+run "$ROOT" this
+
+n=0
+for f in $(cd "$TMP/other" && ls); do
+    if ! cmp -s "$TMP/other/$f" "$TMP/this/$f"; then
+        echo "compare_outputs.sh: $f differs ($OTHER vs $ROOT):" >&2
+        diff "$TMP/other/$f" "$TMP/this/$f" | head -n 20 >&2 || true
+        exit 1
+    fi
+    n=$((n + 1))
+done
+if [ "$(cd "$TMP/this" && ls | wc -l)" -ne "$n" ]; then
+    echo "compare_outputs.sh: the two sides wrote different files" >&2
+    exit 1
+fi
+echo "$n/$n identical"

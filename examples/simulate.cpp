@@ -37,7 +37,8 @@ usage(const char *argv0)
         "                        susan|filter|histogram "
         "(default adpcm)\n"
         "  -s, --system KIND     scratch|shared|fusion|fusion-dx|"
-        "fusion-mesi (default fusion)\n"
+        "fusion-mesi|auto\n"
+        "                        (default fusion)\n"
         "      --paper           paper-scale inputs "
         "(default: small)\n"
         "      --l0x BYTES       private L0X capacity\n"

@@ -115,11 +115,9 @@ L0x::setFunction(Cycles lease_len, Pid pid)
 
 void
 L0x::setForwardTargets(
-    const std::unordered_map<Addr, L0x *> *targets,
-    const std::unordered_map<Addr, L0x *> *early_targets)
+    const std::unordered_map<Addr, L0x *> *targets)
 {
     _fwdTargets = targets;
-    _fwdEarly = early_targets;
 }
 
 void

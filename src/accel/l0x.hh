@@ -73,8 +73,7 @@ class L0x : public MemPort
      * invocation: line -> consumer L0X. Cleared by passing nullptr.
      */
     void setForwardTargets(
-        const std::unordered_map<Addr, L0x *> *targets,
-        const std::unordered_map<Addr, L0x *> *early_targets);
+        const std::unordered_map<Addr, L0x *> *targets);
 
     /**
      * FUSION-Dx: invocation finished — self-evict and forward every
@@ -119,8 +118,6 @@ class L0x : public MemPort
     {
         _tags.forEachValid(fn);
     }
-    /** In-flight misses (guard snapshots / leak checks). */
-    std::size_t outstandingMshrs() const { return _mshrs.size(); }
 
   private:
     void lookup(Addr vline, bool is_write, Tick start, PortDone done,
@@ -150,7 +147,6 @@ class L0x : public MemPort
     Cycles _leaseLen = 500;
     Pid _pid = 1;
     const std::unordered_map<Addr, L0x *> *_fwdTargets = nullptr;
-    const std::unordered_map<Addr, L0x *> *_fwdEarly = nullptr;
 
     /// Downgrade filters: earliest write-epoch end per set, and the
     /// minimum over all sets (Section 3.2, self-downgrade).

@@ -31,8 +31,6 @@ FusionTile::FusionTile(SimContext &ctx, const TileParams &p,
                  energy::comp::kLinkL0xL0x,
                  energy::comp::kLinkL0xL0x});
 
-    _plans.resize(p.numAccels);
-    _earlyPlans.resize(p.numAccels);
     _tlb = std::make_unique<vm::AxTlb>(ctx, p.tlb, pt);
     _rmap = std::make_unique<vm::AxRmap>(ctx, vm::AxRmapParams{});
     _l1x = std::make_unique<L1xAcc>(ctx, p.l1x, llc, _tileLink.get(),
@@ -110,40 +108,12 @@ FusionTile::FusionTile(SimContext &ctx, const TileParams &p,
 }
 
 void
-FusionTile::installForwardPlan(
-    AccelId producer,
-    const std::unordered_map<Addr, trace::ForwardHint> &plan)
-{
-    if (!_p.enableDx)
-        return;
-    auto &plan_map = _plans[static_cast<std::size_t>(producer)];
-    auto &early_map =
-        _earlyPlans[static_cast<std::size_t>(producer)];
-    plan_map.clear();
-    early_map.clear();
-    for (const auto &[line, hint] : plan) {
-        fusion_assert(hint.consumer >= 0 &&
-                          hint.consumer <
-                              static_cast<AccelId>(_p.numAccels),
-                      "bad forward consumer");
-        L0x *target =
-            _l0xs[static_cast<std::size_t>(hint.consumer)].get();
-        plan_map[line] = target;
-        if (hint.earlyOk)
-            early_map[line] = target;
-    }
-    l0x(producer).setForwardTargets(&plan_map, &early_map);
-}
-
-void
 FusionTile::finishInvocation(AccelId producer)
 {
     if (!_p.enableDx)
         return;
     l0x(producer).forwardPlannedLines();
-    l0x(producer).setForwardTargets(nullptr, nullptr);
-    _plans[static_cast<std::size_t>(producer)].clear();
-    _earlyPlans[static_cast<std::size_t>(producer)].clear();
+    l0x(producer).setForwardTargets(nullptr);
 }
 
 void

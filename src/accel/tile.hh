@@ -10,7 +10,6 @@
 #define FUSION_ACCEL_TILE_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/l0x.hh"
@@ -18,7 +17,6 @@
 #include "host/llc.hh"
 #include "vm/ax_rmap.hh"
 #include "vm/ax_tlb.hh"
-#include "trace/analysis.hh"
 #include "vm/page_table.hh"
 
 namespace fusion::accel
@@ -51,21 +49,11 @@ class FusionTile
     vm::AxTlb &tlb() { return *_tlb; }
     vm::AxRmap &rmap() { return *_rmap; }
     interconnect::Link &tileLink() { return *_tileLink; }
-    interconnect::Link &fwdLink() { return *_fwdLink; }
     std::uint32_t numAccels() const { return _p.numAccels; }
-    bool dxEnabled() const { return _p.enableDx; }
 
     /**
-     * FUSION-Dx: install the forwarding plan for the invocation
-     * about to run on @p producer (line -> consumer accelerator).
-     */
-    void installForwardPlan(
-        AccelId producer,
-        const std::unordered_map<Addr, trace::ForwardHint> &plan);
-
-    /**
-     * Invocation on @p producer finished: push planned dirty lines
-     * to their consumers and clear the plan.
+     * Invocation on @p producer finished: push the lines its L0X's
+     * forward targets name (FUSION-Dx) and clear the targets.
      */
     void finishInvocation(AccelId producer);
 
@@ -82,9 +70,6 @@ class FusionTile
     std::unique_ptr<vm::AxRmap> _rmap;
     std::unique_ptr<L1xAcc> _l1x;
     std::vector<std::unique_ptr<L0x>> _l0xs;
-    /// Per-producer forwarding plans (invocations may overlap).
-    std::vector<std::unordered_map<Addr, L0x *>> _plans;
-    std::vector<std::unordered_map<Addr, L0x *>> _earlyPlans;
 };
 
 } // namespace fusion::accel

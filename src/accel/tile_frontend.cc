@@ -76,23 +76,13 @@ class ScratchFrontend final : public TileFrontend
     /** One DMA engine serializes the windows. */
     bool supportsOverlap() const override { return false; }
 
-    FrontendCounters
-    counters() const override
-    {
-        FrontendCounters c;
-        c.dmaOps = _dma->dmaOps();
-        c.dmaBytes = _dma->bytesTransferred();
-        return c;
-    }
-
     void
     collect(core::RunResult &r) const override
     {
+        r.dmaCycles += _dmaWait;
         r.dmaOps += _dma->dmaOps();
         r.dmaBytes += _dma->bytesTransferred();
     }
-
-    Tick dmaWaitCycles() const override { return _dmaWait; }
 
   private:
     void
@@ -407,15 +397,12 @@ class FusionFrontend final : public TileFrontend
             }
         }
         if (kind == core::SystemKind::FusionDx)
-            _fwdPlan = trace::planForwarding(e.prog);
+            resolveForwardPlan();
         // Lease lengths are per accelerated function; prime each
         // L0X with its function's LT so Dx pushes landing before
         // the consumer's first invocation carry the right lease.
-        for (const auto &f : _prog.functions) {
-            tileFor(f.accel)
-                .l0x(_localId[static_cast<std::size_t>(f.accel)])
-                .setFunction(f.leaseTime, e.prog.pid);
-        }
+        for (const auto &f : _prog.functions)
+            l0xFor(f.accel).setFunction(f.leaseTime, e.prog.pid);
     }
 
     void
@@ -431,24 +418,8 @@ class FusionFrontend final : public TileFrontend
         L0x &l0 = tile.l0x(local);
         l0.setFunction(meta.leaseTime, _prog.pid);
         if (kind() == core::SystemKind::FusionDx) {
-            auto it = _fwdPlan.find(static_cast<std::uint32_t>(idx));
-            // Only consumers on the *same* tile can receive pushes
-            // (the L0X-L0X link is intra-tile); remap their ids to
-            // tile-local indices.
-            std::unordered_map<Addr, trace::ForwardHint> local_plan;
-            if (it != _fwdPlan.end()) {
-                std::uint32_t my_tile =
-                    _tileOf[static_cast<std::size_t>(meta.accel)];
-                for (const auto &[line, hint] : it->second) {
-                    auto ci =
-                        static_cast<std::size_t>(hint.consumer);
-                    if (_tileOf[ci] == my_tile) {
-                        local_plan[line] = trace::ForwardHint{
-                            _localId[ci], hint.earlyOk};
-                    }
-                }
-            }
-            tile.installForwardPlan(local, local_plan);
+            const auto &targets = _fwdTargets[idx];
+            l0.setForwardTargets(targets.empty() ? nullptr : &targets);
         }
         core.run(inv, meta.mlp, l0,
                  [&tile, local,
@@ -479,7 +450,6 @@ class FusionFrontend final : public TileFrontend
                 const L0x &l0 = tile->l0x(static_cast<AccelId>(a));
                 c.l0xHits += l0.hits();
                 c.l0xMisses += l0.misses();
-                c.l0xForwards += l0.forwardsOut();
             }
         }
         return c;
@@ -517,12 +487,43 @@ class FusionFrontend final : public TileFrontend
         return *_tiles[_tileOf[static_cast<std::size_t>(a)]];
     }
 
+    L0x &
+    l0xFor(AccelId a)
+    {
+        return tileFor(a).l0x(_localId[static_cast<std::size_t>(a)]);
+    }
+
+    /**
+     * Resolve the trace's forward plan into one line -> consumer L0X
+     * map per invocation. Only consumers on the producer's own tile
+     * can receive pushes (the L0X-L0X link is intra-tile).
+     */
+    void
+    resolveForwardPlan()
+    {
+        _fwdTargets.resize(_prog.invocations.size());
+        for (const auto &[idx, lines] : trace::planForwarding(_prog)) {
+            AccelId producer =
+                _prog.functions[static_cast<std::size_t>(
+                                    _prog.invocations[idx].func)]
+                    .accel;
+            auto &targets = _fwdTargets[idx];
+            for (const auto &[line, consumer] : lines) {
+                if (_tileOf[static_cast<std::size_t>(consumer)] ==
+                    _tileOf[static_cast<std::size_t>(producer)])
+                    targets[line] = &l0xFor(consumer);
+            }
+        }
+    }
+
     const trace::Program &_prog;
     host::Llc &_llc;
     std::vector<std::unique_ptr<FusionTile>> _tiles;
     std::vector<std::uint32_t> _tileOf;
     std::vector<AccelId> _localId;
-    trace::ForwardPlan _fwdPlan;
+    /// FUSION-Dx: per invocation, line -> consumer L0X (empty for
+    /// FUSION and for invocations that forward nothing).
+    std::vector<std::unordered_map<Addr, L0x *>> _fwdTargets;
 };
 
 } // namespace

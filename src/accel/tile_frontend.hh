@@ -54,8 +54,8 @@ struct FrontendEnv
 };
 
 /**
- * Online counter snapshot the orchestrator differences across an
- * invocation (working-set, miss-rate and forwarding estimates).
+ * Cache counter snapshot the orchestrator differences across an
+ * invocation (its L0X miss-rate estimate).
  */
 struct FrontendCounters
 {
@@ -63,9 +63,6 @@ struct FrontendCounters
     std::uint64_t l0xMisses = 0;
     std::uint64_t l1xHits = 0;
     std::uint64_t l1xMisses = 0;
-    std::uint64_t l0xForwards = 0;
-    std::uint64_t dmaOps = 0;
-    std::uint64_t dmaBytes = 0;
 };
 
 /** One accelerator-side organization behind a uniform interface. */
@@ -95,17 +92,16 @@ class TileFrontend
     virtual bool supportsOverlap() const { return true; }
 
     /**
-     * Orchestrator hooks. activate() runs before the first
-     * invocation after a switch to this frontend; deactivate() when
-     * switching away, flushing whatever protocol state the
-     * organization can flush (FUSION drains dirty L0X/L1X lines;
-     * the LLC directory keeps the rest coherent across frontends).
+     * Orchestrator hook, run when AUTO switches away from this
+     * frontend: flush whatever protocol state the organization can
+     * flush (FUSION drains dirty L0X lines; the LLC directory keeps
+     * the rest coherent across frontends).
      */
-    virtual void activate() {}
     virtual void deactivate() {}
 
-    /** Current counter totals (monotonic; snapshot + difference). */
-    virtual FrontendCounters counters() const = 0;
+    /** Current counter totals (monotonic; snapshot + difference).
+     *  Zero for an organization without caches (SCRATCH). */
+    virtual FrontendCounters counters() const { return {}; }
 
     /**
      * Accumulate this organization's counters into @p r. Additive
@@ -113,9 +109,6 @@ class TileFrontend
      * into the same RunResult.
      */
     virtual void collect(core::RunResult &r) const = 0;
-
-    /** Cycles accelerators sat blocked on DMA (SCRATCH only). */
-    virtual Tick dmaWaitCycles() const { return 0; }
 
     /** The FUSION tile set, or null (System::tiles() accessor). */
     virtual std::vector<std::unique_ptr<FusionTile>> *fusionTiles()

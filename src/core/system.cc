@@ -227,8 +227,6 @@ System::run()
     r.kind = _cfg.kind;
     r.totalCycles = finish_tick;
     r.accelCycles = _accelEnd - _accelStart;
-    for (const auto &f : _frontends)
-        r.dmaCycles += f->dmaWaitCycles();
     r.funcCycles = _funcCycles;
     r.invocationCycles = _invCycles;
     r.metrics = _ctx.obs.takeMetrics();
@@ -297,11 +295,8 @@ System::launchInvocation(std::size_t idx,
         if (_invCycles.size() < _prog.invocations.size())
             _invCycles.resize(_prog.invocations.size(), 0);
         _invCycles[idx] = _ctx.now() - t0;
-        if (_orch) {
-            _orch->afterInvocation(idx, _active->counters(),
-                                   _ctx.now() - t0,
-                                   _ctx.energy.grandTotal() - e0);
-        }
+        if (_orch)
+            _orch->afterInvocation(idx, _active->counters());
         --_invInFlight;
         cb();
     };
@@ -311,7 +306,7 @@ System::launchInvocation(std::size_t idx,
                           std::move(completion)]() mutable {
         ++_invInFlight;
         if (_orch)
-            _orch->beforeLaunch(idx, _active->counters());
+            _orch->beforeLaunch(_active->counters());
         _active->launch(idx, core, std::move(completion));
     };
 
@@ -334,19 +329,14 @@ System::launchInvocation(std::size_t idx,
     if (_active == nullptr) {
         // First invocation: adopting the initial mode is free.
         _active = next;
-        _active->activate();
         do_launch();
         return;
     }
     SystemKind from = _active->kind();
     _active->deactivate();
     _active = next;
-    _orch->transition(
-        from, want, _orch->flushLinesBefore(idx),
-        [this, do_launch = std::move(do_launch)]() mutable {
-            _active->activate();
-            do_launch();
-        });
+    _orch->transition(from, want, _orch->flushLinesBefore(idx),
+                      std::move(do_launch));
 }
 
 void

@@ -171,17 +171,6 @@ SystemConfig::validate() const
     if (hostCore.storeQueue == 0)
         err("host core store queue must be nonzero");
 
-    // Orchestrator knobs (AUTO mode only; harmless but checked
-    // regardless so a bad sweep axis fails loudly).
-    if (orchestrator.epsilon < 0.0 || orchestrator.epsilon > 1.0)
-        err("orchestrator epsilon must be in [0, 1], got ",
-            orchestrator.epsilon);
-    if (orchestrator.minDwell == 0)
-        err("orchestrator minDwell must be nonzero");
-    if (orchestrator.staticMode == SystemKind::Auto)
-        err("orchestrator staticMode must be a static system kind");
-    if (orchestrator.switchPjPerLine < 0.0)
-        err("orchestrator switchPjPerLine must be non-negative");
     if (kind == SystemKind::Auto && overlapInvocations)
         err("AUTO mode runs invocations serially; "
             "overlapInvocations is not supported");
@@ -293,16 +282,6 @@ SystemConfig::canonicalHash() const
     h.mix(std::uint64_t{obs.traceKindMask});
     h.mix(std::uint64_t{obs.traceLimit});
     h.mix(std::uint64_t{obs.metricsInterval});
-    h.mix(orchestrator.policy);
-    h.mix(orchestrator.staticMode);
-    h.mix(orchestrator.epsilon);
-    h.mix(orchestrator.rngSeed);
-    h.mix(std::uint64_t{orchestrator.minDwell});
-    h.mix(std::uint64_t{orchestrator.switchFixedCycles});
-    h.mix(std::uint64_t{orchestrator.switchCyclesPerLine});
-    h.mix(orchestrator.switchPjPerLine);
-    h.mix(orchestrator.dxForwardFraction);
-    h.mix(orchestrator.scratchFootprintRatio);
     return h.digest();
 }
 

@@ -35,8 +35,8 @@ enum class SystemKind
                 ///< is argued against; see docs/PROTOCOL.md)
     Auto        ///< per-invocation mode selection by the
                 ///< orchestrator (src/orchestrator/): every static
-                ///< organization is instantiated and an online
-                ///< policy picks one per invocation, paying a
+                ///< organization is instantiated and a threshold
+                ///< rule picks one per invocation, paying a
                 ///< modeled flush/DMA cost on each switch
 };
 
@@ -63,44 +63,6 @@ const char *systemKindCliName(SystemKind k);
  * case-insensitive. Returns nullopt for anything else.
  */
 std::optional<SystemKind> parseSystemKind(std::string_view name);
-
-/** Policy choices for the AUTO-mode orchestrator. */
-enum class OrchPolicy
-{
-    Threshold,     ///< Table 3-seeded working-set / forwarding
-                   ///< heuristic (deterministic default)
-    EpsilonGreedy, ///< per-(function, mode) bandit, deterministic
-                   ///< SplitMix64 exploration
-    StaticBest     ///< always pick staticMode (debug / forced mode)
-};
-
-/**
- * AUTO-mode orchestrator knobs (SystemKind::Auto only; ignored by
- * the static organizations so their output stays byte-identical).
- */
-struct OrchestratorConfig
-{
-    OrchPolicy policy = OrchPolicy::Threshold;
-    /** Forced mode for OrchPolicy::StaticBest. */
-    SystemKind staticMode = SystemKind::Fusion;
-    /** Exploration rate for OrchPolicy::EpsilonGreedy. */
-    double epsilon = 0.1;
-    /** Seed for the learner's deterministic PRNG. */
-    std::uint64_t rngSeed = 0x5eedf00dULL;
-    /** Invocations a mode must dwell before another switch is
-     *  considered (hysteresis against thrashing). */
-    std::uint32_t minDwell = 2;
-    /** Modeled mode-switch transition cost: a flush/DMA event of
-     *  fixed + per-flushed-line cycles, plus per-line energy. */
-    Cycles switchFixedCycles = 200;
-    Cycles switchCyclesPerLine = 4;
-    double switchPjPerLine = 15.0;
-    /** Threshold policy: forward-fraction above which FUSION-Dx is
-     *  selected, and the footprint-to-L1X ratio above which a
-     *  streaming invocation falls back to SCRATCH. */
-    double dxForwardFraction = 0.02;
-    double scratchFootprintRatio = 4.0;
-};
 
 /** Complete system configuration. */
 struct SystemConfig
@@ -153,8 +115,6 @@ struct SystemConfig
     /// serialized output is byte-identical with telemetry compiled
     /// in but disarmed.
     obs::ObsConfig obs;
-    /// AUTO-mode orchestrator (kind == SystemKind::Auto only).
-    OrchestratorConfig orchestrator;
 
     /**
      * Check the configuration for structural mistakes (non-power-
@@ -197,7 +157,7 @@ struct SystemConfig
     std::uint64_t canonicalHash() const;
 
     /** Salt/version of canonicalHash(); bump on any field change. */
-    static constexpr std::uint32_t kConfigHashVersion = 2;
+    static constexpr std::uint32_t kConfigHashVersion = 3;
 };
 
 /** CLI spelling of a preset ("paper", "axc-large"). */

@@ -127,43 +127,22 @@ HostL1::lookup(Addr line_addr, bool is_write, AccessDone done,
             done();
             return;
         }
-        // Store to a Shared line: upgrade.
-        if (!is_retry)
-            ++_upgrades;
-        if (_mshrs.allocate(
-                line_addr,
-                [this, line_addr, is_write,
-                 done = std::move(done)]() mutable {
-                    // Retry after the upgrade completes.
-                    lookup(line_addr, is_write, std::move(done),
-                           true);
-                })) {
-            Tick t0 = _ctx.now();
-            _llc.request(_agentId, line_addr, CoherenceReq::Upgrade,
-                         [this, line_addr,
-                          t0](const LlcResponse &) {
-                             _stMissLatency->sample(
-                                 static_cast<double>(_ctx.now() -
-                                                     t0));
-                             fillDone(line_addr, true, true);
-                         });
-        }
-        return;
     }
-
-    // Miss.
+    // Miss, or a store to a Shared line (upgrade); either retries
+    // the lookup once the request completes.
     if (!is_retry)
-        ++_misses;
+        ++(line ? _upgrades : _misses);
     bool primary = _mshrs.allocate(
         line_addr, [this, line_addr, is_write,
                     done = std::move(done)]() mutable {
             lookup(line_addr, is_write, std::move(done), true);
         });
     if (primary) {
+        CoherenceReq kind = !is_write ? CoherenceReq::GetS
+                                      : (line ? CoherenceReq::Upgrade
+                                              : CoherenceReq::GetX);
         Tick t0 = _ctx.now();
-        _llc.request(_agentId, line_addr,
-                     is_write ? CoherenceReq::GetX
-                              : CoherenceReq::GetS,
+        _llc.request(_agentId, line_addr, kind,
                      [this, line_addr, is_write,
                       t0](const LlcResponse &r) {
                          _stMissLatency->sample(

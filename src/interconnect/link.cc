@@ -68,19 +68,6 @@ Link::Link(SimContext &ctx, const LinkParams &p)
 }
 
 void
-Link::send(MsgClass cls, sim::SmallFn<void()> deliver)
-{
-    book(cls);
-    if (!deliver)
-        return;
-    if (!_live && !_tracked) {
-        _ctx.eq.scheduleIn(_p.latency, std::move(deliver));
-        return;
-    }
-    sendTracked(_p.latency, std::move(deliver));
-}
-
-void
 Link::sendTracked(Cycles latency, sim::SmallFn<void()> deliver)
 {
     ++_sentDeliveries;

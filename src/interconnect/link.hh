@@ -39,13 +39,6 @@ class Link
     Link(SimContext &ctx, const LinkParams &p);
 
     /**
-     * Send one message; @p deliver fires after the link latency.
-     * @p deliver may be empty when the caller only needs the
-     * accounting (e.g. fire-and-forget acks).
-     */
-    void send(MsgClass cls, sim::SmallFn<void()> deliver = {});
-
-    /**
      * Route one message's delivery through the link: books the
      * traffic and schedules @p deliver after @p latency cycles
      * (which may exceed the raw link latency when the caller folds

@@ -8,7 +8,7 @@ namespace fusion::orch
 namespace
 {
 
-/** EWMA weight for the online miss-rate estimates. */
+/** EWMA weight for the forward-fraction and miss-rate estimates. */
 constexpr double kAlpha = 0.5;
 
 /** Small integer id for a ModeSwitch span: (from << 8) | to. */
@@ -21,14 +21,31 @@ switchAddr(core::SystemKind from, core::SystemKind to)
 
 } // namespace
 
+core::SystemKind
+chooseMode(double fwd_fraction, std::uint64_t footprint_lines,
+           double l0x_miss_rate, std::uint64_t l1x_bytes)
+{
+    if (fwd_fraction > kDxForwardFraction)
+        return core::SystemKind::FusionDx;
+    double fp_bytes =
+        static_cast<double>(footprint_lines * kLineBytes);
+    bool streaming =
+        fp_bytes > kScratchFootprintRatio *
+                       static_cast<double>(l1x_bytes) &&
+        l0x_miss_rate > kScratchL0xMissRate;
+    if (streaming)
+        return core::SystemKind::Scratch;
+    return core::SystemKind::Fusion;
+}
+
 Orchestrator::Orchestrator(SimContext &ctx,
                            const core::SystemConfig &cfg,
                            const trace::Program &prog)
-    : _ctx(ctx), _cfg(cfg), _prog(prog), _policy(makePolicy(cfg))
+    : _ctx(ctx), _prog(prog), _l1xBytes(cfg.l1xBytes)
 {
     // Trace-derived per-invocation characteristics. The forwarding
     // fraction comes from the same producer->consumer analysis
-    // FUSION-Dx plans with, so the policy sees exactly the signal
+    // FUSION-Dx plans with, so the rule sees exactly the signal
     // the Dx hardware would exploit.
     _invFootprint.reserve(prog.invocations.size());
     for (const auto &inv : prog.invocations)
@@ -61,31 +78,28 @@ Orchestrator::Orchestrator(SimContext &ctx,
     });
 }
 
-InvocationOutlook
-Orchestrator::outlook(std::size_t idx) const
-{
-    const trace::Invocation &inv = _prog.invocations[idx];
-    InvocationOutlook o;
-    o.func = static_cast<std::uint32_t>(inv.func);
-    o.footprintLines = _invFootprint[idx];
-    o.forwardFraction = _invForwardFraction[idx];
-    const FuncEstimate &est =
-        _funcEst[static_cast<std::size_t>(inv.func)];
-    o.l0xMissRate = est.l0xMissRate;
-    o.l1xMissRate = est.l1xMissRate;
-    return o;
-}
-
 core::SystemKind
 Orchestrator::decide(std::size_t idx)
 {
-    core::SystemKind pick = _policy->choose(outlook(idx));
+    // Smooth the forwarding signal: per-invocation fractions in
+    // pipelined programs alternate between producer (high) and
+    // consumer (zero) invocations, and deciding on the raw value
+    // would thrash FUSION<->FUSION-Dx, paying a flush each time.
+    // The EWMA tracks the program's sustained forwarding level.
+    double fwd = _invForwardFraction[idx];
+    if (_haveMode)
+        _fwdEwma += kAlpha * (fwd - _fwdEwma);
+    else
+        _fwdEwma = fwd;
+    const FuncEstimate &est = _funcEst[static_cast<std::size_t>(
+        _prog.invocations[idx].func)];
+    core::SystemKind pick = chooseMode(_fwdEwma, _invFootprint[idx],
+                                       est.l0xMissRate, _l1xBytes);
     ++_decisions;
-    // Dwell hysteresis: a freshly adopted mode must run minDwell
-    // invocations before the policy may move again, so borderline
-    // outlooks cannot thrash (every switch pays the flush cost).
-    if (_haveMode && pick != _mode &&
-        _dwell < _cfg.orchestrator.minDwell)
+    // Dwell hysteresis: a freshly adopted mode must run kMinDwell
+    // invocations before the rule may move again, so borderline
+    // signals cannot thrash (every switch pays the flush cost).
+    if (_haveMode && pick != _mode && _dwell < kMinDwell)
         pick = _mode;
     if (!_haveMode || pick != _mode) {
         _mode = pick;
@@ -101,16 +115,14 @@ Orchestrator::transition(core::SystemKind from, core::SystemKind to,
                          std::uint64_t flush_lines,
                          sim::SmallFn<void()> done)
 {
-    const core::OrchestratorConfig &oc = _cfg.orchestrator;
     ++_switches;
     _flushLines += flush_lines;
     // One flush/DMA event: the outgoing organization's dirty state
     // drains to the host (fixed controller cost + per-line burst),
     // with per-line energy on the same scale as a DMA line move.
-    Tick cost = oc.switchFixedCycles +
-                oc.switchCyclesPerLine *
-                    static_cast<Tick>(flush_lines);
-    _ctx.energy.add(_ecFlush, oc.switchPjPerLine *
+    Tick cost = kSwitchFixedCycles +
+                kSwitchCyclesPerLine * static_cast<Tick>(flush_lines);
+    _ctx.energy.add(_ecFlush, kSwitchPjPerLine *
                                   static_cast<double>(flush_lines));
     if (_tracer) {
         _tracer->complete(_track, obs::SpanKind::ModeSwitch,
@@ -121,52 +133,28 @@ Orchestrator::transition(core::SystemKind from, core::SystemKind to,
 }
 
 void
-Orchestrator::beforeLaunch(std::size_t idx,
-                           const accel::FrontendCounters &snap)
-{
-    (void)idx;
-    _snap = snap;
-}
-
-void
 Orchestrator::afterInvocation(std::size_t idx,
-                              const accel::FrontendCounters &now,
-                              std::uint64_t cycles, double energy_pj)
+                              const accel::FrontendCounters &now)
 {
-    const trace::Invocation &inv = _prog.invocations[idx];
-    FuncEstimate &est =
-        _funcEst[static_cast<std::size_t>(inv.func)];
-    auto rate = [](std::uint64_t miss,
-                   std::uint64_t hit) -> double {
-        std::uint64_t total = miss + hit;
-        return total == 0
-                   ? 0.0
-                   : static_cast<double>(miss) /
-                         static_cast<double>(total);
-    };
+    FuncEstimate &est = _funcEst[static_cast<std::size_t>(
+        _prog.invocations[idx].func)];
     std::uint64_t l0h = now.l0xHits - _snap.l0xHits;
     std::uint64_t l0m = now.l0xMisses - _snap.l0xMisses;
     std::uint64_t l1h = now.l1xHits - _snap.l1xHits;
     std::uint64_t l1m = now.l1xMisses - _snap.l1xMisses;
     if (l0h + l0m > 0 || l1h + l1m > 0) {
-        double r0 = rate(l0m, l0h);
-        double r1 = rate(l1m, l1h);
+        double r0 = l0h + l0m == 0
+                        ? 0.0
+                        : static_cast<double>(l0m) /
+                              static_cast<double>(l0h + l0m);
         if (est.seen) {
             est.l0xMissRate += kAlpha * (r0 - est.l0xMissRate);
-            est.l1xMissRate += kAlpha * (r1 - est.l1xMissRate);
         } else {
             est.l0xMissRate = r0;
-            est.l1xMissRate = r1;
             est.seen = true;
         }
     }
-
     ++_modeInvocations[core::systemKindCliName(_mode)];
-    InvocationOutcome res;
-    res.mode = _mode;
-    res.cycles = cycles;
-    res.energyPj = energy_pj;
-    _policy->observe(outlook(idx), res);
 }
 
 std::uint64_t

@@ -12,28 +12,65 @@
  * free, emits exactly one ModeSwitch span, and only then does the
  * invocation launch on the new frontend.
  *
- * Decision inputs are the trace-derived per-invocation working set
- * and producer->consumer forwarding fraction (both precomputed at
- * construction) plus online per-function L0X/L1X miss-rate EWMAs
- * maintained from FrontendCounters deltas across retired
- * invocations. The pluggable ModePolicy (src/orchestrator/policy.hh)
- * turns an outlook into a mode; dwell hysteresis (minDwell) damps
- * thrashing regardless of policy.
+ * decide() runs one threshold rule (chooseMode) over the
+ * trace-derived per-invocation working set and producer->consumer
+ * forwarding fraction (both precomputed at construction, the
+ * fraction smoothed by an EWMA across decisions) and an online
+ * per-function L0X miss-rate EWMA maintained from FrontendCounters
+ * deltas across retired invocations. A dwell of kMinDwell
+ * invocations damps thrashing.
  */
 
 #ifndef FUSION_ORCHESTRATOR_ORCHESTRATOR_HH
 #define FUSION_ORCHESTRATOR_ORCHESTRATOR_HH
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "accel/tile_frontend.hh"
-#include "orchestrator/policy.hh"
 
 namespace fusion::orch
 {
+
+/** Invocations a freshly adopted mode runs before the rule may move
+ *  again (every switch pays the flush cost). */
+inline constexpr std::uint32_t kMinDwell = 2;
+
+/** Mode-switch cost: one flush/DMA event of fixed + per-flushed-line
+ *  cycles, plus per-line energy on the scale of a DMA line move. */
+inline constexpr Cycles kSwitchFixedCycles = 200;
+inline constexpr Cycles kSwitchCyclesPerLine = 4;
+inline constexpr double kSwitchPjPerLine = 15.0;
+
+/** FUSION-Dx when the smoothed forward fraction exceeds this. */
+inline constexpr double kDxForwardFraction = 0.02;
+
+/** SCRATCH when the footprint exceeds this multiple of the L1X and
+ *  the L0X miss-rate estimate exceeds kScratchL0xMissRate. */
+inline constexpr double kScratchFootprintRatio = 4.0;
+inline constexpr double kScratchL0xMissRate = 0.5;
+
+/**
+ * The rule AUTO runs, seeded from the paper's Table 3 workload
+ * characteristics. Invocations with a meaningful producer->consumer
+ * forwarding fraction go to FUSION-Dx (the FFT/DISPARITY
+ * pipelines); invocations that stream a working set far larger than
+ * the L1X while missing heavily in the L0X go to SCRATCH (oracle
+ * DMA beats caching when nothing is reused); everything else runs
+ * FUSION, which Table 3 / Figure 6 show dominant across the suite.
+ * SHARED and FUSION-MESI are never picked: the paper's result is
+ * that they are dominated design points.
+ *
+ * @param fwd_fraction smoothed forward fraction of the invocation
+ * @param footprint_lines unique lines the invocation touches
+ * @param l0x_miss_rate its function's L0X miss-rate estimate
+ * @param l1x_bytes L1X capacity
+ */
+core::SystemKind chooseMode(double fwd_fraction,
+                            std::uint64_t footprint_lines,
+                            double l0x_miss_rate,
+                            std::uint64_t l1x_bytes);
 
 class Orchestrator
 {
@@ -41,7 +78,7 @@ class Orchestrator
     Orchestrator(SimContext &ctx, const core::SystemConfig &cfg,
                  const trace::Program &prog);
 
-    /** Mode to run invocation @p idx under (policy + hysteresis). */
+    /** Mode to run invocation @p idx under (rule + dwell). */
     core::SystemKind decide(std::size_t idx);
 
     /**
@@ -54,23 +91,21 @@ class Orchestrator
                     std::uint64_t flush_lines,
                     sim::SmallFn<void()> done);
 
-    /** Counter snapshot taken just before invocation @p idx runs. */
-    void beforeLaunch(std::size_t idx,
-                      const accel::FrontendCounters &snap);
+    /** Counter snapshot taken just before an invocation runs. */
+    void beforeLaunch(const accel::FrontendCounters &snap)
+    {
+        _snap = snap;
+    }
 
-    /** Invocation @p idx retired under the current mode: update the
-     *  online estimates and feed the policy's learner. */
+    /** Invocation @p idx retired under the current mode: update its
+     *  function's L0X miss-rate estimate and the mode mix. */
     void afterInvocation(std::size_t idx,
-                         const accel::FrontendCounters &now,
-                         std::uint64_t cycles, double energy_pj);
+                         const accel::FrontendCounters &now);
 
     /** Flush-cost proxy for switching away before invocation
      *  @p idx: the previous invocation's working set (the lines the
      *  outgoing organization plausibly holds). */
     std::uint64_t flushLinesBefore(std::size_t idx) const;
-
-    /** The policy in use (display). */
-    const char *policyName() const { return _policy->name(); }
 
     std::uint64_t switches() const { return _switches; }
     /** Invocation counts per mode short name (RunResult). */
@@ -81,23 +116,21 @@ class Orchestrator
     }
 
   private:
-    /** Assemble the policy's view of invocation @p idx. */
-    InvocationOutlook outlook(std::size_t idx) const;
-
     SimContext &_ctx;
-    const core::SystemConfig &_cfg;
     const trace::Program &_prog;
-    std::unique_ptr<ModePolicy> _policy;
+    std::uint64_t _l1xBytes;
 
     // Trace-derived per-invocation characteristics (precomputed).
     std::vector<std::uint64_t> _invFootprint;
     std::vector<double> _invForwardFraction;
 
-    // Online per-function miss-rate EWMAs.
+    /// Forward fraction smoothed across decisions.
+    double _fwdEwma = 0.0;
+
+    /// Online per-function L0X miss-rate EWMA.
     struct FuncEstimate
     {
         double l0xMissRate = 0.0;
-        double l1xMissRate = 0.0;
         bool seen = false;
     };
     std::vector<FuncEstimate> _funcEst;

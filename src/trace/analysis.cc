@@ -161,40 +161,25 @@ planForwarding(const Program &prog)
         std::uint32_t inv;
         bool firstIsLoad;
         bool everStored;
-        std::uint64_t firstStoreIdx = 0;
-        std::uint64_t lastStoreIdx = 0;
     };
     std::unordered_map<Addr, std::vector<Touch>> timeline;
 
     for (std::uint32_t i = 0; i < prog.invocations.size(); ++i) {
         const Invocation &inv = prog.invocations[i];
         std::unordered_set<Addr> seen;
-        std::uint64_t mem_idx = 0;
         for (const auto &op : inv.ops) {
             if (op.kind == OpKind::Compute)
                 continue;
-            ++mem_idx;
             Addr line = lineAlign(op.addr);
             auto &v = timeline[line];
             if (!seen.count(line)) {
                 seen.insert(line);
-                v.push_back(Touch{i, op.kind == OpKind::Load, false,
-                                  0, 0});
+                v.push_back(Touch{i, op.kind == OpKind::Load, false});
             }
-            if (op.kind == OpKind::Store) {
-                if (!v.back().everStored)
-                    v.back().firstStoreIdx = mem_idx;
+            if (op.kind == OpKind::Store)
                 v.back().everStored = true;
-                v.back().lastStoreIdx = mem_idx;
-            }
         }
     }
-
-    // A store burst spanning at most this many memory ops is
-    // "compact": every store lands well inside one write epoch, so
-    // a downgrade-time forward can never precede a producer
-    // re-write.
-    constexpr std::uint64_t kCompactSpan = 150;
 
     ForwardPlan plan;
     for (const auto &[line, touches] : timeline) {
@@ -213,9 +198,7 @@ planForwarding(const Program &prog)
                     .accel;
             if (pa == ca)
                 continue;
-            bool early = prod.lastStoreIdx - prod.firstStoreIdx <=
-                         kCompactSpan;
-            plan[prod.inv][line] = ForwardHint{ca, early};
+            plan[prod.inv][line] = ca;
         }
     }
     return plan;

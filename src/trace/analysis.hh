@@ -75,23 +75,11 @@ struct DmaWindow
 std::vector<DmaWindow> segmentWindows(const Invocation &inv,
                                       std::uint64_t scratch_lines);
 
-/** One planned forward: where to push the line, and whether it is
- *  safe to push at a mid-run self-downgrade. */
-struct ForwardHint
-{
-    AccelId consumer = kNoAccel;
-    /// True when the producer's stores to this line form one
-    /// compact burst, so a write-epoch-expiry downgrade can forward
-    /// immediately without risking a later producer re-write
-    /// stalling on the transferred lease.
-    bool earlyOk = false;
-};
-
 /** Forwarding plan for FUSION-Dx: per invocation, per dirty line,
  *  the consumer accelerator to push the line to. */
 using ForwardPlan =
     std::unordered_map<std::uint32_t,
-                       std::unordered_map<Addr, ForwardHint>>;
+                       std::unordered_map<Addr, AccelId>>;
 
 /**
  * Identify producer->consumer stores: a line whose next toucher

@@ -118,6 +118,16 @@ constexpr GoldenRun kGolden[] = {
      &kMetrics},
     {"histogram", SystemKind::Auto, 0x8f57dd8c9b70fd00ull,
      &kMetrics},
+    // Recorded from the tree just before AUTO's policy framework
+    // folded into the orchestrator's one rule, and before FUSION-Dx
+    // resolved its forward plan once per run: the workloads the rows
+    // above leave out for either kind.
+    {"disparity", SystemKind::Auto, 0x0adb6602a1bbfc48ull},
+    {"tracking", SystemKind::Auto, 0x55aaa605983fd815ull},
+    {"susan", SystemKind::Auto, 0x1d3a79b6d65b179cull},
+    {"filter", SystemKind::Auto, 0x95328dff5bc93493ull},
+    {"disparity", SystemKind::FusionDx, 0x0403243217196ddcull},
+    {"tracking", SystemKind::FusionDx, 0x9ee07df7558f354bull},
 };
 
 class FrontendEquivalence

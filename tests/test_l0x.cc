@@ -140,9 +140,9 @@ TEST(L0x, ForwardMovesDirtyLineToConsumer)
 {
     L0xRig r(false, /*dx=*/true);
     r.accessSync(0, 0x10000000, true); // dirty in producer
-    std::unordered_map<Addr, trace::ForwardHint> plan{
-        {0x10000000, trace::ForwardHint{1, true}}};
-    r.tile->installForwardPlan(0, plan);
+    std::unordered_map<Addr, accel::L0x *> targets{
+        {0x10000000, &r.tile->l0x(1)}};
+    r.tile->l0x(0).setForwardTargets(&targets);
     r.tile->finishInvocation(0);
     r.ctx.eq.runUntil(r.ctx.now() + 100);
     EXPECT_EQ(r.tile->l0x(0).forwardsOut(), 1u);
@@ -163,9 +163,9 @@ TEST(L0x, ForwardUsesCheapLink)
 {
     L0xRig r(false, true);
     r.accessSync(0, 0x10000000, true);
-    std::unordered_map<Addr, trace::ForwardHint> plan{
-        {0x10000000, trace::ForwardHint{1, true}}};
-    r.tile->installForwardPlan(0, plan);
+    std::unordered_map<Addr, accel::L0x *> targets{
+        {0x10000000, &r.tile->l0x(1)}};
+    r.tile->l0x(0).setForwardTargets(&targets);
     double fwd_before =
         r.ctx.energy.total(energy::comp::kLinkL0xL0x);
     r.tile->finishInvocation(0);
@@ -180,9 +180,9 @@ TEST(L0x, CleanPlannedLinesAreAlsoPushed)
 {
     L0xRig r(false, true);
     r.accessSync(0, 0x10000000, false); // clean read
-    std::unordered_map<Addr, trace::ForwardHint> plan{
-        {0x10000000, trace::ForwardHint{1, true}}};
-    r.tile->installForwardPlan(0, plan);
+    std::unordered_map<Addr, accel::L0x *> targets{
+        {0x10000000, &r.tile->l0x(1)}};
+    r.tile->l0x(0).setForwardTargets(&targets);
     r.tile->finishInvocation(0);
     r.ctx.eq.runUntil(r.ctx.now() + 100);
     EXPECT_EQ(r.tile->l0x(0).forwardsOut(), 1u);
@@ -209,9 +209,9 @@ TEST(L0x, ForwardFallsBackWhenConsumerIsFull)
     // Producer dirties a line mapping to the same consumer set.
     Addr line = base + stride * 8;
     r.accessSync(0, line, true);
-    std::unordered_map<Addr, trace::ForwardHint> plan{
-        {line, trace::ForwardHint{1, true}}};
-    r.tile->installForwardPlan(0, plan);
+    std::unordered_map<Addr, accel::L0x *> targets{
+        {line, &r.tile->l0x(1)}};
+    r.tile->l0x(0).setForwardTargets(&targets);
     r.tile->finishInvocation(0);
     r.ctx.eq.runUntil(r.ctx.now() + 100);
     // No forward: the producer degraded to a normal writeback.

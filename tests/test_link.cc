@@ -34,7 +34,8 @@ TEST(Link, DeliveryAfterLatency)
     SimContext ctx;
     auto link = makeLink(ctx, energy::LinkClass::AxcToL1x, 5);
     Tick delivered = 0;
-    link.send(MsgClass::Control, [&] { delivered = ctx.now(); });
+    link.send(MsgClass::Control, link.latency(),
+              [&] { delivered = ctx.now(); });
     ctx.eq.run();
     EXPECT_EQ(delivered, 5u);
 }

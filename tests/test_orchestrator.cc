@@ -1,21 +1,24 @@
 /**
  * @file
  * Unit tests for the AUTO-mode orchestrator (src/orchestrator/):
- * policy decisions under synthetic outlooks, the forced-mode
- * StaticBest path, bandit learning determinism, and the transition
+ * the threshold rule under synthetic inputs, the transition
  * machinery — a mode switch must emit exactly one flush/DMA
  * transition (one ModeSwitch span, one cost event, one energy
- * booking).
+ * booking) — and end-to-end AUTO runs, one of which switches.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "core/runner.hh"
 #include "core/system.hh"
 #include "orchestrator/orchestrator.hh"
-#include "orchestrator/policy.hh"
+#include "sim/hash.hh"
+#include "trace/analysis.hh"
+#include "trace/recorder.hh"
 
 namespace fusion::orch
 {
@@ -29,85 +32,38 @@ autoConfig()
         core::SystemConfig::Preset::Paper, core::SystemKind::Auto);
 }
 
-InvocationOutlook
-outlook(std::uint64_t footprint_lines, double fwd_frac,
-        double l0x_miss)
-{
-    InvocationOutlook o;
-    o.func = 0;
-    o.footprintLines = footprint_lines;
-    o.forwardFraction = fwd_frac;
-    o.l0xMissRate = l0x_miss;
-    o.l1xMissRate = 0.0;
-    return o;
-}
-
 // ---------------------------------------------------------------
-// Policies under synthetic counters.
+// The threshold rule under synthetic inputs.
 // ---------------------------------------------------------------
 
 TEST(ThresholdPolicy, ForwardingHeavyOutlookPicksFusionDx)
 {
     core::SystemConfig cfg = autoConfig();
-    auto policy = makePolicy(cfg);
     // Forwarding fraction above the threshold dominates.
-    EXPECT_EQ(policy->choose(outlook(64, 0.25, 0.0)),
+    EXPECT_EQ(chooseMode(0.25, 64, 0.0, cfg.l1xBytes),
               core::SystemKind::FusionDx);
 }
 
 TEST(ThresholdPolicy, StreamingOutlookPicksScratch)
 {
     core::SystemConfig cfg = autoConfig();
-    // Footprint must exceed scratchFootprintRatio * l1xBytes with a
+    // Footprint must exceed kScratchFootprintRatio * l1xBytes with a
     // thrashing L0X for the DMA organization to win.
     std::uint64_t big_lines =
         (cfg.l1xBytes / kLineBytes) *
-            static_cast<std::uint64_t>(
-                cfg.orchestrator.scratchFootprintRatio) *
-            2;
-    auto policy = makePolicy(cfg);
-    EXPECT_EQ(policy->choose(outlook(big_lines, 0.0, 0.9)),
+            static_cast<std::uint64_t>(kScratchFootprintRatio) * 2;
+    EXPECT_EQ(chooseMode(0.0, big_lines, 0.9, cfg.l1xBytes),
               core::SystemKind::Scratch);
     // Same footprint but the L0X still hits: stay cached.
-    EXPECT_EQ(policy->choose(outlook(big_lines, 0.0, 0.1)),
+    EXPECT_EQ(chooseMode(0.0, big_lines, 0.1, cfg.l1xBytes),
               core::SystemKind::Fusion);
 }
 
 TEST(ThresholdPolicy, DefaultOutlookPicksFusion)
 {
     core::SystemConfig cfg = autoConfig();
-    auto policy = makePolicy(cfg);
-    EXPECT_EQ(policy->choose(outlook(64, 0.0, 0.2)),
+    EXPECT_EQ(chooseMode(0.0, 64, 0.2, cfg.l1xBytes),
               core::SystemKind::Fusion);
-}
-
-TEST(StaticBestPolicy, AlwaysPicksForcedMode)
-{
-    core::SystemConfig cfg = autoConfig();
-    cfg.orchestrator.policy = core::OrchPolicy::StaticBest;
-    cfg.orchestrator.staticMode = core::SystemKind::Shared;
-    auto policy = makePolicy(cfg);
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(policy->choose(outlook(1u << i, 0.5, 0.9)),
-                  core::SystemKind::Shared);
-    }
-}
-
-TEST(EpsilonGreedyPolicy, ExploitsObservedCheapestMode)
-{
-    core::SystemConfig cfg = autoConfig();
-    cfg.orchestrator.policy = core::OrchPolicy::EpsilonGreedy;
-    cfg.orchestrator.epsilon = 0.0; // pure exploitation
-    auto policy = makePolicy(cfg);
-    InvocationOutlook o = outlook(64, 0.0, 0.2);
-
-    // Unvisited: falls back to the threshold seed (FUSION here).
-    EXPECT_EQ(policy->choose(o), core::SystemKind::Fusion);
-
-    // Teach it that SHARED retires the same function far cheaper.
-    policy->observe(o, {core::SystemKind::Fusion, 10000, 0.0});
-    policy->observe(o, {core::SystemKind::Shared, 100, 0.0});
-    EXPECT_EQ(policy->choose(o), core::SystemKind::Shared);
 }
 
 // ---------------------------------------------------------------
@@ -135,8 +91,7 @@ TEST(Orchestrator, SwitchEmitsExactlyOneFlushTransition)
     ctx.eq.run();
 
     // The continuation fires after the modeled flush cost.
-    Tick want = cfg.orchestrator.switchFixedCycles +
-                cfg.orchestrator.switchCyclesPerLine * flush_lines;
+    Tick want = kSwitchFixedCycles + kSwitchCyclesPerLine * flush_lines;
     EXPECT_EQ(fired_at, want);
     EXPECT_EQ(orch.switches(), 1u);
 
@@ -155,25 +110,12 @@ TEST(Orchestrator, SwitchEmitsExactlyOneFlushTransition)
     auto comps = ctx.energy.components();
     ASSERT_TRUE(comps.count("orch.flush"));
     EXPECT_DOUBLE_EQ(comps.at("orch.flush"),
-                     cfg.orchestrator.switchPjPerLine *
+                     kSwitchPjPerLine *
                          static_cast<double>(flush_lines));
 
     // Stats mirror the switch count.
     EXPECT_EQ(ctx.stats.value("orchestrator.switches"), 1u);
     EXPECT_EQ(ctx.stats.value("orchestrator.flush_lines"), flush_lines);
-}
-
-TEST(Orchestrator, DwellHysteresisDampsThrashing)
-{
-    trace::Program p =
-        *core::buildProgram("adpcm", workloads::Scale::Small);
-    core::SystemConfig cfg = autoConfig();
-    cfg.orchestrator.minDwell = 1000; // never allowed to move
-    SimContext ctx;
-    Orchestrator orch(ctx, cfg, p);
-    core::SystemKind first = orch.decide(0);
-    for (std::size_t i = 1; i < p.invocations.size(); ++i)
-        EXPECT_EQ(orch.decide(i), first) << "invocation " << i;
 }
 
 // ---------------------------------------------------------------
@@ -193,30 +135,90 @@ TEST(AutoMode, RunsToCompletionAndAccountsEveryInvocation)
     EXPECT_EQ(accounted, p.invocations.size());
 }
 
-TEST(AutoMode, StaticBestForcesEveryInvocationOntoOneMode)
-{
-    trace::Program p =
-        *core::buildProgram("fft", workloads::Scale::Small);
-    core::SystemConfig cfg = autoConfig();
-    cfg.orchestrator.policy = core::OrchPolicy::StaticBest;
-    cfg.orchestrator.staticMode = core::SystemKind::Shared;
-    core::RunResult r = core::runProgram(cfg, p);
-    ASSERT_EQ(r.modeInvocations.size(), 1u);
-    EXPECT_EQ(r.modeInvocations.begin()->first, "shared");
-    EXPECT_EQ(r.modeInvocations.begin()->second,
-              p.invocations.size());
-    EXPECT_EQ(r.modeSwitches, 0u);
-}
-
 TEST(AutoMode, DeterministicAcrossRuns)
 {
     trace::Program p =
         *core::buildProgram("histogram", workloads::Scale::Small);
     core::SystemConfig cfg = autoConfig();
-    cfg.orchestrator.policy = core::OrchPolicy::EpsilonGreedy;
     std::string a = core::runProgram(cfg, p).toJson();
     std::string b = core::runProgram(cfg, p).toJson();
     EXPECT_EQ(a, b);
+}
+
+/**
+ * Six invocations on which AUTO switches exactly once. Invocation 0
+ * (accel 0) touches 100 lines and stores 3 of them; invocation 1
+ * (accel 1) loads those 3 first, so invocation 0 forwards 3% of its
+ * footprint. Invocations 2..5 load the same 3 lines and each store a
+ * line nothing reads again: they forward nothing.
+ */
+trace::Program
+switchingProgram()
+{
+    auto line = [](std::uint64_t i) -> Addr {
+        return 0x10000000 + i * kLineBytes;
+    };
+    trace::Recorder rec("switch");
+    FuncId produce = rec.addFunction({"produce", 0, 4, 500});
+    FuncId consume = rec.addFunction({"consume", 1, 4, 500});
+    rec.beginInvocation(produce);
+    for (std::uint64_t i = 0; i < 100; ++i) {
+        if (i < 3)
+            rec.store(line(i), 8);
+        else
+            rec.load(line(i), 8);
+    }
+    rec.end();
+    for (std::uint64_t inv = 1; inv < 6; ++inv) {
+        rec.beginInvocation(inv % 2 == 1 ? consume : produce);
+        for (std::uint64_t i = 0; i < 3; ++i)
+            rec.load(line(i), 8);
+        if (inv > 1)
+            rec.store(line(100 + inv), 8);
+        rec.end();
+    }
+    return rec.take();
+}
+
+// The forward-fraction EWMA reads 0.03, 0.015, 0.0075, ...: the rule
+// picks FUSION-Dx for invocation 0 and FUSION from invocation 1 on,
+// but the dwell of 2 holds FUSION-Dx through invocation 1, so the one
+// switch (FUSION-Dx's dirty lines drained, the flush cost paid) comes
+// before invocation 2. The guard's invariants run throughout,
+// including the orchestrator's single-active-frontend check.
+TEST(AutoMode, SwitchesOnceAfterTheDwell)
+{
+    trace::Program p = switchingProgram();
+    trace::ForwardPlan plan = trace::planForwarding(p);
+    ASSERT_EQ(plan.size(), 1u);
+    EXPECT_EQ(plan.at(0).size(), 3u);
+
+    core::SystemConfig cfg = autoConfig();
+    {
+        SimContext ctx;
+        Orchestrator orch(ctx, cfg, p);
+        const core::SystemKind want[] = {
+            core::SystemKind::FusionDx, core::SystemKind::FusionDx,
+            core::SystemKind::Fusion,   core::SystemKind::Fusion,
+            core::SystemKind::Fusion,   core::SystemKind::Fusion};
+        for (std::size_t i = 0; i < p.invocations.size(); ++i)
+            EXPECT_EQ(orch.decide(i), want[i]) << "invocation " << i;
+    }
+
+    cfg.guard.noProgressTicks = 1u << 20;
+    cfg.guard.invariantPeriod = 64;
+    cfg.guard.invariantsAtEnd = true;
+    core::RunResult r = core::runProgram(cfg, p);
+    ASSERT_FALSE(r.failed()) << r.error->toJson();
+    EXPECT_EQ(r.modeSwitches, 1u);
+    const std::map<std::string, std::uint64_t> mix{{"fusion", 4},
+                                                   {"fusion-dx", 2}};
+    EXPECT_EQ(r.modeInvocations, mix);
+    std::string json = r.toJson();
+    EXPECT_EQ(core::runProgram(cfg, p).toJson(), json);
+    // Recorded from the tree just before AUTO's policy framework
+    // folded into the orchestrator's one rule.
+    EXPECT_EQ(fnv1a(json), 0xe4ea82e82aebf95aull);
 }
 
 TEST(AutoMode, RejectsOverlapInvocations)

@@ -187,9 +187,9 @@ TEST_P(RandomPrograms, ForwardPlanOnlyNamesRealConsumers)
             p.functions[static_cast<std::size_t>(
                             p.invocations[inv_idx].func)]
                 .accel;
-        for (const auto &[line, hint] : lines) {
-            EXPECT_NE(hint.consumer, producer);
-            EXPECT_LT(static_cast<std::uint32_t>(hint.consumer),
+        for (const auto &[line, consumer] : lines) {
+            EXPECT_NE(consumer, producer);
+            EXPECT_LT(static_cast<std::uint32_t>(consumer),
                       p.accelCount());
         }
     }

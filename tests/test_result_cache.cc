@@ -169,41 +169,6 @@ TEST(CanonicalHash, EveryKnobChangesTheHash)
          [](SystemConfig &c) { c.obs.traceLimit += 1; }},
         {"obs.metricsInterval",
          [](SystemConfig &c) { c.obs.metricsInterval += 128; }},
-        {"orchestrator.policy",
-         [](SystemConfig &c) {
-             c.orchestrator.policy =
-                 core::OrchPolicy::EpsilonGreedy;
-         }},
-        {"orchestrator.staticMode",
-         [](SystemConfig &c) {
-             c.orchestrator.staticMode = SystemKind::Shared;
-         }},
-        {"orchestrator.epsilon",
-         [](SystemConfig &c) { c.orchestrator.epsilon += 0.05; }},
-        {"orchestrator.rngSeed",
-         [](SystemConfig &c) { c.orchestrator.rngSeed += 1; }},
-        {"orchestrator.minDwell",
-         [](SystemConfig &c) { c.orchestrator.minDwell += 1; }},
-        {"orchestrator.switchFixedCycles",
-         [](SystemConfig &c) {
-             c.orchestrator.switchFixedCycles += 1;
-         }},
-        {"orchestrator.switchCyclesPerLine",
-         [](SystemConfig &c) {
-             c.orchestrator.switchCyclesPerLine += 1;
-         }},
-        {"orchestrator.switchPjPerLine",
-         [](SystemConfig &c) {
-             c.orchestrator.switchPjPerLine += 1.0;
-         }},
-        {"orchestrator.dxForwardFraction",
-         [](SystemConfig &c) {
-             c.orchestrator.dxForwardFraction += 0.01;
-         }},
-        {"orchestrator.scratchFootprintRatio",
-         [](SystemConfig &c) {
-             c.orchestrator.scratchFootprintRatio += 1.0;
-         }},
     };
     const SystemConfig base;
     const std::uint64_t h0 = base.canonicalHash();
@@ -223,7 +188,6 @@ TEST(CanonicalHash, InvariantToDefaultedAssignments)
     assigned.l0xBytes = base.l0xBytes;
     assigned.numTiles = base.numTiles;
     assigned.overlapInvocations = base.overlapInvocations;
-    assigned.orchestrator.epsilon = base.orchestrator.epsilon;
     EXPECT_EQ(assigned.canonicalHash(), base.canonicalHash());
 
     auto a = SystemConfig::preset(SystemConfig::Preset::AxcLarge,

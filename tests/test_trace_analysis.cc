@@ -121,10 +121,8 @@ TEST(Analysis, ForwardPlanFindsProducerConsumerPairs)
     // Invocation 0 produces all 8 lines for accelerator 1.
     ASSERT_TRUE(plan.count(0));
     EXPECT_EQ(plan.at(0).size(), 8u);
-    for (const auto &[line, hint] : plan.at(0)) {
-        EXPECT_EQ(hint.consumer, 1);
-        EXPECT_TRUE(hint.earlyOk); // compact store bursts
-    }
+    for (const auto &[line, consumer] : plan.at(0))
+        EXPECT_EQ(consumer, 1);
     // The consumer's private stores have no next reader.
     EXPECT_FALSE(plan.count(1));
 }
@@ -157,26 +155,6 @@ TEST(Analysis, NoForwardWhenConsumerWritesFirst)
     rec.end();
     Program p = rec.take();
     EXPECT_TRUE(planForwarding(p).empty());
-}
-
-TEST(Analysis, ScatteredStoresAreNotEarlyForwardable)
-{
-    Recorder rec("sc");
-    FuncId a = rec.addFunction({"a", 0, 2, 500});
-    FuncId b = rec.addFunction({"b", 1, 2, 500});
-    rec.beginInvocation(a);
-    rec.store(0x1000, 8);
-    for (int i = 0; i < 400; ++i)
-        rec.load(0x8000 + 8u * i, 8); // long gap
-    rec.store(0x1008, 8); // same line again, much later
-    rec.end();
-    rec.beginInvocation(b);
-    rec.load(0x1000, 8);
-    rec.end();
-    Program p = rec.take();
-    ForwardPlan plan = planForwarding(p);
-    ASSERT_TRUE(plan.count(0));
-    EXPECT_FALSE(plan.at(0).at(0x1000).earlyOk);
 }
 
 } // namespace
