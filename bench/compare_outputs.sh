@@ -13,8 +13,9 @@
 #     {the 5 static kinds, auto} x {small, --paper};
 #   - ablation_auto_mode --no-cache stdout at --small and at paper
 #     scale.
-# Prints "N/N identical" and exits 0, or names the first file that
-# differs (with the head of its diff) and exits 1.
+# Compares every file: names each one that differs, with the head of
+# its diff, on stderr. Prints "M/N identical" and, when any file
+# differs, "K/N differ" and exits 1.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -86,16 +87,21 @@ run "$OTHER" other
 run "$ROOT" this
 
 n=0
+k=0
 for f in $(cd "$TMP/other" && ls); do
+    n=$((n + 1))
     if ! cmp -s "$TMP/other/$f" "$TMP/this/$f"; then
+        k=$((k + 1))
         echo "compare_outputs.sh: $f differs ($OTHER vs $ROOT):" >&2
         diff "$TMP/other/$f" "$TMP/this/$f" | head -n 20 >&2 || true
-        exit 1
     fi
-    n=$((n + 1))
 done
 if [ "$(cd "$TMP/this" && ls | wc -l)" -ne "$n" ]; then
     echo "compare_outputs.sh: the two sides wrote different files" >&2
     exit 1
 fi
-echo "$n/$n identical"
+echo "$((n - k))/$n identical"
+if [ "$k" -ne 0 ]; then
+    echo "$k/$n differ"
+    exit 1
+fi

@@ -52,7 +52,8 @@ nextState(std::uint64_t x)
  * @p ops events total. Returns seconds of wall clock.
  *
  * Each chain's closure captures this-pointer, its xorshift state
- * and 32 bytes of payload (~48 bytes total), inline in InlineEvent.
+ * and 32 bytes of payload (~48 bytes total), inline in the queue's
+ * EventFn (sim::SmallFn<void()>).
  */
 struct ChurnBench
 {

@@ -11,7 +11,7 @@ namespace fusion::accel
 
 FusionTile::FusionTile(SimContext &ctx, const TileParams &p,
                        host::Llc &llc, const vm::PageTable &pt)
-    : _ctx(ctx), _p(p)
+    : _p(p)
 {
     fusion_assert(p.numAccels > 0, "tile needs accelerators");
 

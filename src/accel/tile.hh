@@ -61,7 +61,6 @@ class FusionTile
     void drainAll();
 
   private:
-    SimContext &_ctx;
     TileParams _p;
     std::unique_ptr<interconnect::Link> _tileLink;
     std::unique_ptr<interconnect::Link> _llcLink;

@@ -200,15 +200,6 @@ class SharedFrontend final : public TileFrontend
         core.run(inv, meta.mlp, *_port, std::move(done));
     }
 
-    FrontendCounters
-    counters() const override
-    {
-        FrontendCounters c;
-        c.l1xHits = _l1x->hits();
-        c.l1xMisses = _l1x->misses();
-        return c;
-    }
-
     void
     collect(core::RunResult &r) const override
     {
@@ -313,21 +304,6 @@ class MesiFrontend final : public TileFrontend
                  std::move(done));
     }
 
-    FrontendCounters
-    counters() const override
-    {
-        FrontendCounters c;
-        for (std::uint32_t a = 0; a < _tile->numAccels(); ++a) {
-            const L0xMesi &l0 =
-                _tile->l0x(static_cast<AccelId>(a));
-            c.l0xHits += l0.hits();
-            c.l0xMisses += l0.misses();
-        }
-        c.l1xHits = _tile->l1x().hits();
-        c.l1xMisses = _tile->l1x().misses();
-        return c;
-    }
-
     void
     collect(core::RunResult &r) const override
     {
@@ -358,7 +334,8 @@ class MesiFrontend final : public TileFrontend
 class FusionFrontend final : public TileFrontend
 {
   public:
-    FusionFrontend(core::SystemKind kind, const FrontendEnv &e)
+    FusionFrontend(core::SystemKind kind, const FrontendEnv &e,
+                   const trace::ForwardPlan *plan)
         : TileFrontend(kind), _prog(e.prog), _llc(e.llc)
     {
         std::uint32_t num_tiles =
@@ -396,8 +373,12 @@ class FusionFrontend final : public TileFrontend
                 _localId[a] = static_cast<AccelId>(a - lo);
             }
         }
-        if (kind == core::SystemKind::FusionDx)
-            resolveForwardPlan();
+        if (kind == core::SystemKind::FusionDx) {
+            if (plan)
+                resolveForwardPlan(*plan);
+            else
+                resolveForwardPlan(trace::planForwarding(_prog));
+        }
         // Lease lengths are per accelerated function; prime each
         // L0X with its function's LT so Dx pushes landing before
         // the consumer's first invocation carry the right lease.
@@ -494,15 +475,15 @@ class FusionFrontend final : public TileFrontend
     }
 
     /**
-     * Resolve the trace's forward plan into one line -> consumer L0X
-     * map per invocation. Only consumers on the producer's own tile
-     * can receive pushes (the L0X-L0X link is intra-tile).
+     * Resolve @p plan into one line -> consumer L0X map per
+     * invocation. Only consumers on the producer's own tile can
+     * receive pushes (the L0X-L0X link is intra-tile).
      */
     void
-    resolveForwardPlan()
+    resolveForwardPlan(const trace::ForwardPlan &plan)
     {
         _fwdTargets.resize(_prog.invocations.size());
-        for (const auto &[idx, lines] : trace::planForwarding(_prog)) {
+        for (const auto &[idx, lines] : plan) {
             AccelId producer =
                 _prog.functions[static_cast<std::size_t>(
                                     _prog.invocations[idx].func)]
@@ -529,7 +510,8 @@ class FusionFrontend final : public TileFrontend
 } // namespace
 
 std::unique_ptr<TileFrontend>
-makeTileFrontend(core::SystemKind kind, const FrontendEnv &env)
+makeTileFrontend(core::SystemKind kind, const FrontendEnv &env,
+                 const trace::ForwardPlan *plan)
 {
     switch (kind) {
       case core::SystemKind::Scratch:
@@ -540,7 +522,7 @@ makeTileFrontend(core::SystemKind kind, const FrontendEnv &env)
         return std::make_unique<MesiFrontend>(env);
       case core::SystemKind::Fusion:
       case core::SystemKind::FusionDx:
-        return std::make_unique<FusionFrontend>(kind, env);
+        return std::make_unique<FusionFrontend>(kind, env, plan);
       case core::SystemKind::Auto:
         break;
     }

@@ -12,15 +12,16 @@
  * its organization's components, launches invocations on it, and
  * reports its counters — System holds frontends, not organizations.
  *
- * Under a static SystemKind exactly one frontend exists and the
- * construction order matches the pre-refactor wiring, so stats,
- * energy components, guard registrations and event timing — and
- * therefore the serialized RunResult — are byte-identical to the
- * old switch-based System (tests/test_frontend_equivalence.cc pins
- * this against golden hashes). Under SystemKind::Auto every static
- * frontend is constructed and the orchestrator activates one per
- * invocation; same-named stats/energy entries from different
- * frontends deliberately merge into aggregate counters.
+ * A System holds exactly one frontend. For a static SystemKind it is
+ * that kind's organization, and the construction order matches the
+ * pre-refactor wiring, so stats, energy components, guard
+ * registrations and event timing — and therefore the serialized
+ * RunResult — are byte-identical to the old switch-based System
+ * (tests/test_frontend_equivalence.cc pins this against golden
+ * hashes). For SystemKind::Auto it is orch::Orchestrator, itself a
+ * frontend, which builds the SCRATCH, FUSION and FUSION-Dx frontends
+ * and activates one per invocation; the same-named stats entries of
+ * its two FUSION tiles merge into aggregate counters.
  */
 
 #ifndef FUSION_ACCEL_TILE_FRONTEND_HH
@@ -35,6 +36,7 @@
 #include "core/system_config.hh"
 #include "host/llc.hh"
 #include "sim/small_fn.hh"
+#include "trace/analysis.hh"
 #include "trace/trace.hh"
 #include "vm/page_table.hh"
 
@@ -54,7 +56,7 @@ struct FrontendEnv
 };
 
 /**
- * Cache counter snapshot the orchestrator differences across an
+ * Cache counter snapshot AUTO's orchestrator differences across an
  * invocation (its L0X miss-rate estimate).
  */
 struct FrontendCounters
@@ -99,14 +101,15 @@ class TileFrontend
      */
     virtual void deactivate() {}
 
-    /** Current counter totals (monotonic; snapshot + difference).
-     *  Zero for an organization without caches (SCRATCH). */
+    /** Current counter totals (monotonic; snapshot + difference),
+     *  read only by AUTO. Zero for an organization without caches
+     *  (SCRATCH). */
     virtual FrontendCounters counters() const { return {}; }
 
     /**
      * Accumulate this organization's counters into @p r. Additive
-     * on purpose: under AUTO every constructed frontend reports
-     * into the same RunResult.
+     * on purpose: under AUTO each of the orchestrator's frontends
+     * reports into the same RunResult.
      */
     virtual void collect(core::RunResult &r) const = 0;
 
@@ -122,10 +125,13 @@ class TileFrontend
 
 /**
  * Construct the frontend for one *static* @p kind (panics on
- * SystemKind::Auto — the orchestrator composes static frontends).
+ * SystemKind::Auto, whose frontend is orch::Orchestrator).
+ * FUSION-Dx forwards along @p plan when one is given (AUTO passes
+ * the plan its rule reads), else along trace::planForwarding.
  */
 std::unique_ptr<TileFrontend>
-makeTileFrontend(core::SystemKind kind, const FrontendEnv &env);
+makeTileFrontend(core::SystemKind kind, const FrontendEnv &env,
+                 const trace::ForwardPlan *plan = nullptr);
 
 } // namespace fusion::accel
 

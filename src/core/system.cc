@@ -5,7 +5,6 @@
 
 #include "orchestrator/orchestrator.hh"
 #include "sim/guard/watchdog.hh"
-#include "sim/logging.hh"
 
 namespace fusion::core
 {
@@ -101,66 +100,21 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
             _ctx, ap, static_cast<AccelId>(a)));
     }
 
-    // Accelerator-side organization(s). A static kind constructs
+    // Accelerator-side organization: a static kind constructs
     // exactly one frontend here — the same components, in the same
     // order, the old per-kind wiring built, so the serialized
-    // output is byte-identical across the refactor. AUTO constructs
-    // every static frontend (same-named stats/energy entries merge
-    // into aggregates) plus the orchestrator that picks one per
-    // invocation.
+    // output is byte-identical across the refactor. AUTO's frontend
+    // is the orchestrator, which builds the organizations it picks
+    // between.
     accel::FrontendEnv env{_ctx, _cfg, _prog, *_llc, _pt,
                            num_accels};
-    if (cfg.kind == SystemKind::Auto) {
-        for (SystemKind k : kStaticSystemKinds)
-            _frontends.push_back(accel::makeTileFrontend(k, env));
-        _orch = std::make_unique<orch::Orchestrator>(_ctx, _cfg,
-                                                     _prog);
-        // AUTO invariant: one invocation in flight at most, and
-        // never without an active frontend (single active frontend
-        // per invocation).
-        _ctx.guard.registerInvariant(
-            "orchestrator",
-            [this](const guard::InvariantContext &,
-                   std::vector<std::string> &out) {
-                if (_invInFlight > 1) {
-                    out.push_back(
-                        "AUTO mode must run serially; " +
-                        std::to_string(_invInFlight) +
-                        " invocations in flight");
-                }
-                if (_invInFlight == 1 && _active == nullptr) {
-                    out.push_back("invocation in flight with no "
-                                  "active frontend");
-                }
-            });
-    } else {
-        _frontends.push_back(
-            accel::makeTileFrontend(cfg.kind, env));
-        _active = _frontends.front().get();
-    }
+    if (cfg.kind == SystemKind::Auto)
+        _frontend = std::make_unique<orch::Orchestrator>(env);
+    else
+        _frontend = accel::makeTileFrontend(cfg.kind, env);
 }
 
 System::~System() = default;
-
-accel::TileFrontend *
-System::frontendFor(SystemKind kind)
-{
-    for (auto &f : _frontends) {
-        if (f->kind() == kind)
-            return f.get();
-    }
-    return nullptr;
-}
-
-std::vector<std::unique_ptr<accel::FusionTile>> *
-System::fusionTiles()
-{
-    for (auto &f : _frontends) {
-        if (auto *ts = f->fusionTiles())
-            return ts;
-    }
-    return nullptr;
-}
 
 RunResult
 System::run()
@@ -178,12 +132,10 @@ System::run()
         _hostCore->run(_prog.hostInit, _prog.pid, [this, &finish_tick] {
             _accelStart = _ctx.now();
             auto run_all = [this](sim::SmallFn<void()> then) {
-                // AUTO runs serially (the orchestrator's decisions
-                // are per-invocation and the switch flush is a
-                // barrier); static frontends opt in or out of
-                // overlap (SCRATCH's one DMA engine serializes).
-                if (_cfg.overlapInvocations && !_orch &&
-                    _active->supportsOverlap()) {
+                // Frontends opt in or out of overlap (SCRATCH's one
+                // DMA engine and AUTO's switch flush serialize).
+                if (_cfg.overlapInvocations &&
+                    _frontend->supportsOverlap()) {
                     runOverlapped(std::move(then));
                 } else {
                     runInvocation(0, std::move(then));
@@ -295,48 +247,9 @@ System::launchInvocation(std::size_t idx,
         if (_invCycles.size() < _prog.invocations.size())
             _invCycles.resize(_prog.invocations.size(), 0);
         _invCycles[idx] = _ctx.now() - t0;
-        if (_orch)
-            _orch->afterInvocation(idx, _active->counters());
-        --_invInFlight;
         cb();
     };
-
-    auto do_launch = [this, idx, &core,
-                      completion =
-                          std::move(completion)]() mutable {
-        ++_invInFlight;
-        if (_orch)
-            _orch->beforeLaunch(_active->counters());
-        _active->launch(idx, core, std::move(completion));
-    };
-
-    if (!_orch) {
-        do_launch();
-        return;
-    }
-
-    // AUTO: ask the orchestrator which organization runs this
-    // invocation; pay the modeled flush cost when it differs from
-    // the active one.
-    SystemKind want = _orch->decide(idx);
-    accel::TileFrontend *next = frontendFor(want);
-    fusion_assert(next != nullptr, "no frontend for decided mode ",
-                  systemKindName(want));
-    if (_active == next) {
-        do_launch();
-        return;
-    }
-    if (_active == nullptr) {
-        // First invocation: adopting the initial mode is free.
-        _active = next;
-        do_launch();
-        return;
-    }
-    SystemKind from = _active->kind();
-    _active->deactivate();
-    _active = next;
-    _orch->transition(from, want, _orch->flushLinesBefore(idx),
-                      std::move(do_launch));
+    _frontend->launch(idx, core, std::move(completion));
 }
 
 void
@@ -402,8 +315,8 @@ System::collect(RunResult &r) const
     r.energyPj = _ctx.energy.components();
     r.workingSetBytes = trace::footprintLines(_prog) * kLineBytes;
 
-    // Summed over every link bound under the path (AUTO: one per
-    // frontend); 0 when the organization has no such link.
+    // Summed over every link bound under the path (AUTO: FUSION's
+    // and FUSION-Dx's); 0 when the organization has no such link.
     auto link_count = [this](const std::string &path) {
         return _ctx.stats.has(path) ? _ctx.stats.value(path) : 0;
     };
@@ -418,17 +331,11 @@ System::collect(RunResult &r) const
                       link_count("links.dma.data_msgs");
     r.l0xL0xDataMsgs = link_count("links.l0x_l0x.data_msgs");
 
-    // Per-organization counters come from the frontends. Additive:
-    // under AUTO every constructed frontend reports into the same
-    // result (the RunResult fields all start at zero, so a single
-    // static frontend reproduces the old per-kind blocks exactly).
-    for (const auto &f : _frontends)
-        f->collect(r);
-
-    if (_orch) {
-        r.modeSwitches = _orch->switches();
-        r.modeInvocations = _orch->modeInvocations();
-    }
+    // Per-organization counters come from the frontend (the
+    // RunResult fields all start at zero, so a static frontend
+    // reproduces the old per-kind blocks exactly; AUTO's adds its
+    // children's and the mode block).
+    _frontend->collect(r);
 
     r.funcEnergyPj = _funcEnergyPj;
 

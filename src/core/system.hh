@@ -5,8 +5,9 @@
  * SystemConfig selects, held behind the uniform TileFrontend
  * interface — scratchpads + oracle DMA, a shared MESI L1X, the
  * FUSION tile (L0Xs + ACC L1X, optionally with Dx forwarding), the
- * FUSION-MESI directory tile, or (SystemKind::Auto) all of them
- * with the orchestrator picking one per invocation.
+ * FUSION-MESI directory tile, or (SystemKind::Auto) the
+ * orchestrator, which builds SCRATCH, FUSION and FUSION-Dx and
+ * picks one per invocation.
  *
  * System::run() executes a whole captured Program: the host writes
  * the inputs, the accelerated invocations run in program order
@@ -34,11 +35,6 @@
 #include "trace/trace.hh"
 #include "vm/page_table.hh"
 
-namespace fusion::orch
-{
-class Orchestrator;
-}
-
 namespace fusion::core
 {
 
@@ -58,26 +54,15 @@ class System
     /** Simulation services (tests poke at stats/energy). */
     SimContext &ctx() { return _ctx; }
     const SystemConfig &config() const { return _cfg; }
-    /** The first FUSION tile (null for SCRATCH/SHARED/MESI). */
-    accel::FusionTile *tile()
-    {
-        auto *ts = fusionTiles();
-        return ts && !ts->empty() ? ts->front().get() : nullptr;
-    }
-    /** All FUSION tiles (empty for organizations without one). */
+    /** The FUSION tiles of a static FUSION or FUSION-Dx system
+     *  (empty for every other kind). */
     std::vector<std::unique_ptr<accel::FusionTile>> &tiles()
     {
-        auto *ts = fusionTiles();
+        auto *ts = _frontend->fusionTiles();
         return ts ? *ts : _noTiles;
     }
     host::Llc &llc() { return *_llc; }
     vm::PageTable &pageTable() { return _pt; }
-
-    /** The frontend currently running invocations (AUTO: changes
-     *  over the run; null until the first invocation launches). */
-    accel::TileFrontend *activeFrontend() { return _active; }
-    /** The AUTO-mode orchestrator (null for static kinds). */
-    orch::Orchestrator *orchestrator() { return _orch.get(); }
 
   private:
     void runInvocation(std::size_t idx, sim::SmallFn<void()> then);
@@ -89,11 +74,6 @@ class System
     /** Self-rescheduling interval-metrics sampler (telemetry). */
     void scheduleSample(Tick interval);
     void collect(RunResult &r) const;
-
-    /** Frontend registered for @p kind (null when absent). */
-    accel::TileFrontend *frontendFor(SystemKind kind);
-    /** The FUSION tile vector of whichever frontend has one. */
-    std::vector<std::unique_ptr<accel::FusionTile>> *fusionTiles();
 
     SystemConfig _cfg;
     const trace::Program &_prog;
@@ -112,17 +92,11 @@ class System
     // Accelerator cores (all organizations).
     std::vector<std::unique_ptr<accel::AccelCore>> _cores;
 
-    // Accelerator-side organizations behind the uniform frontend
-    // interface. Static kinds hold exactly one (constructed in the
-    // same order the old per-kind wiring was, for byte-identical
-    // output); AUTO holds every static frontend plus the
-    // orchestrator that picks between them.
-    std::vector<std::unique_ptr<accel::TileFrontend>> _frontends;
-    accel::TileFrontend *_active = nullptr;
-    std::unique_ptr<orch::Orchestrator> _orch;
-    /// Invocations launched and not yet completed (guard: AUTO must
-    /// run serially on a single active frontend).
-    std::size_t _invInFlight = 0;
+    // The accelerator side behind the uniform frontend interface:
+    // the static kind's organization (constructed in the same order
+    // the old per-kind wiring was, for byte-identical output), or
+    // AUTO's orchestrator.
+    std::unique_ptr<accel::TileFrontend> _frontend;
     /// Empty fallback so tiles() can return a reference.
     std::vector<std::unique_ptr<accel::FusionTile>> _noTiles;
 

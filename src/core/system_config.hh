@@ -34,8 +34,8 @@ enum class SystemKind
                 ///< MESI protocol inside the tile (the design ACC
                 ///< is argued against; see docs/PROTOCOL.md)
     Auto        ///< per-invocation mode selection by the
-                ///< orchestrator (src/orchestrator/): every static
-                ///< organization is instantiated and a threshold
+                ///< orchestrator (src/orchestrator/): it builds
+                ///< SCRATCH, FUSION and FUSION-Dx, and a threshold
                 ///< rule picks one per invocation, paying a
                 ///< modeled flush/DMA cost on each switch
 };

@@ -15,7 +15,7 @@ using mem::MesiState;
 
 HostL1::HostL1(SimContext &ctx, const HostL1Params &p, Llc &llc,
                interconnect::Link *llc_link)
-    : _ctx(ctx), _name(p.name), _llc(llc), _link(llc_link),
+    : _ctx(ctx), _name(p.name), _llc(llc),
       _tags(mem::CacheGeometry{p.capacityBytes, p.assoc, kLineBytes}),
       _banks(p.banks, 1),
       _energyComponent(ctx.energy.component(

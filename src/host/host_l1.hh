@@ -89,7 +89,6 @@ class HostL1 : public coherence::CoherentAgent
     SimContext &_ctx;
     std::string _name;
     Llc &_llc;
-    interconnect::Link *_link;
     mem::CacheArray _tags;
     mem::BankScheduler _banks;
     mem::MshrFile _mshrs;

@@ -16,6 +16,8 @@ namespace
 
 struct Parser
 {
+    explicit Parser(std::string_view t) : text(t) {}
+
     std::string_view text;
     std::size_t pos = 0;
     std::string reason;
@@ -220,7 +222,7 @@ struct Parser
 bool
 jsonParses(std::string_view text, std::string *err)
 {
-    Parser p{text};
+    Parser p(text);
     if (!p.value()) {
         if (err)
             *err = p.reason;

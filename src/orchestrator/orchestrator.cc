@@ -1,5 +1,6 @@
 #include "orchestrator/orchestrator.hh"
 
+#include "sim/logging.hh"
 #include "trace/analysis.hh"
 
 namespace fusion::orch
@@ -38,20 +39,24 @@ chooseMode(double fwd_fraction, std::uint64_t footprint_lines,
     return core::SystemKind::Fusion;
 }
 
-Orchestrator::Orchestrator(SimContext &ctx,
-                           const core::SystemConfig &cfg,
-                           const trace::Program &prog)
-    : _ctx(ctx), _prog(prog), _l1xBytes(cfg.l1xBytes)
+Orchestrator::Orchestrator(const accel::FrontendEnv &env)
+    : accel::TileFrontend(core::SystemKind::Auto), _ctx(env.ctx),
+      _prog(env.prog), _l1xBytes(env.cfg.l1xBytes)
 {
-    // Trace-derived per-invocation characteristics. The forwarding
-    // fraction comes from the same producer->consumer analysis
-    // FUSION-Dx plans with, so the rule sees exactly the signal
-    // the Dx hardware would exploit.
-    _invFootprint.reserve(prog.invocations.size());
-    for (const auto &inv : prog.invocations)
+    // The forwarding fraction comes from the same producer->consumer
+    // plan FUSION-Dx forwards along, so the rule sees exactly the
+    // signal the Dx hardware would exploit.
+    const trace::ForwardPlan plan = trace::planForwarding(_prog);
+    for (core::SystemKind k :
+         {core::SystemKind::Scratch, core::SystemKind::Fusion,
+          core::SystemKind::FusionDx})
+        _children.push_back(accel::makeTileFrontend(k, env, &plan));
+
+    // Trace-derived per-invocation characteristics.
+    _invFootprint.reserve(_prog.invocations.size());
+    for (const auto &inv : _prog.invocations)
         _invFootprint.push_back(trace::footprintLines(inv.ops));
-    _invForwardFraction.assign(prog.invocations.size(), 0.0);
-    trace::ForwardPlan plan = trace::planForwarding(prog);
+    _invForwardFraction.assign(_prog.invocations.size(), 0.0);
     for (const auto &[idx, lines] : plan) {
         if (idx < _invForwardFraction.size() &&
             _invFootprint[idx] > 0) {
@@ -60,22 +65,85 @@ Orchestrator::Orchestrator(SimContext &ctx,
                 static_cast<double>(_invFootprint[idx]);
         }
     }
-    _funcEst.resize(prog.functions.size());
+    _funcEst.resize(_prog.functions.size());
 
-    ctx.stats.counters("orchestrator", {{"decisions", _decisions},
-                                        {"switches", _switches},
-                                        {"flush_lines", _flushLines}});
-    _ecFlush = ctx.energy.component("orch.flush");
+    _ctx.stats.counters("orchestrator", {{"decisions", _decisions},
+                                         {"switches", _switches},
+                                         {"flush_lines", _flushLines}});
+    _ecFlush = _ctx.energy.component("orch.flush");
 
-    _tracer = ctx.obs.tracer();
+    _tracer = _ctx.obs.tracer();
     if (_tracer)
         _track = _tracer->registerTrack("orchestrator");
-    ctx.obs.registerGauge("orch.mode", [this] {
+    _ctx.obs.registerGauge("orch.mode", [this] {
         return _haveMode ? static_cast<double>(_mode) : -1.0;
     });
-    ctx.obs.registerCounter("orch.switches", [this] {
+    _ctx.obs.registerCounter("orch.switches", [this] {
         return static_cast<double>(_switches);
     });
+    // One invocation in flight at most, and never without an active
+    // child (single active frontend per invocation).
+    _ctx.guard.registerInvariant(
+        "orchestrator", [this](const guard::InvariantContext &,
+                               std::vector<std::string> &out) {
+            if (_inFlight > 1) {
+                out.push_back("AUTO mode must run serially; " +
+                              std::to_string(_inFlight) +
+                              " invocations in flight");
+            }
+            if (_inFlight == 1 && _active == nullptr) {
+                out.push_back("invocation in flight with no "
+                              "active frontend");
+            }
+        });
+}
+
+accel::TileFrontend &
+Orchestrator::child(core::SystemKind kind)
+{
+    for (auto &c : _children) {
+        if (c->kind() == kind)
+            return *c;
+    }
+    fusion_panic("orchestrator: no frontend for decided mode ",
+                 core::systemKindName(kind));
+}
+
+void
+Orchestrator::launch(std::size_t idx, accel::AccelCore &core,
+                     sim::SmallFn<void()> done)
+{
+    accel::TileFrontend &next = child(decide(idx));
+    auto run = [this, idx, &core, done = std::move(done)]() mutable {
+        ++_inFlight;
+        _snap = _active->counters();
+        _active->launch(idx, core,
+                        [this, idx, done = std::move(done)]() mutable {
+                            retire(idx);
+                            --_inFlight;
+                            done();
+                        });
+    };
+    // Adopting the first mode is free; a change of mode deactivates
+    // the outgoing child and pays the modeled flush before launch.
+    if (_active == nullptr || _active == &next) {
+        _active = &next;
+        run();
+        return;
+    }
+    core::SystemKind from = _active->kind();
+    _active->deactivate();
+    _active = &next;
+    transition(from, next.kind(), flushLinesBefore(idx), std::move(run));
+}
+
+void
+Orchestrator::collect(core::RunResult &r) const
+{
+    for (const auto &c : _children)
+        c->collect(r);
+    r.modeSwitches = _switches;
+    r.modeInvocations = _modeInvocations;
 }
 
 core::SystemKind
@@ -133,9 +201,9 @@ Orchestrator::transition(core::SystemKind from, core::SystemKind to,
 }
 
 void
-Orchestrator::afterInvocation(std::size_t idx,
-                              const accel::FrontendCounters &now)
+Orchestrator::retire(std::size_t idx)
 {
+    const accel::FrontendCounters now = _active->counters();
     FuncEstimate &est = _funcEst[static_cast<std::size_t>(
         _prog.invocations[idx].func)];
     std::uint64_t l0h = now.l0xHits - _snap.l0xHits;

@@ -1,30 +1,35 @@
 /**
  * @file
- * The AUTO-mode orchestrator: picks a coherence mode per accelerator
- * invocation and models the cost of changing modes.
+ * The AUTO-mode orchestrator: AUTO's TileFrontend. It picks a
+ * coherence mode per accelerator invocation and models the cost of
+ * changing modes.
  *
- * core::System (kind == SystemKind::Auto) constructs every static
- * TileFrontend plus one Orchestrator. Before each invocation it asks
- * decide() which mode to run under; when the answer differs from the
- * active frontend, the orchestrator models the transition — a
+ * core::System (kind == SystemKind::Auto) holds one Orchestrator as
+ * its frontend. The orchestrator builds the three organizations its
+ * rule can pick (SCRATCH, FUSION and FUSION-Dx, in that order,
+ * through accel::makeTileFrontend) and owns everything AUTO does.
+ * launch() asks decide() which mode runs the invocation; when the
+ * answer differs from the active child, the outgoing child is
+ * deactivated and the orchestrator models the transition — a
  * flush/DMA event of fixed + per-flushed-line cycles with per-line
  * energy booked to the "orch.flush" component — so switches are not
- * free, emits exactly one ModeSwitch span, and only then does the
- * invocation launch on the new frontend.
+ * free, emits exactly one ModeSwitch span, and only then launches
+ * the invocation on the new child.
  *
  * decide() runs one threshold rule (chooseMode) over the
  * trace-derived per-invocation working set and producer->consumer
  * forwarding fraction (both precomputed at construction, the
  * fraction smoothed by an EWMA across decisions) and an online
  * per-function L0X miss-rate EWMA maintained from FrontendCounters
- * deltas across retired invocations. A dwell of kMinDwell
- * invocations damps thrashing.
+ * deltas around each child launch. A dwell of kMinDwell invocations
+ * damps thrashing.
  */
 
 #ifndef FUSION_ORCHESTRATOR_ORCHESTRATOR_HH
 #define FUSION_ORCHESTRATOR_ORCHESTRATOR_HH
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,8 +64,8 @@ inline constexpr double kScratchL0xMissRate = 0.5;
  * the L1X while missing heavily in the L0X go to SCRATCH (oracle
  * DMA beats caching when nothing is reused); everything else runs
  * FUSION, which Table 3 / Figure 6 show dominant across the suite.
- * SHARED and FUSION-MESI are never picked: the paper's result is
- * that they are dominated design points.
+ * SHARED and FUSION-MESI are never picked (the paper's result is
+ * that they are dominated design points), so AUTO never builds them.
  *
  * @param fwd_fraction smoothed forward fraction of the invocation
  * @param footprint_lines unique lines the invocation touches
@@ -72,11 +77,24 @@ core::SystemKind chooseMode(double fwd_fraction,
                             double l0x_miss_rate,
                             std::uint64_t l1x_bytes);
 
-class Orchestrator
+class Orchestrator final : public accel::TileFrontend
 {
   public:
-    Orchestrator(SimContext &ctx, const core::SystemConfig &cfg,
-                 const trace::Program &prog);
+    /** Build SCRATCH, FUSION and FUSION-Dx from @p env; the trace's
+     *  forward plan is computed once, for the rule and FUSION-Dx. */
+    explicit Orchestrator(const accel::FrontendEnv &env);
+
+    /** Decide, switch if the mode moved, then run invocation @p idx
+     *  on the chosen child. */
+    void launch(std::size_t idx, accel::AccelCore &core,
+                sim::SmallFn<void()> done) override;
+
+    /** AUTO runs serially: decisions are per invocation and the
+     *  switch flush is a barrier. */
+    bool supportsOverlap() const override { return false; }
+
+    /** Every child's counters, then the mode switches and mix. */
+    void collect(core::RunResult &r) const override;
 
     /** Mode to run invocation @p idx under (rule + dwell). */
     core::SystemKind decide(std::size_t idx);
@@ -91,34 +109,31 @@ class Orchestrator
                     std::uint64_t flush_lines,
                     sim::SmallFn<void()> done);
 
-    /** Counter snapshot taken just before an invocation runs. */
-    void beforeLaunch(const accel::FrontendCounters &snap)
-    {
-        _snap = snap;
-    }
+    std::uint64_t switches() const { return _switches; }
+
+  private:
+    /** The child that implements @p kind. */
+    accel::TileFrontend &child(core::SystemKind kind);
 
     /** Invocation @p idx retired under the current mode: update its
      *  function's L0X miss-rate estimate and the mode mix. */
-    void afterInvocation(std::size_t idx,
-                         const accel::FrontendCounters &now);
+    void retire(std::size_t idx);
 
     /** Flush-cost proxy for switching away before invocation
      *  @p idx: the previous invocation's working set (the lines the
      *  outgoing organization plausibly holds). */
     std::uint64_t flushLinesBefore(std::size_t idx) const;
 
-    std::uint64_t switches() const { return _switches; }
-    /** Invocation counts per mode short name (RunResult). */
-    const std::map<std::string, std::uint64_t> &
-    modeInvocations() const
-    {
-        return _modeInvocations;
-    }
-
-  private:
     SimContext &_ctx;
     const trace::Program &_prog;
     std::uint64_t _l1xBytes;
+
+    /// SCRATCH, FUSION, FUSION-Dx: the modes chooseMode returns.
+    std::vector<std::unique_ptr<accel::TileFrontend>> _children;
+    /// The child running invocations (null until the first launch).
+    accel::TileFrontend *_active = nullptr;
+    /// Launches not yet completed (guard: at most one).
+    std::size_t _inFlight = 0;
 
     // Trace-derived per-invocation characteristics (precomputed).
     std::vector<std::uint64_t> _invFootprint;
@@ -140,6 +155,7 @@ class Orchestrator
     core::SystemKind _mode = core::SystemKind::Fusion;
     std::uint32_t _dwell = 0;
     std::map<std::string, std::uint64_t> _modeInvocations;
+    /// Active child's counters when the running invocation launched.
     accel::FrontendCounters _snap;
 
     // Counters, bound into ctx.stats under "orchestrator.<stat>".

@@ -48,15 +48,15 @@
 #include <new>
 #include <vector>
 
-#include "sim/inline_event.hh"
 #include "sim/logging.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace fusion
 {
 
 /** Callback type for scheduled events (allocation-free closure). */
-using EventFn = InlineEvent;
+using EventFn = sim::SmallFn<void()>;
 
 /**
  * Standard event priorities. Lower values fire first within a tick.

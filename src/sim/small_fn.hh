@@ -11,9 +11,9 @@
  * hot path of every cache transaction (lease grants, MSHR targets,
  * forwarded-request completions, DMA line callbacks).
  *
- * SmallFn<R(Args...)> generalizes PR 3's InlineEvent (the event
- * queue's void() closure box) to arbitrary signatures: kInlineBytes
- * of in-object storage sized for the simulator's common capture sets
+ * SmallFn<R(Args...)> is the simulator's one closure type, for
+ * every signature (the event queue's EventFn is SmallFn<void()>):
+ * kInlineBytes of in-object storage sized for the common capture sets
  * (component pointer + address + flags + a moved-in continuation).
  * Closures that fit are constructed directly in the buffer and never
  * touch the allocator. Oversized closures fall back to a per-thread

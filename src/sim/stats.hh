@@ -142,10 +142,10 @@ class Histogram
  * std::uint64_t members incremented once per event; the registry
  * only records where each one lives, bound once at construction
  * under a dotted path ("axc0.l0x.evictions"). Several entries may
- * share a path — AUTO builds one frontend per organization, all
- * naming their L1X "l1x" — and every report-time reader sees their
- * sum, while each component's own accessors keep reading its own
- * member. Nothing is created on a bump, so the path set is fixed
+ * share a path — AUTO builds FUSION and FUSION-Dx, both naming their
+ * L1X "l1x", and the LLC binds each agent's forward count under
+ * "llc.fwds" — and every report-time reader sees their sum, while
+ * each component's own accessors keep reading its own member. Nothing is created on a bump, so the path set is fixed
  * once construction ends.
  *
  * Entries point into their components: read the registry only while
@@ -179,7 +179,8 @@ class Registry
 
     /**
      * The histogram at @p path: created with this shape on the first
-     * request and shared by every later one (AUTO merges samples).
+     * request and shared by every later one (AUTO merges FUSION's and
+     * FUSION-Dx's samples).
      */
     Histogram &
     histogram(const std::string &path, double lo, double hi,

@@ -14,6 +14,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/guard/sim_error.hh"
+#include "sim/small_fn.hh"
 
 namespace fusion
 {
@@ -420,11 +421,13 @@ TEST(EventQueue, RandomizedOrderMatchesReferenceStableSort)
     }
 }
 
+// The queue's closure type (EventFn, sim::SmallFn<void()>) at event
+// payload sizes; SmallFn.MoveTransfersClosure covers its moves.
 TEST(InlineEvent, SmallCallablesAreStoredInline)
 {
     std::array<std::uint64_t, 4> payload{1, 2, 3, 4}; // 32 bytes
     int hits = 0;
-    InlineEvent ev([&hits, payload] { hits += payload[3]; });
+    sim::SmallFn<void()> ev([&hits, payload] { hits += payload[3]; });
     EXPECT_TRUE(static_cast<bool>(ev));
     EXPECT_TRUE(ev.isInline());
     ev();
@@ -436,7 +439,7 @@ TEST(InlineEvent, OversizedCallablesFallBackToHeap)
     std::array<std::uint64_t, 16> payload{}; // 128 bytes > inline
     payload[15] = 9;
     int hits = 0;
-    InlineEvent ev([&hits, payload] {
+    sim::SmallFn<void()> ev([&hits, payload] {
         hits += static_cast<int>(payload[15]);
     });
     EXPECT_FALSE(ev.isInline());
@@ -444,30 +447,13 @@ TEST(InlineEvent, OversizedCallablesFallBackToHeap)
     EXPECT_EQ(hits, 9);
 }
 
-TEST(InlineEvent, MoveTransfersOwnership)
-{
-    int fired = 0;
-    InlineEvent a([&fired] { ++fired; });
-    InlineEvent b(std::move(a));
-    EXPECT_FALSE(static_cast<bool>(a));
-    EXPECT_TRUE(static_cast<bool>(b));
-    b();
-    EXPECT_EQ(fired, 1);
-
-    InlineEvent c;
-    c = std::move(b);
-    EXPECT_FALSE(static_cast<bool>(b));
-    c();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(InlineEvent, DestructorRunsForBothStorageKinds)
 {
     int live = 0;
     {
-        InlineEvent small{Probe(&live)};
+        sim::SmallFn<void()> small{Probe(&live)};
         std::array<char, 100> pad{};
-        InlineEvent big{[p = Probe(&live), pad] { (void)pad; }};
+        sim::SmallFn<void()> big{[p = Probe(&live), pad] { (void)pad; }};
         EXPECT_TRUE(small.isInline());
         EXPECT_FALSE(big.isInline());
         EXPECT_EQ(live, 2);

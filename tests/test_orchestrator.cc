@@ -32,6 +32,27 @@ autoConfig()
         core::SystemConfig::Preset::Paper, core::SystemKind::Auto);
 }
 
+/** The host side an Orchestrator's frontends attach to. */
+struct HostSide
+{
+    HostSide(SimContext &ctx, const core::SystemConfig &cfg)
+        : dram(ctx, cfg.dram), llc(ctx, cfg.llc, dram)
+    {
+    }
+
+    /** What core::System hands AUTO's frontend for @p p. */
+    accel::FrontendEnv
+    env(SimContext &ctx, const core::SystemConfig &cfg,
+        const trace::Program &p)
+    {
+        return {ctx, cfg, p, llc, pt, std::max(1u, p.accelCount())};
+    }
+
+    mem::Dram dram;
+    host::Llc llc;
+    vm::PageTable pt;
+};
+
 // ---------------------------------------------------------------
 // The threshold rule under synthetic inputs.
 // ---------------------------------------------------------------
@@ -81,7 +102,8 @@ TEST(Orchestrator, SwitchEmitsExactlyOneFlushTransition)
     oc.trace = true;
     ctx.obs.configure(oc);
 
-    Orchestrator orch(ctx, cfg, p);
+    HostSide host(ctx, cfg);
+    Orchestrator orch(host.env(ctx, cfg, p));
 
     const std::uint64_t flush_lines = 10;
     Tick fired_at = 0;
@@ -196,7 +218,8 @@ TEST(AutoMode, SwitchesOnceAfterTheDwell)
     core::SystemConfig cfg = autoConfig();
     {
         SimContext ctx;
-        Orchestrator orch(ctx, cfg, p);
+        HostSide host(ctx, cfg);
+        Orchestrator orch(host.env(ctx, cfg, p));
         const core::SystemKind want[] = {
             core::SystemKind::FusionDx, core::SystemKind::FusionDx,
             core::SystemKind::Fusion,   core::SystemKind::Fusion,

@@ -29,7 +29,10 @@ randomProgram(std::uint64_t seed)
     std::vector<FuncId> fids;
     for (int f = 0; f < nfunc; ++f) {
         trace::FunctionMeta m;
-        m.name = "f" + std::to_string(f);
+        // Appended rather than "f" + std::to_string(f), which GCC 12
+        // misreports as an overlapping memcpy (-Wrestrict) at -O2.
+        m.name = "f";
+        m.name += std::to_string(f);
         m.accel = static_cast<AccelId>(f);
         m.mlp = static_cast<std::uint32_t>(1 + rng.below(6));
         m.leaseTime = 100 + 100 * rng.below(16);

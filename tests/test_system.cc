@@ -69,13 +69,33 @@ TEST(SystemIntegration, StatsPathsAreFixedAtConstruction)
         RunResult r = sys.run();
         EXPECT_EQ(st.paths(), built);
         if (k == SystemKind::Auto) {
-            // Same-path entries sum over the four frontends' L1Xs,
-            // while each frontend reports only its own events.
+            // Same-path entries sum over FUSION's and FUSION-Dx's
+            // L1Xs, while each frontend reports only its own events.
             EXPECT_EQ(st.value("l1x.hits"), r.l1xHits);
-            EXPECT_EQ(st.value("l1x.misses") + st.value("l1x.upgrades"),
-                      r.l1xMisses);
+            EXPECT_EQ(st.value("l1x.misses"), r.l1xMisses);
         }
     }
+}
+
+/** AUTO builds only the organizations its rule can pick (SCRATCH,
+ *  FUSION, FUSION-Dx): no path that only SHARED or FUSION-MESI
+ *  registers exists in an AUTO system. */
+TEST(SystemIntegration, AutoBuildsOnlyTheModesItPicks)
+{
+    trace::Program p = smallProgram("fft");
+    auto preset = [](SystemKind k) {
+        return SystemConfig::preset(SystemConfig::Preset::Paper, k);
+    };
+    System shared(preset(SystemKind::Shared), p);
+    System mesi(preset(SystemKind::FusionMesi), p);
+    System autos(preset(SystemKind::Auto), p);
+    EXPECT_TRUE(shared.ctx().stats.has("l1x.upgrades"));
+    EXPECT_TRUE(mesi.ctx().stats.has("l1x.probes_sent"));
+    EXPECT_TRUE(mesi.ctx().stats.has("axc0.l0x.probes"));
+    for (const char *path :
+         {"l1x.upgrades", "l1x.probes_sent", "axc0.l0x.probes"})
+        EXPECT_FALSE(autos.ctx().stats.has(path)) << path;
+    EXPECT_TRUE(autos.ctx().stats.has("l1x.hits"));
 }
 
 TEST(SystemIntegration, DeterministicAcrossRuns)
