@@ -449,20 +449,11 @@ runSweep(const char *sweepName,
     if (!cacheDir.empty())
         cache = std::make_unique<sweep::ResultCache>(cacheDir);
     sweep::SweepCacheStats cstats;
-    // Cache probes become spans on a "result-cache" Perfetto process
-    // when both the cache and --trace-out are active.
-    std::shared_ptr<obs::SpanTracer> cacheSpans;
-    if (cache && !opt.traceOut.empty()) {
-        obs::ObsConfig oc;
-        oc.trace = true;
-        cacheSpans = std::make_shared<obs::SpanTracer>(oc);
-    }
 
     sweep::SweepOptions so;
     so.jobs = opt.jobs;
     so.cache = cache.get();
     so.cacheStats = cache ? &cstats : nullptr;
-    so.cacheSpans = cacheSpans.get();
     if (isatty(STDERR_FILENO)) {
         so.progress = [](const sweep::SweepProgress &p) {
             std::fprintf(stderr, "\r[%zu/%zu] %-32s", p.completed,
@@ -532,11 +523,6 @@ runSweep(const char *sweepName,
                 obs::TraceProcess{(*list)[i].tag, results[i].trace});
             if (results[i].trace)
                 spans += results[i].trace->retained();
-        }
-        if (cacheSpans && cacheSpans->retained() > 0) {
-            procs.push_back(
-                obs::TraceProcess{"result-cache", cacheSpans});
-            spans += cacheSpans->retained();
         }
         std::string err;
         if (!obs::writePerfettoFile(opt.traceOut, procs, &err))

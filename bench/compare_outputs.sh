@@ -12,7 +12,9 @@
 #   - example_simulate stdout and its --stats dump for 7 workloads x
 #     {the 5 static kinds, auto} x {small, --paper};
 #   - ablation_auto_mode --no-cache stdout at --small and at paper
-#     scale.
+#     scale;
+#   - table1_characteristics --no-cache stdout at --small and at
+#     paper scale (the one harness that runs core::hostProfile).
 # Compares every file: names each one that differs, with the head of
 # its diff, on stderr. Prints "M/N identical" and, when any file
 # differs, "K/N differ" and exits 1.
@@ -39,7 +41,7 @@ quiet() {
     fi
 }
 
-# build CHECKOUT: configure once, then build the two binaries.
+# build CHECKOUT: configure once, then build the three binaries.
 build() {
     dir="$1/.bench_build/compare"
     echo "compare_outputs.sh: building $1" >&2
@@ -47,7 +49,7 @@ build() {
         quiet cmake -S "$1" -B "$dir" -DCMAKE_BUILD_TYPE=Release
     fi
     quiet cmake --build "$dir" -j 4 --target example_simulate \
-        ablation_auto_mode
+        ablation_auto_mode table1_characteristics
 }
 
 # run CHECKOUT SIDE: every simulation, outputs under $TMP/SIDE. The
@@ -78,6 +80,10 @@ run() {
             --jobs 2 > auto_mode.small.out
         "$bin/bench/ablation_auto_mode" --no-cache --jobs 2 \
             > auto_mode.paper.out
+        "$bin/bench/table1_characteristics" --small --no-cache \
+            > table1.small.out
+        "$bin/bench/table1_characteristics" --no-cache \
+            > table1.paper.out
     )
 }
 

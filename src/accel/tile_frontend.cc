@@ -1,9 +1,8 @@
 /**
  * @file
- * The four TileFrontend implementations. Each constructor replays
- * the exact component wiring (and construction order) the old
- * switch-based core::System used for its kind, which is what keeps
- * static-kind output byte-identical across the refactor.
+ * The four TileFrontend implementations. Each constructor's
+ * component construction order fixes its kind's registration order,
+ * which the FrontendEquivalence goldens pin.
  */
 
 #include "accel/tile_frontend.hh"
@@ -67,7 +66,7 @@ class ScratchFrontend final : public TileFrontend
     }
 
     void
-    launch(std::size_t idx, AccelCore &core,
+    launch(std::size_t idx, ReplayCore &core,
            sim::SmallFn<void()> done) override
     {
         runWindows(idx, 0, core, std::move(done));
@@ -87,7 +86,7 @@ class ScratchFrontend final : public TileFrontend
   private:
     void
     runWindows(std::size_t inv_idx, std::size_t widx,
-               AccelCore &core, sim::SmallFn<void()> then)
+               ReplayCore &core, sim::SmallFn<void()> then)
     {
         const trace::Invocation &inv = _prog.invocations[inv_idx];
         const trace::FunctionMeta &meta =
@@ -120,7 +119,7 @@ class ScratchFrontend final : public TileFrontend
                                       w.dirtyLines.end());
                 port.setResidentLines(_residentLines);
                 core.run(
-                    inv, mlp, port, w.beginOp, w.endOp,
+                    inv.ops, w.beginOp, w.endOp, mlp, port,
                     [this, inv_idx, widx, &core, &w, &spm,
                      then = std::move(then)]() mutable {
                         Tick drain_start = _ctx.now();
@@ -191,13 +190,14 @@ class SharedFrontend final : public TileFrontend
     }
 
     void
-    launch(std::size_t idx, AccelCore &core,
+    launch(std::size_t idx, ReplayCore &core,
            sim::SmallFn<void()> done) override
     {
         const trace::Invocation &inv = _prog.invocations[idx];
         const trace::FunctionMeta &meta =
             _prog.functions[static_cast<std::size_t>(inv.func)];
-        core.run(inv, meta.mlp, *_port, std::move(done));
+        core.run(inv.ops, 0, inv.ops.size(), meta.mlp, *_port,
+                 std::move(done));
     }
 
     void
@@ -294,14 +294,14 @@ class MesiFrontend final : public TileFrontend
     }
 
     void
-    launch(std::size_t idx, AccelCore &core,
+    launch(std::size_t idx, ReplayCore &core,
            sim::SmallFn<void()> done) override
     {
         const trace::Invocation &inv = _prog.invocations[idx];
         const trace::FunctionMeta &meta =
             _prog.functions[static_cast<std::size_t>(inv.func)];
-        core.run(inv, meta.mlp, _tile->l0x(meta.accel),
-                 std::move(done));
+        core.run(inv.ops, 0, inv.ops.size(), meta.mlp,
+                 _tile->l0x(meta.accel), std::move(done));
     }
 
     void
@@ -387,7 +387,7 @@ class FusionFrontend final : public TileFrontend
     }
 
     void
-    launch(std::size_t idx, AccelCore &core,
+    launch(std::size_t idx, ReplayCore &core,
            sim::SmallFn<void()> done) override
     {
         const trace::Invocation &inv = _prog.invocations[idx];
@@ -402,9 +402,8 @@ class FusionFrontend final : public TileFrontend
             const auto &targets = _fwdTargets[idx];
             l0.setForwardTargets(targets.empty() ? nullptr : &targets);
         }
-        core.run(inv, meta.mlp, l0,
-                 [&tile, local,
-                  done = std::move(done)]() mutable {
+        core.run(inv.ops, 0, inv.ops.size(), meta.mlp, l0,
+                 [&tile, local, done = std::move(done)]() mutable {
                      tile.finishInvocation(local);
                      done();
                  });

@@ -5,23 +5,20 @@
  * DMA, the SHARED MESI L1X, the FUSION ACC tile, and the
  * FUSION-MESI directory tile).
  *
- * core::System used to wire each organization through two parallel
- * `switch (cfg.kind)` blocks over per-kind member soup; every new
- * consumer of "the accelerator side" (the AUTO-mode orchestrator,
- * tests, teardown) had to re-enumerate the kinds. A frontend owns
- * its organization's components, launches invocations on it, and
- * reports its counters — System holds frontends, not organizations.
+ * A frontend owns its organization's components, launches
+ * invocations on it, and reports its counters, so no consumer of
+ * "the accelerator side" (core::System, the AUTO-mode orchestrator,
+ * tests) enumerates the kinds.
  *
  * A System holds exactly one frontend. For a static SystemKind it is
- * that kind's organization, and the construction order matches the
- * pre-refactor wiring, so stats, energy components, guard
- * registrations and event timing — and therefore the serialized
- * RunResult — are byte-identical to the old switch-based System
- * (tests/test_frontend_equivalence.cc pins this against golden
- * hashes). For SystemKind::Auto it is orch::Orchestrator, itself a
- * frontend, which builds the SCRATCH, FUSION and FUSION-Dx frontends
- * and activates one per invocation; the same-named stats entries of
- * its two FUSION tiles merge into aggregate counters.
+ * that kind's organization. Its construction order fixes the order
+ * of stats, energy components, guard registrations and event timing,
+ * and therefore the serialized RunResult, which
+ * tests/test_frontend_equivalence.cc pins against golden hashes. For
+ * SystemKind::Auto it is orch::Orchestrator, itself a frontend,
+ * which builds the SCRATCH, FUSION and FUSION-Dx frontends and
+ * activates one per invocation; the same-named stats entries of its
+ * two FUSION tiles merge into aggregate counters.
  */
 
 #ifndef FUSION_ACCEL_TILE_FRONTEND_HH
@@ -30,7 +27,7 @@
 #include <memory>
 #include <vector>
 
-#include "accel/accel_core.hh"
+#include "accel/replay_core.hh"
 #include "accel/tile.hh"
 #include "core/results.hh"
 #include "core/system_config.hh"
@@ -86,7 +83,7 @@ class TileFrontend
      * invocation — including any frontend epilogue such as FUSION's
      * end-of-invocation forwarding — has completed.
      */
-    virtual void launch(std::size_t idx, AccelCore &core,
+    virtual void launch(std::size_t idx, ReplayCore &core,
                         sim::SmallFn<void()> done) = 0;
 
     /** Whether data-independent invocations may overlap (SCRATCH

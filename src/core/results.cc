@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "energy/energy_ledger.hh"
 #include "sim/wire.hh"
@@ -93,6 +94,27 @@ putUint(std::ostream &os, const char *key, std::uint64_t v)
     os << ",\"" << key << "\":" << v;
 }
 
+/** RunResult's plain counters, in JSON and FRES blob order. */
+constexpr std::pair<const char *, std::uint64_t RunResult::*> kCounters[] = {
+    {"l0xL1xCtrlMsgs", &RunResult::l0xL1xCtrlMsgs},
+    {"l0xL1xDataMsgs", &RunResult::l0xL1xDataMsgs},
+    {"l0xL1xFlits", &RunResult::l0xL1xFlits},
+    {"l1xL2CtrlMsgs", &RunResult::l1xL2CtrlMsgs},
+    {"l1xL2DataMsgs", &RunResult::l1xL2DataMsgs},
+    {"l0xL0xDataMsgs", &RunResult::l0xL0xDataMsgs},
+    {"axTlbLookups", &RunResult::axTlbLookups},
+    {"axRmapLookups", &RunResult::axRmapLookups},
+    {"fwdsToTile", &RunResult::fwdsToTile},
+    {"dmaOps", &RunResult::dmaOps},
+    {"dmaBytes", &RunResult::dmaBytes},
+    {"workingSetBytes", &RunResult::workingSetBytes},
+    {"l0xFills", &RunResult::l0xFills},
+    {"l0xWritebacks", &RunResult::l0xWritebacks},
+    {"l0xForwards", &RunResult::l0xForwards},
+    {"l1xHits", &RunResult::l1xHits},
+    {"l1xMisses", &RunResult::l1xMisses},
+};
+
 } // namespace
 
 double
@@ -150,23 +172,8 @@ RunResult::toJson(bool include_perf) const
         os << (i ? "," : "") << invocationCycles[i];
     os << ']';
     putMap(os, "funcEnergyPj", funcEnergyPj);
-    putUint(os, "l0xL1xCtrlMsgs", l0xL1xCtrlMsgs);
-    putUint(os, "l0xL1xDataMsgs", l0xL1xDataMsgs);
-    putUint(os, "l0xL1xFlits", l0xL1xFlits);
-    putUint(os, "l1xL2CtrlMsgs", l1xL2CtrlMsgs);
-    putUint(os, "l1xL2DataMsgs", l1xL2DataMsgs);
-    putUint(os, "l0xL0xDataMsgs", l0xL0xDataMsgs);
-    putUint(os, "axTlbLookups", axTlbLookups);
-    putUint(os, "axRmapLookups", axRmapLookups);
-    putUint(os, "fwdsToTile", fwdsToTile);
-    putUint(os, "dmaOps", dmaOps);
-    putUint(os, "dmaBytes", dmaBytes);
-    putUint(os, "workingSetBytes", workingSetBytes);
-    putUint(os, "l0xFills", l0xFills);
-    putUint(os, "l0xWritebacks", l0xWritebacks);
-    putUint(os, "l0xForwards", l0xForwards);
-    putUint(os, "l1xHits", l1xHits);
-    putUint(os, "l1xMisses", l1xMisses);
+    for (const auto &[key, field] : kCounters)
+        putUint(os, key, this->*field);
     // AUTO-mode block: only present when the orchestrator ran, so
     // every static kind's JSON is byte-identical to pre-AUTO output.
     if (!modeInvocations.empty()) {
@@ -283,23 +290,8 @@ serializeResult(const RunResult &r)
     for (std::uint64_t c : r.invocationCycles)
         w.u64(c);
     putMapWire(w, r.funcEnergyPj);
-    w.u64(r.l0xL1xCtrlMsgs);
-    w.u64(r.l0xL1xDataMsgs);
-    w.u64(r.l0xL1xFlits);
-    w.u64(r.l1xL2CtrlMsgs);
-    w.u64(r.l1xL2DataMsgs);
-    w.u64(r.l0xL0xDataMsgs);
-    w.u64(r.axTlbLookups);
-    w.u64(r.axRmapLookups);
-    w.u64(r.fwdsToTile);
-    w.u64(r.dmaOps);
-    w.u64(r.dmaBytes);
-    w.u64(r.workingSetBytes);
-    w.u64(r.l0xFills);
-    w.u64(r.l0xWritebacks);
-    w.u64(r.l0xForwards);
-    w.u64(r.l1xHits);
-    w.u64(r.l1xMisses);
+    for (const auto &[key, field] : kCounters)
+        w.u64(r.*field);
     w.u64(r.modeSwitches);
     putMapWire(w, r.modeInvocations);
     // Wall-clock perf of the run that produced the entry. Stored so
@@ -355,16 +347,10 @@ deserializeResult(std::string_view bytes, RunResult &out,
     }
     if (!getMapWire(r, res.funcEnergyPj))
         return fail("truncated funcEnergyPj");
-    if (!r.u64(res.l0xL1xCtrlMsgs) || !r.u64(res.l0xL1xDataMsgs) ||
-        !r.u64(res.l0xL1xFlits) || !r.u64(res.l1xL2CtrlMsgs) ||
-        !r.u64(res.l1xL2DataMsgs) || !r.u64(res.l0xL0xDataMsgs) ||
-        !r.u64(res.axTlbLookups) || !r.u64(res.axRmapLookups) ||
-        !r.u64(res.fwdsToTile) || !r.u64(res.dmaOps) ||
-        !r.u64(res.dmaBytes) || !r.u64(res.workingSetBytes) ||
-        !r.u64(res.l0xFills) || !r.u64(res.l0xWritebacks) ||
-        !r.u64(res.l0xForwards) || !r.u64(res.l1xHits) ||
-        !r.u64(res.l1xMisses))
-        return fail("truncated result counters");
+    for (const auto &[key, field] : kCounters) {
+        if (!r.u64(res.*field))
+            return fail("truncated result counters");
+    }
     if (!r.u64(res.modeSwitches) ||
         !getMapWire(r, res.modeInvocations))
         return fail("truncated mode block");

@@ -32,21 +32,6 @@ runProgram(const SystemConfig &cfg, const trace::Program &prog)
     }
 }
 
-std::vector<RunResult>
-runBaselineSystems(const trace::Program &prog)
-{
-    std::vector<RunResult> out;
-    for (SystemKind k : {SystemKind::Scratch, SystemKind::Shared,
-                         SystemKind::Fusion}) {
-        out.push_back(
-            runProgram(
-                SystemConfig::preset(
-                    SystemConfig::Preset::Paper, k),
-                prog));
-    }
-    return out;
-}
-
 std::map<std::string, std::uint64_t>
 hostProfile(const trace::Program &prog)
 {
@@ -63,19 +48,7 @@ hostProfile(const trace::Program &prog)
                 pt.ensureMapped(prog.pid, op.addr);
         }
     }
-    mem::Dram dram(ctx, cfg.dram);
-    host::Llc llc(ctx, cfg.llc, dram);
-    interconnect::Link link(
-        ctx, interconnect::LinkParams{
-                 "hostl1_l2", energy::LinkClass::HostL1ToL2, 2,
-                 energy::comp::kLinkHostL1L2,
-                 energy::comp::kLinkHostL1L2});
-    host::HostL1Params hp;
-    hp.name = "host.l1";
-    hp.capacityBytes = cfg.hostL1Bytes;
-    hp.assoc = cfg.hostL1Assoc;
-    host::HostL1 l1(ctx, hp, llc, &link);
-    host::HostCore hc(ctx, cfg.hostCore, l1, pt);
+    HostTile host(ctx, cfg, pt, prog.pid);
 
     std::map<std::string, std::uint64_t> cycles;
     for (const auto &inv : prog.invocations) {
@@ -83,7 +56,7 @@ hostProfile(const trace::Program &prog)
             prog.functions[static_cast<std::size_t>(inv.func)];
         Tick t0 = ctx.now();
         bool done = false;
-        hc.run(inv.ops, prog.pid, [&done] { done = true; });
+        host.run(inv.ops, [&done] { done = true; });
         ctx.eq.run();
         fusion_assert(done, "host profile replay hung");
         cycles[meta.name] += ctx.now() - t0;

@@ -52,10 +52,6 @@ runSweep(const std::vector<SweepJob> &jobs,
     return sweep::runSweep(jobs, opt);
 }
 
-/** Simulate @p prog on SCRATCH, SHARED and FUSION (paper defaults),
- *  in that order. */
-std::vector<RunResult> runBaselineSystems(const trace::Program &prog);
-
 /**
  * Replay every invocation on the host core ("un-accelerated"
  * execution) and return per-function cycle totals — the paper's

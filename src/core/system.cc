@@ -72,41 +72,22 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
     for (const auto &inv : prog.invocations)
         map_ops(inv.ops);
 
-    // Host tile.
-    _dram = std::make_unique<mem::Dram>(_ctx, cfg.dram);
-    _llc = std::make_unique<host::Llc>(_ctx, cfg.llc, *_dram);
-    _hostL1Link = std::make_unique<interconnect::Link>(
-        _ctx, interconnect::LinkParams{
-                  "hostl1_l2", energy::LinkClass::HostL1ToL2, 2,
-                  energy::comp::kLinkHostL1L2,
-                  energy::comp::kLinkHostL1L2});
-    host::HostL1Params hp;
-    hp.name = "host.l1";
-    hp.capacityBytes = cfg.hostL1Bytes;
-    hp.assoc = cfg.hostL1Assoc;
-    hp.ringNode = 0;
-    _hostL1 = std::make_unique<host::HostL1>(_ctx, hp, *_llc,
-                                             _hostL1Link.get());
-    _hostCore = std::make_unique<host::HostCore>(_ctx, cfg.hostCore,
-                                                 *_hostL1, _pt);
-
-    // Accelerator cores.
+    // Host tile, accelerator cores, then the accelerator side.
+    _host = std::make_unique<HostTile>(_ctx, cfg, _pt, prog.pid);
     std::uint32_t num_accels = std::max(1u, prog.accelCount());
-    accel::AccelCoreParams ap;
-    ap.datapathWidth = cfg.datapathWidth;
+    accel::ReplayCoreParams ap;
+    ap.computeComponent = energy::comp::kAxcCompute;
+    ap.width = cfg.datapathWidth;
     ap.storeBuffer = cfg.accelStoreBuffer;
     for (std::uint32_t a = 0; a < num_accels; ++a) {
-        _cores.push_back(std::make_unique<accel::AccelCore>(
-            _ctx, ap, static_cast<AccelId>(a)));
+        ap.name = "axc" + std::to_string(a) + ".core";
+        _cores.push_back(std::make_unique<accel::ReplayCore>(_ctx, ap));
     }
 
-    // Accelerator-side organization: a static kind constructs
-    // exactly one frontend here — the same components, in the same
-    // order, the old per-kind wiring built, so the serialized
-    // output is byte-identical across the refactor. AUTO's frontend
+    // A static kind constructs exactly one frontend; AUTO's frontend
     // is the orchestrator, which builds the organizations it picks
     // between.
-    accel::FrontendEnv env{_ctx, _cfg, _prog, *_llc, _pt,
+    accel::FrontendEnv env{_ctx, _cfg, _prog, _host->llc, _pt,
                            num_accels};
     if (cfg.kind == SystemKind::Auto)
         _frontend = std::make_unique<orch::Orchestrator>(env);
@@ -129,7 +110,7 @@ System::run()
     guard::Watchdog wd(_ctx.guard, _ctx.eq);
 
     _ctx.eq.scheduleIn(0, [this, &finish_tick] {
-        _hostCore->run(_prog.hostInit, _prog.pid, [this, &finish_tick] {
+        _host->run(_prog.hostInit, [this, &finish_tick] {
             _accelStart = _ctx.now();
             auto run_all = [this](sim::SmallFn<void()> then) {
                 // Frontends opt in or out of overlap (SCRATCH's one
@@ -143,10 +124,9 @@ System::run()
             };
             run_all([this, &finish_tick] {
                 _accelEnd = _ctx.now();
-                _hostCore->run(_prog.hostFinal, _prog.pid,
-                               [this, &finish_tick] {
-                                   finish_tick = _ctx.now();
-                               });
+                _host->run(_prog.hostFinal, [this, &finish_tick] {
+                    finish_tick = _ctx.now();
+                });
             });
         });
     });
@@ -226,7 +206,7 @@ System::launchInvocation(std::size_t idx,
     const trace::Invocation &inv = _prog.invocations[idx];
     const trace::FunctionMeta &meta =
         _prog.functions[static_cast<std::size_t>(inv.func)];
-    accel::AccelCore &core =
+    accel::ReplayCore &core =
         *_cores[static_cast<std::size_t>(meta.accel)];
     Tick t0 = _ctx.now();
     double e0 = _ctx.energy.grandTotal();
@@ -331,10 +311,9 @@ System::collect(RunResult &r) const
                       link_count("links.dma.data_msgs");
     r.l0xL0xDataMsgs = link_count("links.l0x_l0x.data_msgs");
 
-    // Per-organization counters come from the frontend (the
-    // RunResult fields all start at zero, so a static frontend
-    // reproduces the old per-kind blocks exactly; AUTO's adds its
-    // children's and the mode block).
+    // Per-organization counters come from the frontend. Its
+    // collect() adds to fields that start at zero, so AUTO's can
+    // add its children's and the mode block.
     _frontend->collect(r);
 
     r.funcEnergyPj = _funcEnergyPj;

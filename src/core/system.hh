@@ -22,15 +22,12 @@
 #include <memory>
 #include <vector>
 
-#include "accel/accel_core.hh"
+#include "accel/replay_core.hh"
 #include "accel/tile.hh"
 #include "accel/tile_frontend.hh"
+#include "core/host_tile.hh"
 #include "core/results.hh"
 #include "core/system_config.hh"
-#include "host/host_core.hh"
-#include "host/host_l1.hh"
-#include "host/llc.hh"
-#include "mem/dram.hh"
 #include "trace/analysis.hh"
 #include "trace/trace.hh"
 #include "vm/page_table.hh"
@@ -61,7 +58,7 @@ class System
         auto *ts = _frontend->fusionTiles();
         return ts ? *ts : _noTiles;
     }
-    host::Llc &llc() { return *_llc; }
+    host::Llc &llc() { return _host->llc; }
     vm::PageTable &pageTable() { return _pt; }
 
   private:
@@ -82,20 +79,14 @@ class System
     SimContext _ctx;
     vm::PageTable _pt;
 
-    // Host tile.
-    std::unique_ptr<mem::Dram> _dram;
-    std::unique_ptr<host::Llc> _llc;
-    std::unique_ptr<interconnect::Link> _hostL1Link;
-    std::unique_ptr<host::HostL1> _hostL1;
-    std::unique_ptr<host::HostCore> _hostCore;
-
-    // Accelerator cores (all organizations).
-    std::vector<std::unique_ptr<accel::AccelCore>> _cores;
-
-    // The accelerator side behind the uniform frontend interface:
-    // the static kind's organization (constructed in the same order
-    // the old per-kind wiring was, for byte-identical output), or
-    // AUTO's orchestrator.
+    // The constructor builds these in declaration order, after the
+    // guard and telemetry are armed; the order fixes the stats,
+    // ledger and guard registration order the goldens pin.
+    std::unique_ptr<HostTile> _host;
+    /// Accelerator cores (all organizations).
+    std::vector<std::unique_ptr<accel::ReplayCore>> _cores;
+    /// The accelerator side behind the uniform frontend interface:
+    /// the static kind's organization, or AUTO's orchestrator.
     std::unique_ptr<accel::TileFrontend> _frontend;
     /// Empty fallback so tiles() can return a reference.
     std::vector<std::unique_ptr<accel::FusionTile>> _noTiles;

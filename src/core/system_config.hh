@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "host/host_core.hh"
 #include "host/llc.hh"
 #include "mem/cache_array.hh"
 #include "mem/dram.hh"
@@ -64,6 +63,15 @@ const char *systemKindCliName(SystemKind k);
  */
 std::optional<SystemKind> parseSystemKind(std::string_view name);
 
+/** Host core parameters (Table 2: 2 GHz 4-way OOO, 96-entry ROB,
+ *  32-entry load/store queues), replayed on an accel::ReplayCore. */
+struct HostCoreParams
+{
+    std::uint32_t issueWidth = 4;      ///< compute ops per cycle
+    std::uint32_t maxOutstanding = 16; ///< in-flight loads
+    std::uint32_t storeQueue = 32;     ///< Table 2 store queue
+};
+
 /** Complete system configuration. */
 struct SystemConfig
 {
@@ -82,7 +90,7 @@ struct SystemConfig
     // Host side.
     host::LlcParams llc;
     mem::DramParams dram;
-    host::HostCoreParams hostCore;
+    HostCoreParams hostCore;
     std::uint64_t hostL1Bytes = 64 * 1024;
     std::uint32_t hostL1Assoc = 4;
 
@@ -135,9 +143,7 @@ struct SystemConfig
                  ///< scratchpad) with a 256 KB L1X
     };
 
-    /** The canonical factory: @p preset parameters for @p kind.
-     *  (The deprecated paperDefault/axcLarge forwarders are gone;
-     *  see the DESIGN.md changelog.) */
+    /** The canonical factory: @p preset parameters for @p kind. */
     static SystemConfig preset(Preset preset, SystemKind kind);
 
     /**

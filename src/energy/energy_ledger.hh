@@ -9,10 +9,9 @@
  *
  * Booking is handle-based: a component registers its name once at
  * construction via component() and receives a ComponentId indexing a
- * flat vector of totals, so the per-access path is one indexed add —
- * the old string-keyed add() hashed and probed a map on every cache,
- * link and DRAM access, the hottest path in the simulator. Nothing
- * books by name, so no entry is ever created on a booking. The
+ * flat vector of totals, so the per-access path (every cache, link
+ * and DRAM access) is one indexed add. Nothing books by name, so no
+ * entry is ever created on a booking. The
  * name-keyed views (components(), total(), grandTotal()) iterate in
  * name-sorted order over components that have actually booked,
  * which keeps reporter output — including the floating-point

@@ -87,10 +87,10 @@ Link::sendTracked(Cycles latency, sim::SmallFn<void()> deliver)
 }
 
 void
-Link::book(MsgClass cls, std::uint64_t count)
+Link::book(MsgClass cls)
 {
-    std::uint64_t bytes = messageBytes(cls) * count;
-    std::uint64_t flits = messageFlits(cls) * count;
+    std::uint64_t bytes = messageBytes(cls);
+    std::uint64_t flits = messageFlits(cls);
     if (_tracked &&
         _ctx.guard.fireFault(guard::FaultKind::DupFlit)) {
         // Wire-level retransmission of one message: extra flits and
@@ -103,12 +103,12 @@ Link::book(MsgClass cls, std::uint64_t count)
     _flits += flits;
     double pj = _pjPerByte * static_cast<double>(bytes);
     if (cls == MsgClass::Control) {
-        _ctrlMsgs += count;
+        ++_ctrlMsgs;
         if (_ecCtrl != energy::kInvalidComponent)
             _ctx.energy.add(_ecCtrl, pj);
     } else {
         // Word and full-line payloads both count as data traffic.
-        _dataMsgs += count;
+        ++_dataMsgs;
         if (_ecData != energy::kInvalidComponent)
             _ctx.energy.add(_ecData, pj);
     }

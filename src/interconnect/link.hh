@@ -63,7 +63,7 @@ class Link
     }
 
     /** Book traffic without scheduling (bulk accounting paths). */
-    void book(MsgClass cls, std::uint64_t count = 1);
+    void book(MsgClass cls);
 
     Cycles latency() const { return _p.latency; }
 

@@ -8,11 +8,9 @@
  * live in an intrusive open-hash table (power-of-two bucket array of
  * indices into an entry pool) and targets in a second pooled singly
  * linked list, so the steady-state miss stream performs zero heap
- * allocations — the old unordered_map<Addr, vector<Target>> paid a
- * node allocation per miss and a vector allocation per target list.
- * Entries are keyed by (line address, PID) with a mixed 64-bit hash;
- * virtually-indexed users (the L1X) pass the PID, physical users
- * leave it at 0.
+ * allocations. Entries are keyed by (line address, PID) with a mixed
+ * 64-bit hash; virtually-indexed users (the L1X) pass the PID,
+ * physical users leave it at 0.
  */
 
 #ifndef FUSION_MEM_MSHR_HH

@@ -39,7 +39,6 @@ enum class SpanKind : std::uint8_t
     Dma,        ///< DMA operation / per-line chunk (SCRATCH)
     LinkMsg,    ///< message traversing an interconnect link
     ModeSwitch, ///< orchestrator coherence-mode transition (AUTO)
-    CacheLookup, ///< sweep result-cache probe (hit/miss/dedup track)
     NumKinds,
 };
 

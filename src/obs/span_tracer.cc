@@ -18,7 +18,7 @@ namespace
 constexpr const char *kKindNames[] = {
     "invocation", "access",   "lease", "mesi_req",
     "llc_req",    "host_fwd", "dma",   "link_msg",
-    "mode_switch", "cache_lookup",
+    "mode_switch",
 };
 
 static_assert(sizeof(kKindNames) / sizeof(kKindNames[0]) ==

@@ -110,7 +110,7 @@ Orchestrator::child(core::SystemKind kind)
 }
 
 void
-Orchestrator::launch(std::size_t idx, accel::AccelCore &core,
+Orchestrator::launch(std::size_t idx, accel::ReplayCore &core,
                      sim::SmallFn<void()> done)
 {
     accel::TileFrontend &next = child(decide(idx));

@@ -86,7 +86,7 @@ class Orchestrator final : public accel::TileFrontend
 
     /** Decide, switch if the mode moved, then run invocation @p idx
      *  on the chosen child. */
-    void launch(std::size_t idx, accel::AccelCore &core,
+    void launch(std::size_t idx, accel::ReplayCore &core,
                 sim::SmallFn<void()> done) override;
 
     /** AUTO runs serially: decisions are per invocation and the

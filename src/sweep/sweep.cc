@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/system.hh"
-#include "obs/span_tracer.hh"
 #include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sweep/result_cache.hh"
@@ -306,7 +305,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
     // Result-cache plumbing; all of it is inert when opt.cache is
     // null, keeping the engine byte-identical to its pre-cache form.
     SweepCacheStats cstats;
-    std::mutex cacheMu; // counters, span marks, hash memo, dedupe map
+    std::mutex cacheMu; // counters, hash memo, dedupe map
     // Content hashes of attached SweepJob::prog programs, memoized
     // per instance (jobs sharing one program hash it once).
     std::map<const trace::Program *, std::uint64_t> progHashes;
@@ -322,25 +321,6 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         core::RunResult result;
     };
     std::map<CacheKey, std::shared_ptr<DedupSlot>> dedup;
-
-    std::uint32_t hitTrack = 0, missTrack = 0, dedupTrack = 0,
-                  bypassTrack = 0;
-    obs::SpanTracer *spans = opt.cache ? opt.cacheSpans : nullptr;
-    if (spans) {
-        hitTrack = spans->registerTrack("cache.hit");
-        missTrack = spans->registerTrack("cache.miss");
-        dedupTrack = spans->registerTrack("cache.dedup");
-        // Jobs the cache refuses (telemetry or faults armed) are
-        // marked too, so a --trace-out export still shows the cache
-        // decision for every sweep point.
-        bypassTrack = spans->registerTrack("cache.bypass");
-    }
-    // Callers hold cacheMu.
-    auto mark = [&](std::uint32_t track, std::size_t index) {
-        if (spans)
-            spans->complete(track, obs::SpanKind::CacheLookup,
-                            static_cast<Addr>(index), 0, 0);
-    };
 
     auto hashOf =
         [&](const std::shared_ptr<const trace::Program> &p) {
@@ -421,7 +401,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
 
     // Serve a cacheable job from the cache, or simulate it and store
     // the result. Only a miss materializes the job's program.
-    auto probe = [&](std::size_t i, const SweepJob &j, CacheKey key) {
+    auto probe = [&](const SweepJob &j, CacheKey key) {
         std::optional<core::RunResult> hit = opt.cache->lookup(key);
         if (!hit && !j.prog) {
             // The key names the identity of the stored trace. If that
@@ -439,7 +419,6 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         {
             std::lock_guard<std::mutex> lk(cacheMu);
             ++(hit ? cstats.hits : cstats.misses);
-            mark(hit ? hitTrack : missTrack, i);
         }
         if (hit)
             return std::move(*hit);
@@ -449,14 +428,9 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         return res;
     };
 
-    auto runOne = [&](std::size_t i, const SweepJob &j) {
-        if (!opt.cache || !ResultCache::cacheable(j.cfg)) {
-            if (opt.cache && spans) {
-                std::lock_guard<std::mutex> lk(cacheMu);
-                mark(bypassTrack, i);
-            }
+    auto runOne = [&](const SweepJob &j) {
+        if (!opt.cache || !ResultCache::cacheable(j.cfg))
             return runJob(j, *baseOf(j));
-        }
         const CacheKey key{
             j.cfg.canonicalHash(),
             traceHashOf(j, j.prog ? hashOf(j.prog)
@@ -477,7 +451,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         }
         if (builder) {
             core::RunResult res =
-                contained(j, [&] { return probe(i, j, key); });
+                contained(j, [&] { return probe(j, key); });
             {
                 std::lock_guard<std::mutex> lk(slot->mu);
                 slot->result = res;
@@ -497,7 +471,6 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         }
         std::lock_guard<std::mutex> lk(cacheMu);
         ++cstats.deduped;
-        mark(dedupTrack, i);
         return res;
     };
 
@@ -507,7 +480,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
             if (i >= jobs.size())
                 return;
             const SweepJob &j = jobs[i];
-            results[i] = contained(j, [&] { return runOne(i, j); });
+            results[i] = contained(j, [&] { return runOne(j); });
             {
                 std::lock_guard<std::mutex> lk(progressMu);
                 ++completed;

@@ -31,11 +31,6 @@
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
 
-namespace fusion::obs
-{
-class SpanTracer;
-}
-
 namespace fusion::sweep
 {
 
@@ -134,15 +129,6 @@ struct SweepOptions
     ResultCache *cache = nullptr;
     /** When non-null, filled with this sweep's cache counters. */
     SweepCacheStats *cacheStats = nullptr;
-    /**
-     * Optional standalone tracer marking every cache probe as a
-     * SpanKind::CacheLookup span on a "cache.hit" / "cache.miss" /
-     * "cache.dedup" / "cache.bypass" track (addr = job submission
-     * index), so a
-     * --trace-out Perfetto export shows which sweep points were
-     * served from disk. Ignored when @ref cache is null.
-     */
-    obs::SpanTracer *cacheSpans = nullptr;
 };
 
 /** Hardware concurrency, clamped to at least 1. */

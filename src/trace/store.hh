@@ -3,12 +3,12 @@
  * Binary on-disk trace store: capture a generated trace::Program
  * once, replay it from disk thereafter.
  *
- * Every harness run used to regenerate each workload's dynamic trace
- * from scratch — the real kernels execute over instrumented arrays
- * and self-check against golden references, which dominates sweep
- * start-up cost. GPU simulators persist trace artifacts separately
- * from stats for exactly this reason; this store is our equivalent
- * (ROADMAP item 2, DESIGN.md §10).
+ * Generating a workload's dynamic trace runs the real kernels over
+ * instrumented arrays and self-checks them against golden
+ * references, which would dominate sweep start-up cost if every
+ * harness run paid it. GPU simulators persist trace artifacts
+ * separately from stats for exactly this reason; this store is our
+ * equivalent (DESIGN.md §10).
  *
  * File format ("FTRC", version 1):
  *

@@ -143,16 +143,4 @@ generateProgram(const std::string &name, Scale scale)
     return prog;
 }
 
-std::vector<trace::Program>
-buildAll(Scale scale)
-{
-    std::vector<trace::Program> out;
-    for (const auto &n : workloadNames()) {
-        auto p = buildProgram(n, scale);
-        fusion_assert(p, "missing workload ", n);
-        out.push_back(std::move(*p));
-    }
-    return out;
-}
-
 } // namespace fusion::workloads

@@ -139,9 +139,6 @@ std::optional<trace::StoredTrace> storedTrace(const std::string &name,
 std::optional<trace::Program> generateProgram(const std::string &name,
                                               Scale scale);
 
-/** Build every workload at @p scale. */
-std::vector<trace::Program> buildAll(Scale scale);
-
 } // namespace fusion::workloads
 
 #endif // FUSION_WORKLOADS_WORKLOAD_HH

@@ -353,7 +353,7 @@ TEST(EventQueue, RandomizedOrderMatchesReferenceStableSort)
         EventQueue eq;
         std::uint64_t next_seq = 0;
 
-        // Random spawns use deltas from 1. Delta-0 spawns (AccelCore's
+        // Random spawns use deltas from 1. Delta-0 spawns (ReplayCore's
         // one-cycle re-pump pattern) take the spawner's priority or a
         // later one: a same-tick spawn at a *lower* priority than the
         // executing event would run after it (the tick is already

@@ -64,8 +64,10 @@ TEST(Link, FlitAndByteCounters)
 {
     SimContext ctx;
     auto link = makeLink(ctx, energy::LinkClass::L1xToL2);
-    link.book(MsgClass::Control, 3);
-    link.book(MsgClass::Data, 2);
+    for (int i = 0; i < 3; ++i)
+        link.book(MsgClass::Control);
+    for (int i = 0; i < 2; ++i)
+        link.book(MsgClass::Data);
     EXPECT_EQ(link.controlMessages(), 3u);
     EXPECT_EQ(link.dataMessages(), 2u);
     EXPECT_EQ(link.totalFlits(), 3u * 1 + 2u * 9);

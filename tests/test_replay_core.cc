@@ -1,11 +1,15 @@
 /**
  * @file
- * Accelerator core timing model tests against a scripted MemPort.
+ * Replay core timing model tests. The AccelCore suites drive an
+ * accelerator's core against a scripted MemPort; the HostCore suites
+ * drive the host's core through core::HostTile (host port, L1, LLC,
+ * DRAM).
  */
 
 #include <gtest/gtest.h>
 
-#include "accel/accel_core.hh"
+#include "accel/replay_core.hh"
+#include "core/host_tile.hh"
 #include "sim/sim_context.hh"
 
 namespace fusion::accel
@@ -51,11 +55,20 @@ class FixedLatencyPort : public MemPort
     Cycles _lat;
 };
 
+/** @p p as accelerator 0's core: its name, booking compute energy. */
+ReplayCoreParams
+asAccel(ReplayCoreParams p)
+{
+    p.name = "axc0.core";
+    p.computeComponent = energy::comp::kAxcCompute;
+    return p;
+}
+
 struct CoreRig
 {
     SimContext ctx;
-    AccelCore core;
-    explicit CoreRig(AccelCoreParams p = {}) : core(ctx, p, 0) {}
+    ReplayCore core;
+    explicit CoreRig(ReplayCoreParams p = {}) : core(ctx, asAccel(p)) {}
 
     Tick
     runSync(const trace::Invocation &inv, std::uint32_t mlp,
@@ -63,7 +76,8 @@ struct CoreRig
     {
         bool done = false;
         Tick t0 = ctx.now();
-        core.run(inv, mlp, port, [&] { done = true; });
+        core.run(inv.ops, 0, inv.ops.size(), mlp, port,
+                 [&] { done = true; });
         ctx.eq.run();
         EXPECT_TRUE(done);
         return ctx.now() - t0;
@@ -120,7 +134,7 @@ TEST(AccelCore, ComputeGapsStallIssue)
 
 TEST(AccelCore, ComputeEnergyFollowsActivityCounts)
 {
-    AccelCoreParams p;
+    ReplayCoreParams p;
     CoreRig r(p);
     FixedLatencyPort port(r.ctx, 1);
     trace::Invocation inv;
@@ -134,7 +148,7 @@ TEST(AccelCore, ComputeEnergyFollowsActivityCounts)
 
 TEST(AccelCore, StoreBufferDecouplesStores)
 {
-    AccelCoreParams p;
+    ReplayCoreParams p;
     p.storeBuffer = 4;
     CoreRig r(p);
     FixedLatencyPort port(r.ctx, 100); // slow stores
@@ -156,7 +170,7 @@ TEST(AccelCore, SubRangeReplaysOnlyTheWindow)
     FixedLatencyPort port(r.ctx, 1);
     trace::Invocation inv = loadsOnly(10);
     bool done = false;
-    r.core.run(inv, 2, port, 3, 7, [&] { done = true; });
+    r.core.run(inv.ops, 3, 7, 2, port, [&] { done = true; });
     r.ctx.eq.run();
     EXPECT_TRUE(done);
     ASSERT_EQ(port.issues.size(), 4u);
@@ -181,7 +195,125 @@ TEST(AccelCoreDeathTest, ZeroMlpPanics)
     CoreRig r;
     FixedLatencyPort port(r.ctx, 1);
     trace::Invocation inv = loadsOnly(1);
-    EXPECT_DEATH(r.core.run(inv, 0, port, [] {}), "MLP");
+    EXPECT_DEATH(r.core.run(inv.ops, 0, 1, 0, port, [] {}), "MLP");
+}
+
+/** The host side of a default system, replaying as process 1. */
+struct HostRig
+{
+    SimContext ctx;
+    vm::PageTable pt;
+    core::HostTile host;
+
+    explicit HostRig(core::HostCoreParams p = {})
+        : host(ctx, withHostCore(p), pt, 1)
+    {
+    }
+
+    static core::SystemConfig
+    withHostCore(core::HostCoreParams p)
+    {
+        core::SystemConfig cfg;
+        cfg.hostCore = p;
+        return cfg;
+    }
+
+    Tick
+    runSync(const std::vector<trace::TraceOp> &ops)
+    {
+        pt.ensureMappedRange(1, 0, 1 << 20);
+        Tick t0 = ctx.now();
+        bool done = false;
+        host.run(ops, [&] { done = true; });
+        ctx.eq.run();
+        EXPECT_TRUE(done);
+        return ctx.now() - t0;
+    }
+
+    /** Committed memory operations. */
+    std::uint64_t
+    memOps() const
+    {
+        return ctx.stats.value("host.core.loads") +
+               ctx.stats.value("host.core.stores");
+    }
+};
+
+TEST(HostCore, EmptyStreamCompletesImmediately)
+{
+    HostRig r;
+    EXPECT_EQ(r.runSync({}), 0u);
+    EXPECT_FALSE(r.host.core.busy());
+}
+
+TEST(HostCore, ComputeBurstTakesWidthScaledCycles)
+{
+    HostRig r;
+    // 40 int ops at width 4 = 10 cycles.
+    Tick t = r.runSync({trace::TraceOp::compute(40, 0)});
+    EXPECT_EQ(t, 10u);
+}
+
+TEST(HostCore, MemoryOpsPipelineAtOnePerCycle)
+{
+    HostRig r;
+    std::vector<trace::TraceOp> ops;
+    // Warm one line.
+    ops.push_back(trace::TraceOp::load(0x100, 8));
+    Tick t_one = r.runSync(ops);
+    // 16 more loads to the same (now hot) line.
+    ops.clear();
+    for (int i = 0; i < 16; ++i)
+        ops.push_back(trace::TraceOp::load(0x100, 8));
+    Tick t = r.runSync(ops);
+    // Hits pipeline: far less than 16 serial L1 latencies.
+    EXPECT_LT(t, 16 * 4u);
+    EXPECT_GT(t, 15u);
+    (void)t_one;
+}
+
+TEST(HostCore, StoresDoNotBlockIssue)
+{
+    HostRig r;
+    // A cold store (long LLC+DRAM miss) followed by hot loads: the
+    // loads must not wait for the store to complete.
+    r.runSync({trace::TraceOp::load(0x200, 8)});
+    std::vector<trace::TraceOp> ops;
+    ops.push_back(trace::TraceOp::store(0x40000, 8)); // cold
+    for (int i = 0; i < 8; ++i)
+        ops.push_back(trace::TraceOp::load(0x200, 8)); // hot
+    Tick t = r.runSync(ops);
+    // Completion still waits for the store, but far less than
+    // 8 serialized misses.
+    EXPECT_LT(t, 2u * 400u);
+    EXPECT_EQ(r.memOps(), 10u);
+}
+
+TEST(HostCore, LoadMlpBoundsOutstanding)
+{
+    core::HostCoreParams p;
+    p.maxOutstanding = 1;
+    HostRig serial(p);
+    core::HostCoreParams p2;
+    p2.maxOutstanding = 8;
+    HostRig parallel(p2);
+
+    std::vector<trace::TraceOp> ops;
+    for (int i = 0; i < 16; ++i)
+        ops.push_back(
+            trace::TraceOp::load(0x1000 + 0x40u * i, 8)); // misses
+    Tick ts = serial.runSync(ops);
+    Tick tp = parallel.runSync(ops);
+    EXPECT_LT(tp, ts);
+}
+
+TEST(HostCoreDeathTest, OverlappingRunsPanic)
+{
+    HostRig r;
+    r.pt.ensureMappedRange(1, 0, 1 << 20);
+    std::vector<trace::TraceOp> ops{trace::TraceOp::load(0x100, 8)};
+    r.host.run(ops, [] {});
+    EXPECT_DEATH(r.host.run(ops, [] {}), "already running");
 }
 
 } // namespace

@@ -216,9 +216,25 @@ smallRun(SystemKind kind = SystemKind::Fusion)
 
 TEST(ResultSerde, RoundTripIsJsonIdentical)
 {
+    std::vector<RunResult> inputs;
     for (auto kind : {SystemKind::Scratch, SystemKind::Fusion,
-                      SystemKind::Auto}) {
-        RunResult r = smallRun(kind);
+                      SystemKind::Auto})
+        inputs.push_back(smallRun(kind));
+    // The real runs leave several counters at 0. Distinct nonzero
+    // values catch two counters swapped on one side of the blob.
+    RunResult hand;
+    hand.workload = "hand-built";
+    std::uint64_t v = 0;
+    for (std::uint64_t *c :
+         {&hand.l0xL1xCtrlMsgs, &hand.l0xL1xDataMsgs, &hand.l0xL1xFlits,
+          &hand.l1xL2CtrlMsgs, &hand.l1xL2DataMsgs, &hand.l0xL0xDataMsgs,
+          &hand.axTlbLookups, &hand.axRmapLookups, &hand.fwdsToTile,
+          &hand.dmaOps, &hand.dmaBytes, &hand.workingSetBytes,
+          &hand.l0xFills, &hand.l0xWritebacks, &hand.l0xForwards,
+          &hand.l1xHits, &hand.l1xMisses})
+        *c = ++v;
+    inputs.push_back(hand);
+    for (const RunResult &r : inputs) {
         RunResult out;
         std::string err;
         ASSERT_TRUE(core::deserializeResult(

@@ -68,6 +68,18 @@ TEST(SystemIntegration, StatsPathsAreFixedAtConstruction)
         std::vector<std::string> built = st.paths();
         RunResult r = sys.run();
         EXPECT_EQ(st.paths(), built);
+        // The host core replays both host phases through the same
+        // core as the accelerators, under "host.core".
+        std::uint64_t host_mem_ops = 0;
+        for (const auto *ops : {&p.hostInit, &p.hostFinal}) {
+            for (const auto &op : *ops) {
+                if (op.kind != trace::OpKind::Compute)
+                    ++host_mem_ops;
+            }
+        }
+        EXPECT_EQ(st.value("host.core.loads") +
+                      st.value("host.core.stores"),
+                  host_mem_ops);
         if (k == SystemKind::Auto) {
             // Same-path entries sum over FUSION's and FUSION-Dx's
             // L1Xs, while each frontend reports only its own events.
@@ -228,6 +240,13 @@ TEST(SystemIntegration, HostProfileCoversAllFunctions)
     }
     // smooth dominates (Table 1: 66% of time).
     EXPECT_GT(cycles.at("smooth") * 2, total);
+    // No golden covers this path: pin its exact cycles.
+    const std::map<std::string, std::uint64_t> expected{
+        {"bright", 1553},
+        {"corners", 17426},
+        {"edges", 17426},
+        {"smooth", 52145}};
+    EXPECT_EQ(cycles, expected);
 }
 
 TEST(SystemIntegration, EnergyStackPartitionsTheLedger)
