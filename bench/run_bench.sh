@@ -12,10 +12,13 @@
 #
 # For each workload it runs --trace 0 three times (seeds 1..3) and
 # keeps the correct run with the lowest wall_s for BENCH_e2e.json,
-# then runs --trace 1 once for BENCH_layers.json. A workload without
-# a correct run of either kind fails the script and appends nothing.
-# Both rows carry the commit, the host's CPU count and the traced
-# run's bench.drift. A checkout with uncommitted changes to tracked
+# then runs --trace 1 three times (seeds 1..3) and keeps each
+# metric's median over the correct traced runs for BENCH_layers.json:
+# one traced run's drift correction can swing a per-layer time by
+# more than the change being measured. A workload without a correct
+# run of either kind fails the script and appends nothing. Both rows
+# carry the commit, the host's CPU count and the traced runs' median
+# bench.drift. A checkout with uncommitted changes to tracked
 # files other than *.md and BENCH_*.json is labelled
 # "<commit>-dirty-<hash>": the first 12 digits of
 # `git diff <commit> --binary -- . ':(exclude)*.md'
@@ -58,14 +61,17 @@ for w in $WORKLOADS; do
         echo "run_bench.sh: $w --trace 0 --seed $seed" >&2
         run "$w" "$seed" 0 "$TMP/$w.e2e.$seed"
     done
-    echo "run_bench.sh: $w --trace 1" >&2
-    run "$w" 1 1 "$TMP/$w.layers"
+    for seed in 1 2 3; do
+        echo "run_bench.sh: $w --trace 1 --seed $seed" >&2
+        run "$w" "$seed" 1 "$TMP/$w.layers.$seed"
+    done
 done
 
 python3 - "$ROOT" "$TMP" "$COMMIT" "$SECONDS_PER_RUN" $WORKLOADS <<'EOF'
 import datetime
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -108,17 +114,20 @@ head = {"commit": commit,
         "cpus": os.cpu_count(),
         "seconds": float(seconds)}
 e2e = dict(head, runs=3, workloads={})
-layers = dict(head, runs=1, workloads={})
+layers = dict(head, runs=3, workloads={})
 missing = []
 for w in workloads:
-    traced = load(tmp / f"{w}.layers")
-    runs = [r for r in (load(tmp / f"{w}.e2e.{s}") for s in (1, 2, 3))
-            if r is not None]
-    if traced is None or not runs:
+    runs, traced = ([r for r in (load(tmp / f"{w}.{kind}.{s}")
+                                 for s in (1, 2, 3)) if r is not None]
+                    for kind in ("e2e", "layers"))
+    if not runs or not traced:
         missing.append(w)
         continue
     best = min(runs, key=lambda r: r["metrics"]["wall_s"]["value"])
-    traced = flat(traced)
+    traced = [flat(r) for r in traced]
+    traced = {k: traced[0][k] if k == "correct" else
+              statistics.median(r[k] for r in traced)
+              for k in traced[0]}
     e2e["workloads"][w] = dict(flat(best),
                                **{"bench.drift": traced["bench.drift"]})
     layers["workloads"][w] = traced

@@ -57,13 +57,15 @@ ReplayCore::pump()
     while (_pos < _end) {
         const trace::TraceOp &op = (*_ops)[_pos];
         if (op.kind == trace::OpKind::Compute) {
+            const std::uint32_t int_ops = op.intOps();
+            const std::uint32_t fp_ops = op.fpOps();
             if (_ecCompute != energy::kInvalidComponent) {
-                _ctx.energy.add(_ecCompute, _p.intOpPj * op.intOps +
-                                                _p.fpOpPj * op.fpOps);
+                _ctx.energy.add(_ecCompute, _p.intOpPj * int_ops +
+                                                _p.fpOpPj * fp_ops);
             }
-            _intOps += op.intOps;
-            _fpOps += op.fpOps;
-            Cycles c = (op.intOps + op.fpOps + _p.width - 1) / _p.width;
+            _intOps += int_ops;
+            _fpOps += fp_ops;
+            Cycles c = (int_ops + fp_ops + _p.width - 1) / _p.width;
             ++_pos;
             if (c > 0) {
                 _pumpScheduled = true;

@@ -1,5 +1,7 @@
 #include "accel/scratchpad_frontend.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace fusion::accel
@@ -12,18 +14,16 @@ ScratchpadFrontend::ScratchpadFrontend(SimContext &ctx,
 }
 
 void
-ScratchpadFrontend::setResidentLines(
-    const std::unordered_set<Addr> &lines)
-{
-    _resident = &lines;
-}
-
-void
 ScratchpadFrontend::access(Addr va, std::uint32_t size,
                            bool is_write, PortDone done)
 {
     (void)size;
-    fusion_assert(_resident && _resident->count(lineAlign(va)),
+    // The window's line lists are sorted.
+    auto holds = [line = lineAlign(va)](const std::vector<Addr> &v) {
+        return std::binary_search(v.begin(), v.end(), line);
+    };
+    fusion_assert(_window && (holds(_window->readLines) ||
+                              holds(_window->dirtyLines)),
                   "scratchpad access outside resident window: va=",
                   va);
     Cycles lat = _spm.access(is_write);

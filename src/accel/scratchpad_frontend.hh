@@ -9,11 +9,10 @@
 #ifndef FUSION_ACCEL_SCRATCHPAD_FRONTEND_HH
 #define FUSION_ACCEL_SCRATCHPAD_FRONTEND_HH
 
-#include <unordered_set>
-
 #include "accel/mem_port.hh"
 #include "mem/scratchpad.hh"
 #include "sim/sim_context.hh"
+#include "trace/analysis.hh"
 
 namespace fusion::accel
 {
@@ -24,8 +23,9 @@ class ScratchpadFrontend : public MemPort
   public:
     ScratchpadFrontend(SimContext &ctx, mem::Scratchpad &spm);
 
-    /** Declare the lines resident for the current window. */
-    void setResidentLines(const std::unordered_set<Addr> &lines);
+    /** Declare the current DMA window: its read and dirty lines
+     *  are the resident ones. */
+    void setWindow(const trace::DmaWindow &w) { _window = &w; }
 
     void access(Addr va, std::uint32_t size, bool is_write,
                 PortDone done) override;
@@ -33,7 +33,7 @@ class ScratchpadFrontend : public MemPort
   private:
     SimContext &_ctx;
     mem::Scratchpad &_spm;
-    const std::unordered_set<Addr> *_resident = nullptr;
+    const trace::DmaWindow *_window = nullptr;
 };
 
 } // namespace fusion::accel

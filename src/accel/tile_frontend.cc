@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "accel/dma_engine.hh"
 #include "accel/scratchpad_frontend.hh"
@@ -112,12 +111,7 @@ class ScratchFrontend final : public TileFrontend
              mlp = meta.mlp, fill_start,
              then = std::move(then)]() mutable {
                 _dmaWait += _ctx.now() - fill_start;
-                _residentLines.clear();
-                _residentLines.insert(w.readLines.begin(),
-                                      w.readLines.end());
-                _residentLines.insert(w.dirtyLines.begin(),
-                                      w.dirtyLines.end());
-                port.setResidentLines(_residentLines);
+                port.setWindow(w);
                 core.run(
                     inv.ops, w.beginOp, w.endOp, mlp, port,
                     [this, inv_idx, widx, &core, &w, &spm,
@@ -146,7 +140,6 @@ class ScratchFrontend final : public TileFrontend
     std::unique_ptr<DmaEngine> _dma;
     /// Per-invocation window decomposition (lazy).
     std::vector<std::vector<trace::DmaWindow>> _windows;
-    std::unordered_set<Addr> _residentLines;
     Tick _dmaWait = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/system.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "orchestrator/orchestrator.hh"
@@ -60,17 +61,39 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
     _ctx.stats.counter("scheduler.overlap_launches", _overlapLaunches);
 
     // Map every traced virtual page up front (the OS would have
-    // faulted them in during the original execution).
-    auto map_ops = [this](const std::vector<trace::TraceOp> &ops) {
+    // faulted them in during the original execution), and count the
+    // lines the invocations touch (the accelerator footprint) on the
+    // way. The fresh page table gives each new virtual page the next
+    // physical page, so one 64-bit line mask per physical page counts
+    // distinct virtual lines. An op on the line of the op before it
+    // adds nothing.
+    static_assert(vm::kPageBytes / kLineBytes == 64);
+    std::vector<std::uint64_t> line_masks;
+    auto map_ops = [this, &line_masks](
+                       const std::vector<trace::TraceOp> &ops,
+                       bool count) {
+        Addr last = ~Addr{0};
         for (const auto &op : ops) {
-            if (op.kind != trace::OpKind::Compute)
-                _pt.ensureMapped(_prog.pid, op.addr);
+            if (op.kind == trace::OpKind::Compute ||
+                lineAlign(op.addr) == last)
+                continue;
+            last = lineAlign(op.addr);
+            const Addr ppage =
+                vm::pageNumber(_pt.ensureMapped(_prog.pid, op.addr));
+            if (!count)
+                continue;
+            if (ppage >= line_masks.size())
+                line_masks.resize(ppage + 1, 0);
+            line_masks[ppage] |= std::uint64_t{1}
+                                 << (vm::pageOffset(op.addr) >> kLineShift);
         }
     };
-    map_ops(prog.hostInit);
-    map_ops(prog.hostFinal);
+    map_ops(prog.hostInit, false);
+    map_ops(prog.hostFinal, false);
     for (const auto &inv : prog.invocations)
-        map_ops(inv.ops);
+        map_ops(inv.ops, true);
+    for (std::uint64_t mask : line_masks)
+        _footprintLines += static_cast<std::uint64_t>(std::popcount(mask));
 
     // Host tile, accelerator cores, then the accelerator side.
     _host = std::make_unique<HostTile>(_ctx, cfg, _pt, prog.pid);
@@ -293,7 +316,7 @@ void
 System::collect(RunResult &r) const
 {
     r.energyPj = _ctx.energy.components();
-    r.workingSetBytes = trace::footprintLines(_prog) * kLineBytes;
+    r.workingSetBytes = _footprintLines * kLineBytes;
 
     // Summed over every link bound under the path (AUTO: FUSION's
     // and FUSION-Dx's); 0 when the organization has no such link.

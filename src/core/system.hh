@@ -78,6 +78,8 @@ class System
     /// counter members, so the components must be destroyed first.
     SimContext _ctx;
     vm::PageTable _pt;
+    /// Distinct lines the invocations touch (workingSetBytes).
+    std::uint64_t _footprintLines = 0;
 
     // The constructor builds these in declaration order, after the
     // guard and telemetry are armed; the order fixes the stats,

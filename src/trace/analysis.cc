@@ -1,11 +1,72 @@
 #include "trace/analysis.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 
 namespace fusion::trace
 {
+
+void
+LineSet::reserve(std::size_t n)
+{
+    std::size_t slots = 16;
+    while (slots < 2 * n)
+        slots *= 2;
+    if (slots > _slots.size())
+        rehash(slots);
+}
+
+std::size_t
+LineSet::find(Addr line) const
+{
+    const std::size_t mask = _slots.size() - 1;
+    // Fibonacci hashing of the line number; linear probing.
+    std::size_t i = static_cast<std::size_t>(
+                        (lineNumber(line) * 0x9e3779b97f4a7c15ull) >> 32) &
+                    mask;
+    while (_slots[i] != line && _slots[i] != kEmpty)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+LineSet::rehash(std::size_t slots)
+{
+    const std::vector<Addr> old =
+        std::exchange(_slots, std::vector<Addr>(slots, kEmpty));
+    for (Addr line : old) {
+        if (line != kEmpty)
+            _slots[find(line)] = line;
+    }
+}
+
+bool
+LineSet::insert(Addr line)
+{
+    if (2 * (_size + 1) > _slots.size())
+        reserve(_size + 1);
+    Addr &slot = _slots[find(line)];
+    if (slot == line)
+        return false;
+    slot = line;
+    ++_size;
+    return true;
+}
+
+bool
+LineSet::contains(Addr line) const
+{
+    return !_slots.empty() && _slots[find(line)] == line;
+}
+
+void
+LineSet::clear()
+{
+    std::fill(_slots.begin(), _slots.end(), kEmpty);
+    _size = 0;
+}
 
 std::vector<FunctionProfile>
 profileFunctions(const Program &prog)
@@ -28,8 +89,8 @@ profileFunctions(const Program &prog)
                 func_lines[f].insert(lineAlign(op.addr));
                 break;
               case OpKind::Compute:
-                out[f].intOps += op.intOps;
-                out[f].fpOps += op.fpOps;
+                out[f].intOps += op.intOps();
+                out[f].fpOps += op.fpOps();
                 break;
             }
         }
@@ -85,7 +146,7 @@ profileFunctions(const Program &prog)
 std::uint64_t
 footprintLines(const std::vector<TraceOp> &ops)
 {
-    std::unordered_set<Addr> lines;
+    LineSet lines;
     for (const auto &op : ops) {
         if (op.kind != OpKind::Compute)
             lines.insert(lineAlign(op.addr));
@@ -96,7 +157,7 @@ footprintLines(const std::vector<TraceOp> &ops)
 std::uint64_t
 footprintLines(const Program &prog)
 {
-    std::unordered_set<Addr> lines;
+    LineSet lines;
     for (const auto &inv : prog.invocations) {
         for (const auto &op : inv.ops) {
             if (op.kind != OpKind::Compute)
@@ -112,16 +173,19 @@ segmentWindows(const Invocation &inv, std::uint64_t scratch_lines)
     fusion_assert(scratch_lines > 0, "zero-size scratchpad");
     std::vector<DmaWindow> windows;
     DmaWindow cur;
-    std::unordered_set<Addr> in_window;
-    std::unordered_set<Addr> read_set;
-    std::unordered_set<Addr> dirty_set;
+    // A window never holds more than scratch_lines lines, so the
+    // sets never grow past their first allocation.
+    const auto most = static_cast<std::size_t>(
+        std::min<std::uint64_t>(scratch_lines, inv.ops.size()));
+    LineSet in_window, read_set, dirty_set;
+    in_window.reserve(most);
+    read_set.reserve(most);
+    dirty_set.reserve(most);
 
     auto close = [&](std::size_t end_op) {
-        if (in_window.empty() && cur.beginOp == end_op)
+        if (in_window.size() == 0 && cur.beginOp == end_op)
             return;
         cur.endOp = end_op;
-        cur.readLines.assign(read_set.begin(), read_set.end());
-        cur.dirtyLines.assign(dirty_set.begin(), dirty_set.end());
         std::sort(cur.readLines.begin(), cur.readLines.end());
         std::sort(cur.dirtyLines.begin(), cur.dirtyLines.end());
         windows.push_back(std::move(cur));
@@ -137,15 +201,17 @@ segmentWindows(const Invocation &inv, std::uint64_t scratch_lines)
         if (op.kind == OpKind::Compute)
             continue;
         Addr line = lineAlign(op.addr);
-        if (!in_window.count(line) &&
+        if (!in_window.contains(line) &&
             in_window.size() >= scratch_lines) {
             close(i);
         }
         in_window.insert(line);
-        if (op.kind == OpKind::Load)
-            read_set.insert(line);
-        else
-            dirty_set.insert(line);
+        if (op.kind == OpKind::Load) {
+            if (read_set.insert(line))
+                cur.readLines.push_back(line);
+        } else if (dirty_set.insert(line)) {
+            cur.dirtyLines.push_back(line);
+        }
     }
     close(inv.ops.size());
     return windows;

@@ -45,6 +45,35 @@ struct FunctionProfile
     std::uint64_t footprintLines = 0;
 };
 
+/**
+ * A set of line addresses in one flat open-addressed slot array, so
+ * it allocates when it grows, not once per line as a node-based set
+ * does. Keys must be line-aligned.
+ */
+class LineSet
+{
+  public:
+    /** Make room for @p n lines, so n inserts never grow the set. */
+    void reserve(std::size_t n);
+    /** Insert @p line; true if it was not in the set. */
+    bool insert(Addr line);
+    bool contains(Addr line) const;
+    std::size_t size() const { return _size; }
+    /** Remove every line, keeping the capacity. */
+    void clear();
+
+  private:
+    /// Never a line address: its low bits are set.
+    static constexpr Addr kEmpty = ~Addr{0};
+
+    /** The slot holding @p line, or the empty slot it would take. */
+    std::size_t find(Addr line) const;
+    void rehash(std::size_t slots);
+
+    std::vector<Addr> _slots; ///< power of two, at most half full
+    std::size_t _size = 0;
+};
+
 /** Compute op-mix and %SHR for every function of @p prog. */
 std::vector<FunctionProfile> profileFunctions(const Program &prog);
 
@@ -59,8 +88,8 @@ struct DmaWindow
 {
     std::size_t beginOp = 0; ///< [beginOp, endOp) into the op stream
     std::size_t endOp = 0;
-    std::vector<Addr> readLines;  ///< lines DMA must pre-load
-    std::vector<Addr> dirtyLines; ///< lines DMA must drain after
+    std::vector<Addr> readLines;  ///< lines DMA must pre-load (sorted)
+    std::vector<Addr> dirtyLines; ///< lines DMA must drain after (sorted)
 };
 
 /**

@@ -52,12 +52,12 @@ putOps(wire::Writer &w, const std::vector<TraceOp> &ops)
             std::size_t run = 1;
             while (i + run < ops.size() &&
                    ops[i + run].kind == OpKind::Compute &&
-                   ops[i + run].intOps == op.intOps &&
-                   ops[i + run].fpOps == op.fpOps)
+                   ops[i + run].intOps() == op.intOps() &&
+                   ops[i + run].fpOps() == op.fpOps())
                 ++run;
             w.u8(2);
-            w.u32(op.intOps);
-            w.u32(op.fpOps);
+            w.u32(op.intOps());
+            w.u32(op.fpOps());
             w.u64(run);
             i += run;
             break;

@@ -35,31 +35,57 @@ enum class OpKind : std::uint8_t
     Compute
 };
 
-/** One dynamic operation. */
+/**
+ * One dynamic operation, 16 bytes: traces are the simulator's
+ * largest data structure, so every op pays for its layout many
+ * million times over.
+ *
+ * A load or store reads `addr` and `size`. A compute op has no
+ * address; its integer and floating-point op counts are packed into
+ * the address word (intOps() low, fpOps() high), so a reader checks
+ * `kind` before it reads `addr`.
+ */
 struct TraceOp
 {
     OpKind kind = OpKind::Compute;
-    Addr addr = 0;          ///< virtual address (mem ops)
     std::uint32_t size = 0; ///< access size in bytes (mem ops)
-    std::uint32_t intOps = 0; ///< integer ops (compute)
-    std::uint32_t fpOps = 0;  ///< floating-point ops (compute)
+    Addr addr = 0; ///< virtual address (mem ops); op counts (compute)
+
+    /** Integer ops of a compute op (0 for a load or store). */
+    std::uint32_t
+    intOps() const
+    {
+        return kind == OpKind::Compute ? static_cast<std::uint32_t>(addr)
+                                       : 0;
+    }
+    /** Floating-point ops of a compute op (0 for a load or store). */
+    std::uint32_t
+    fpOps() const
+    {
+        return kind == OpKind::Compute
+                   ? static_cast<std::uint32_t>(addr >> 32)
+                   : 0;
+    }
 
     static TraceOp
     load(Addr a, std::uint32_t sz)
     {
-        return TraceOp{OpKind::Load, a, sz, 0, 0};
+        return TraceOp{OpKind::Load, sz, a};
     }
     static TraceOp
     store(Addr a, std::uint32_t sz)
     {
-        return TraceOp{OpKind::Store, a, sz, 0, 0};
+        return TraceOp{OpKind::Store, sz, a};
     }
     static TraceOp
     compute(std::uint32_t int_ops, std::uint32_t fp_ops)
     {
-        return TraceOp{OpKind::Compute, 0, 0, int_ops, fp_ops};
+        return TraceOp{OpKind::Compute, 0,
+                       Addr{int_ops} | Addr{fp_ops} << 32};
     }
 };
+
+static_assert(sizeof(TraceOp) == 16, "TraceOp is 16 bytes");
 
 /** Static description of one accelerated function. */
 struct FunctionMeta

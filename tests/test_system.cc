@@ -110,6 +110,26 @@ TEST(SystemIntegration, AutoBuildsOnlyTheModesItPicks)
     EXPECT_TRUE(autos.ctx().stats.has("l1x.hits"));
 }
 
+/** The footprint the constructor counts while it maps the pages is
+ *  the trace analysis' footprint, for every workload and kind. */
+TEST(SystemIntegration, WorkingSetIsTheTraceFootprint)
+{
+    std::vector<SystemKind> kinds(std::begin(kStaticSystemKinds),
+                                  std::end(kStaticSystemKinds));
+    kinds.push_back(SystemKind::Auto);
+    for (const std::string &name : workloads::workloadNames()) {
+        trace::Program p = smallProgram(name.c_str());
+        const std::uint64_t bytes =
+            trace::footprintLines(p) * kLineBytes;
+        for (SystemKind k : kinds) {
+            RunResult r = runProgram(
+                SystemConfig::preset(SystemConfig::Preset::Paper, k), p);
+            EXPECT_EQ(r.workingSetBytes, bytes)
+                << name << "/" << systemKindName(k);
+        }
+    }
+}
+
 TEST(SystemIntegration, DeterministicAcrossRuns)
 {
     trace::Program p = smallProgram();

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "trace/recorder.hh"
 
 namespace fusion::trace
@@ -62,11 +64,24 @@ TEST(Recorder, ComputeOpsCoalesceUntilNextMemOp)
     const auto &ops = p.invocations[0].ops;
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[0].kind, OpKind::Compute);
-    EXPECT_EQ(ops[0].intOps, 8u);
-    EXPECT_EQ(ops[0].fpOps, 2u);
+    EXPECT_EQ(ops[0].intOps(), 8u);
+    EXPECT_EQ(ops[0].fpOps(), 2u);
     EXPECT_EQ(ops[1].kind, OpKind::Load);
     EXPECT_EQ(ops[2].kind, OpKind::Compute);
-    EXPECT_EQ(ops[2].intOps, 1u);
+    EXPECT_EQ(ops[2].intOps(), 1u);
+}
+
+TEST(Recorder, MemoryOpsReportNoComputeCounts)
+{
+    constexpr std::uint32_t kMax =
+        std::numeric_limits<std::uint32_t>::max();
+    // Addresses whose halves would read as counts if the accessors
+    // ignored the kind.
+    for (const TraceOp &op : {TraceOp::load(~Addr{0} << 6, kMax),
+                              TraceOp::store(Addr{3} << 32 | 0x40, 4)}) {
+        EXPECT_EQ(op.intOps(), 0u);
+        EXPECT_EQ(op.fpOps(), 0u);
+    }
 }
 
 TEST(Recorder, MultipleInvocationsKeepProgramOrder)

@@ -18,10 +18,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <unistd.h>
 
 #include "core/runner.hh"
 #include "sim/rng.hh"
+#include "trace/recorder.hh"
 #include "trace/store.hh"
 #include "workloads/workload.hh"
 
@@ -89,6 +91,46 @@ TEST(TraceStore, RoundTripAllWorkloadsAllScales)
                       out.invocations.size());
             EXPECT_EQ(programHash(prog), programHash(out));
         }
+    }
+}
+
+/** The 16-byte op keeps every field's full range through the
+ *  recorder and the codec: compute counts at their maximum (packed
+ *  into the address word), a load above 2^47 and a store of the
+ *  largest size. */
+TEST(TraceStore, ExtremeOpsRoundTrip)
+{
+    constexpr std::uint32_t kMax =
+        std::numeric_limits<std::uint32_t>::max();
+    const Addr high = (Addr{1} << 47) + (Addr{1} << 40) + 0x48;
+    Recorder rec("extreme");
+    const FuncId f = rec.addFunction({"f", 0, 2, 500});
+    rec.beginInvocation(f);
+    rec.intOps(kMax);
+    rec.fpOps(kMax);
+    rec.load(high, 8);
+    rec.store(0x1000, kMax);
+    rec.end();
+    Program prog = rec.take();
+    ASSERT_EQ(prog.invocations[0].ops.size(), 3u);
+
+    Program out;
+    std::string err;
+    ASSERT_TRUE(deserializeProgram(serializeProgram(prog), out, &err))
+        << err;
+    EXPECT_EQ(programHash(out), programHash(prog));
+    for (const Program *p : {&prog, &out}) {
+        const auto &ops = p->invocations[0].ops;
+        ASSERT_EQ(ops.size(), 3u);
+        EXPECT_EQ(ops[0].kind, OpKind::Compute);
+        EXPECT_EQ(ops[0].intOps(), kMax);
+        EXPECT_EQ(ops[0].fpOps(), kMax);
+        EXPECT_EQ(ops[1].kind, OpKind::Load);
+        EXPECT_EQ(ops[1].addr, high);
+        EXPECT_EQ(ops[1].size, 8u);
+        EXPECT_EQ(ops[2].kind, OpKind::Store);
+        EXPECT_EQ(ops[2].addr, 0x1000u);
+        EXPECT_EQ(ops[2].size, kMax);
     }
 }
 
