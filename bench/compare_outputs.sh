@@ -14,7 +14,9 @@
 #   - ablation_auto_mode --no-cache stdout at --small and at paper
 #     scale;
 #   - table1_characteristics --no-cache stdout at --small and at
-#     paper scale (the one harness that runs core::hostProfile).
+#     paper scale (the one harness that runs core::hostProfile);
+#   - table2_system_params stdout at --small and at paper scale (it
+#     prints the host side's Table 2 constants).
 # Compares every file: names each one that differs, with the head of
 # its diff, on stderr. Prints "M/N identical" and, when any file
 # differs, "K/N differ" and exits 1.
@@ -41,7 +43,7 @@ quiet() {
     fi
 }
 
-# build CHECKOUT: configure once, then build the three binaries.
+# build CHECKOUT: configure once, then build the four binaries.
 build() {
     dir="$1/.bench_build/compare"
     echo "compare_outputs.sh: building $1" >&2
@@ -49,7 +51,7 @@ build() {
         quiet cmake -S "$1" -B "$dir" -DCMAKE_BUILD_TYPE=Release
     fi
     quiet cmake --build "$dir" -j 4 --target example_simulate \
-        ablation_auto_mode table1_characteristics
+        ablation_auto_mode table1_characteristics table2_system_params
 }
 
 # run CHECKOUT SIDE: every simulation, outputs under $TMP/SIDE. The
@@ -84,6 +86,8 @@ run() {
             > table1.small.out
         "$bin/bench/table1_characteristics" --no-cache \
             > table1.paper.out
+        "$bin/bench/table2_system_params" --small > table2.small.out
+        "$bin/bench/table2_system_params" > table2.paper.out
     )
 }
 

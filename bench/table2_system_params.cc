@@ -9,6 +9,8 @@
 
 #include "energy/link_energy.hh"
 #include "energy/sram_model.hh"
+#include "host/llc.hh"
+#include "mem/dram.hh"
 
 namespace
 {
@@ -45,22 +47,21 @@ main(int argc, char **argv)
 
     std::printf("Host core: 2 GHz, %u-wide issue, %u in-flight "
                 "loads, %u-entry store queue\n",
-                cfg.hostCore.issueWidth, cfg.hostCore.maxOutstanding,
-                cfg.hostCore.storeQueue);
+                core::kHostIssueWidth, core::kHostMaxLoads,
+                core::kHostStoreQueue);
+    const host::LlcParams llc;
     std::printf("LLC: %llu MB, %u-way, %u-tile NUCA ring "
                 "(bank %llu cyc + %llu cyc/hop), directory MESI\n",
-                static_cast<unsigned long long>(
-                    cfg.llc.capacityBytes >> 20),
-                cfg.llc.assoc, cfg.llc.nucaBanks,
-                static_cast<unsigned long long>(cfg.llc.bankLatency),
-                static_cast<unsigned long long>(cfg.llc.hopLatency));
+                static_cast<unsigned long long>(llc.capacityBytes >> 20),
+                llc.assoc, llc.nucaBanks,
+                static_cast<unsigned long long>(llc.bankLatency),
+                static_cast<unsigned long long>(llc.hopLatency));
+    const mem::DramParams dram;
     std::printf("DRAM: %u channels, open page, %llu/%llu cycle "
                 "hit/miss latency\n\n",
-                cfg.dram.channels,
-                static_cast<unsigned long long>(
-                    cfg.dram.rowHitLatency),
-                static_cast<unsigned long long>(
-                    cfg.dram.rowMissLatency));
+                dram.channels,
+                static_cast<unsigned long long>(dram.rowHitLatency),
+                static_cast<unsigned long long>(dram.rowMissLatency));
 
     std::printf("Accelerator cache hierarchy (45nm ITRS-HP "
                 "analytical fit):\n");
@@ -74,7 +75,7 @@ main(int argc, char **argv)
               {cfg.l1xBytes, cfg.l1xAssoc, 64, cfg.l1xBanks,
                energy::SramKind::TimestampCache});
     printSram("Host L1",
-              {cfg.hostL1Bytes, cfg.hostL1Assoc, 64, 1,
+              {core::kHostL1Bytes, core::kHostL1Assoc, 64, 1,
                energy::SramKind::Cache});
     auto large = core::SystemConfig::preset(
         core::SystemConfig::Preset::AxcLarge,

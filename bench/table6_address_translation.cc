@@ -8,6 +8,8 @@
 
 #include "bench_util.hh"
 
+#include "energy/energy_ledger.hh"
+
 int
 main(int argc, char **argv)
 {

@@ -65,7 +65,9 @@ ReplayCore::pump()
             }
             _intOps += int_ops;
             _fpOps += fp_ops;
-            Cycles c = (int_ops + fp_ops + _p.width - 1) / _p.width;
+            // 64-bit: two 32-bit counts near 2^32 must not wrap.
+            const Cycles c =
+                (Cycles{int_ops} + fp_ops + _p.width - 1) / _p.width;
             ++_pos;
             if (c > 0) {
                 _pumpScheduled = true;

@@ -49,28 +49,27 @@ class HostPort final : public accel::MemPort
     Pid _pid;
 };
 
-/** DRAM, LLC, host L1 and host core, wired for one process. */
+/** DRAM, LLC, host L1 and host core, wired for one process with
+ *  Table 2's parameters. */
 struct HostTile
 {
-    HostTile(SimContext &ctx, const SystemConfig &cfg,
-             const vm::PageTable &pt, Pid pid)
-        : dram(ctx, cfg.dram), llc(ctx, cfg.llc, dram),
+    HostTile(SimContext &ctx, const vm::PageTable &pt, Pid pid)
+        : dram(ctx, mem::DramParams{}), llc(ctx, host::LlcParams{}, dram),
           link(ctx, interconnect::LinkParams{
                         "hostl1_l2", energy::LinkClass::HostL1ToL2, 2,
                         energy::comp::kLinkHostL1L2,
                         energy::comp::kLinkHostL1L2}),
           l1(ctx,
-             host::HostL1Params{.capacityBytes = cfg.hostL1Bytes,
-                                .assoc = cfg.hostL1Assoc,
+             host::HostL1Params{.capacityBytes = kHostL1Bytes,
+                                .assoc = kHostL1Assoc,
                                 .energyComponent = {}},
              llc, &link),
           port(l1, pt, pid),
           core(ctx, accel::ReplayCoreParams{
                         .name = "host.core",
                         .computeComponent = {},
-                        .width = cfg.hostCore.issueWidth,
-                        .storeBuffer = cfg.hostCore.storeQueue}),
-          maxLoads(cfg.hostCore.maxOutstanding)
+                        .width = kHostIssueWidth,
+                        .storeBuffer = kHostStoreQueue})
     {
     }
 
@@ -83,7 +82,8 @@ struct HostTile
     run(const std::vector<trace::TraceOp> &ops,
         sim::SmallFn<void()> done)
     {
-        core.run(ops, 0, ops.size(), maxLoads, port, std::move(done));
+        core.run(ops, 0, ops.size(), kHostMaxLoads, port,
+                 std::move(done));
     }
 
     mem::Dram dram;
@@ -92,7 +92,6 @@ struct HostTile
     host::HostL1 l1;
     HostPort port;
     accel::ReplayCore core;
-    std::uint32_t maxLoads;
 };
 
 } // namespace fusion::core

@@ -37,9 +37,6 @@ hostProfile(const trace::Program &prog)
 {
     // Replay every invocation on a host-only system; attribute
     // cycles per function.
-    SystemConfig cfg = SystemConfig::preset(
-        SystemConfig::Preset::Paper,
-        SystemKind::Shared); // host side only is used
     SimContext ctx;
     vm::PageTable pt;
     for (const auto &inv : prog.invocations) {
@@ -48,7 +45,7 @@ hostProfile(const trace::Program &prog)
                 pt.ensureMapped(prog.pid, op.addr);
         }
     }
-    HostTile host(ctx, cfg, pt, prog.pid);
+    HostTile host(ctx, pt, prog.pid);
 
     std::map<std::string, std::uint64_t> cycles;
     for (const auto &inv : prog.invocations) {

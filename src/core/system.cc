@@ -96,12 +96,12 @@ System::System(const SystemConfig &cfg, const trace::Program &prog)
         _footprintLines += static_cast<std::uint64_t>(std::popcount(mask));
 
     // Host tile, accelerator cores, then the accelerator side.
-    _host = std::make_unique<HostTile>(_ctx, cfg, _pt, prog.pid);
+    _host = std::make_unique<HostTile>(_ctx, _pt, prog.pid);
     std::uint32_t num_accels = std::max(1u, prog.accelCount());
     accel::ReplayCoreParams ap;
     ap.computeComponent = energy::comp::kAxcCompute;
-    ap.width = cfg.datapathWidth;
-    ap.storeBuffer = cfg.accelStoreBuffer;
+    ap.width = kDatapathWidth;
+    ap.storeBuffer = kAccelStoreBuffer;
     for (std::uint32_t a = 0; a < num_accels; ++a) {
         ap.name = "axc" + std::to_string(a) + ".core";
         _cores.push_back(std::make_unique<accel::ReplayCore>(_ctx, ap));

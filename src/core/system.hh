@@ -50,7 +50,6 @@ class System
 
     /** Simulation services (tests poke at stats/energy). */
     SimContext &ctx() { return _ctx; }
-    const SystemConfig &config() const { return _cfg; }
     /** The FUSION tiles of a static FUSION or FUSION-Dx system
      *  (empty for every other kind). */
     std::vector<std::unique_ptr<accel::FusionTile>> &tiles()
@@ -58,8 +57,6 @@ class System
         auto *ts = _frontend->fusionTiles();
         return ts ? *ts : _noTiles;
     }
-    host::Llc &llc() { return _host->llc; }
-    vm::PageTable &pageTable() { return _pt; }
 
   private:
     void runInvocation(std::size_t idx, sim::SmallFn<void()> then);

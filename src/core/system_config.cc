@@ -141,8 +141,6 @@ SystemConfig::validate() const
     };
     checkCache("L0X", l0xBytes, l0xAssoc, 1);
     checkCache("L1X", l1xBytes, l1xAssoc, l1xBanks);
-    checkCache("host L1", hostL1Bytes, hostL1Assoc, 1);
-    checkCache("LLC", llc.capacityBytes, llc.assoc, llc.nucaBanks);
 
     if (!isPow2(scratchpadBytes))
         err("scratchpad capacity must be a power of two, got ",
@@ -153,23 +151,8 @@ SystemConfig::validate() const
 
     if (numTiles == 0)
         err("numTiles must be nonzero");
-    if (datapathWidth == 0)
-        err("datapathWidth must be nonzero");
-    if (accelStoreBuffer == 0)
-        err("accelStoreBuffer must be nonzero");
     if (dmaMaxOutstanding == 0)
         err("dmaMaxOutstanding must be nonzero");
-
-    if (dram.channels == 0)
-        err("DRAM channel count must be nonzero");
-    if (dram.cmdQueueDepth == 0)
-        err("DRAM command queue depth must be nonzero");
-    if (hostCore.issueWidth == 0)
-        err("host core issue width must be nonzero");
-    if (hostCore.maxOutstanding == 0)
-        err("host core outstanding-load limit must be nonzero");
-    if (hostCore.storeQueue == 0)
-        err("host core store queue must be nonzero");
 
     if (kind == SystemKind::Auto && overlapInvocations)
         err("AUTO mode runs invocations serially; "
@@ -237,25 +220,6 @@ SystemConfig::canonicalHash() const
     h.mix(std::uint64_t{l1xAssoc});
     h.mix(std::uint64_t{l1xBanks});
     h.mix(l0xWriteThrough);
-    h.mix(llc.capacityBytes);
-    h.mix(std::uint64_t{llc.assoc});
-    h.mix(std::uint64_t{llc.nucaBanks});
-    h.mix(std::uint64_t{llc.bankLatency});
-    h.mix(std::uint64_t{llc.hopLatency});
-    h.mix(std::uint64_t{dram.channels});
-    h.mix(std::uint64_t{dram.cmdQueueDepth});
-    h.mix(std::uint64_t{dram.rowHitLatency});
-    h.mix(std::uint64_t{dram.rowMissLatency});
-    h.mix(std::uint64_t{dram.burstCycles});
-    h.mix(std::uint64_t{dram.rowBytes});
-    h.mix(dram.accessPj);
-    h.mix(std::uint64_t{hostCore.issueWidth});
-    h.mix(std::uint64_t{hostCore.maxOutstanding});
-    h.mix(std::uint64_t{hostCore.storeQueue});
-    h.mix(hostL1Bytes);
-    h.mix(std::uint64_t{hostL1Assoc});
-    h.mix(std::uint64_t{datapathWidth});
-    h.mix(std::uint64_t{accelStoreBuffer});
     h.mix(overlapInvocations);
     h.mix(std::uint64_t{numTiles});
     h.mix(std::uint64_t{dmaMaxOutstanding});

@@ -1,5 +1,8 @@
 #include "trace/recorder.hh"
 
+#include <algorithm>
+#include <limits>
+
 namespace fusion::trace
 {
 
@@ -69,12 +72,18 @@ Recorder::activeStream()
 void
 Recorder::flushCompute()
 {
-    if (_pendingInt == 0 && _pendingFp == 0)
-        return;
-    activeStream().push_back(TraceOp::compute(_pendingInt,
-                                              _pendingFp));
-    _pendingInt = 0;
-    _pendingFp = 0;
+    // A compute op holds 32-bit counts.
+    constexpr std::uint64_t kMax =
+        std::numeric_limits<std::uint32_t>::max();
+    while (_pendingInt != 0 || _pendingFp != 0) {
+        const std::uint64_t int_ops = std::min(_pendingInt, kMax);
+        const std::uint64_t fp_ops = std::min(_pendingFp, kMax);
+        activeStream().push_back(
+            TraceOp::compute(static_cast<std::uint32_t>(int_ops),
+                             static_cast<std::uint32_t>(fp_ops)));
+        _pendingInt -= int_ops;
+        _pendingFp -= fp_ops;
+    }
 }
 
 void

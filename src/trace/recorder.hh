@@ -76,7 +76,9 @@ class Recorder
     /** Close the current phase/invocation. */
     void end();
 
-    /** Record one load/store/op-burst in the active stream. */
+    /** Record one load/store/op-burst in the active stream. Op
+     *  counts coalesce until the next memory op; counts past
+     *  UINT32_MAX become several compute ops. */
     void load(Addr va, std::uint32_t size);
     void store(Addr va, std::uint32_t size);
     void intOps(std::uint32_t n) { _pendingInt += n; }
@@ -93,8 +95,8 @@ class Recorder
 
     Program _prog;
     Phase _phase = Phase::Idle;
-    std::uint32_t _pendingInt = 0;
-    std::uint32_t _pendingFp = 0;
+    std::uint64_t _pendingInt = 0;
+    std::uint64_t _pendingFp = 0;
 };
 
 /**

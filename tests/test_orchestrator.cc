@@ -35,8 +35,8 @@ autoConfig()
 /** The host side an Orchestrator's frontends attach to. */
 struct HostSide
 {
-    HostSide(SimContext &ctx, const core::SystemConfig &cfg)
-        : dram(ctx, cfg.dram), llc(ctx, cfg.llc, dram)
+    explicit HostSide(SimContext &ctx)
+        : dram(ctx, mem::DramParams{}), llc(ctx, host::LlcParams{}, dram)
     {
     }
 
@@ -102,7 +102,7 @@ TEST(Orchestrator, SwitchEmitsExactlyOneFlushTransition)
     oc.trace = true;
     ctx.obs.configure(oc);
 
-    HostSide host(ctx, cfg);
+    HostSide host(ctx);
     Orchestrator orch(host.env(ctx, cfg, p));
 
     const std::uint64_t flush_lines = 10;
@@ -218,7 +218,7 @@ TEST(AutoMode, SwitchesOnceAfterTheDwell)
     core::SystemConfig cfg = autoConfig();
     {
         SimContext ctx;
-        HostSide host(ctx, cfg);
+        HostSide host(ctx);
         Orchestrator orch(host.env(ctx, cfg, p));
         const core::SystemKind want[] = {
             core::SystemKind::FusionDx, core::SystemKind::FusionDx,

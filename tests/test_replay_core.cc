@@ -203,28 +203,19 @@ struct HostRig
 {
     SimContext ctx;
     vm::PageTable pt;
-    core::HostTile host;
+    core::HostTile host{ctx, pt, 1};
 
-    explicit HostRig(core::HostCoreParams p = {})
-        : host(ctx, withHostCore(p), pt, 1)
-    {
-    }
-
-    static core::SystemConfig
-    withHostCore(core::HostCoreParams p)
-    {
-        core::SystemConfig cfg;
-        cfg.hostCore = p;
-        return cfg;
-    }
-
+    /** Replay @p ops through host.core with at most @p max_loads
+     *  loads in flight; returns the cycles taken. */
     Tick
-    runSync(const std::vector<trace::TraceOp> &ops)
+    runSync(const std::vector<trace::TraceOp> &ops,
+            std::uint32_t max_loads = core::kHostMaxLoads)
     {
         pt.ensureMappedRange(1, 0, 1 << 20);
         Tick t0 = ctx.now();
         bool done = false;
-        host.run(ops, [&] { done = true; });
+        host.core.run(ops, 0, ops.size(), max_loads, host.port,
+                      [&] { done = true; });
         ctx.eq.run();
         EXPECT_TRUE(done);
         return ctx.now() - t0;
@@ -248,10 +239,21 @@ TEST(HostCore, EmptyStreamCompletesImmediately)
 
 TEST(HostCore, ComputeBurstTakesWidthScaledCycles)
 {
-    HostRig r;
-    // 40 int ops at width 4 = 10 cycles.
-    Tick t = r.runSync({trace::TraceOp::compute(40, 0)});
-    EXPECT_EQ(t, 10u);
+    // {int ops, fp ops, cycles at width 4}. The last two sum past
+    // 2^32: the cycles are computed in 64 bits.
+    struct Case
+    {
+        std::uint32_t intOps;
+        std::uint32_t fpOps;
+        Tick cycles;
+    };
+    for (const Case &c : {Case{40, 0, 10}, Case{0xFFFFFFFDu, 0, 1u << 30},
+                          Case{1u << 31, 1u << 31, 1u << 30}}) {
+        HostRig r;
+        EXPECT_EQ(r.runSync({trace::TraceOp::compute(c.intOps, c.fpOps)}),
+                  c.cycles)
+            << c.intOps << " int + " << c.fpOps << " fp ops";
+    }
 }
 
 TEST(HostCore, MemoryOpsPipelineAtOnePerCycle)
@@ -291,19 +293,15 @@ TEST(HostCore, StoresDoNotBlockIssue)
 
 TEST(HostCore, LoadMlpBoundsOutstanding)
 {
-    core::HostCoreParams p;
-    p.maxOutstanding = 1;
-    HostRig serial(p);
-    core::HostCoreParams p2;
-    p2.maxOutstanding = 8;
-    HostRig parallel(p2);
+    HostRig serial;
+    HostRig parallel;
 
     std::vector<trace::TraceOp> ops;
     for (int i = 0; i < 16; ++i)
         ops.push_back(
             trace::TraceOp::load(0x1000 + 0x40u * i, 8)); // misses
-    Tick ts = serial.runSync(ops);
-    Tick tp = parallel.runSync(ops);
+    Tick ts = serial.runSync(ops, 1);
+    Tick tp = parallel.runSync(ops, 8);
     EXPECT_LT(tp, ts);
 }
 

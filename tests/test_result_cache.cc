@@ -98,43 +98,6 @@ TEST(CanonicalHash, EveryKnobChangesTheHash)
          [](SystemConfig &c) {
              c.l0xWriteThrough = !c.l0xWriteThrough;
          }},
-        {"llc.capacityBytes",
-         [](SystemConfig &c) { c.llc.capacityBytes *= 2; }},
-        {"llc.assoc", [](SystemConfig &c) { c.llc.assoc *= 2; }},
-        {"llc.nucaBanks",
-         [](SystemConfig &c) { c.llc.nucaBanks *= 2; }},
-        {"llc.bankLatency",
-         [](SystemConfig &c) { c.llc.bankLatency += 1; }},
-        {"llc.hopLatency",
-         [](SystemConfig &c) { c.llc.hopLatency += 1; }},
-        {"dram.channels",
-         [](SystemConfig &c) { c.dram.channels *= 2; }},
-        {"dram.cmdQueueDepth",
-         [](SystemConfig &c) { c.dram.cmdQueueDepth += 1; }},
-        {"dram.rowHitLatency",
-         [](SystemConfig &c) { c.dram.rowHitLatency += 1; }},
-        {"dram.rowMissLatency",
-         [](SystemConfig &c) { c.dram.rowMissLatency += 1; }},
-        {"dram.burstCycles",
-         [](SystemConfig &c) { c.dram.burstCycles += 1; }},
-        {"dram.rowBytes",
-         [](SystemConfig &c) { c.dram.rowBytes *= 2; }},
-        {"dram.accessPj",
-         [](SystemConfig &c) { c.dram.accessPj += 1.0; }},
-        {"hostCore.issueWidth",
-         [](SystemConfig &c) { c.hostCore.issueWidth += 1; }},
-        {"hostCore.maxOutstanding",
-         [](SystemConfig &c) { c.hostCore.maxOutstanding += 1; }},
-        {"hostCore.storeQueue",
-         [](SystemConfig &c) { c.hostCore.storeQueue += 1; }},
-        {"hostL1Bytes",
-         [](SystemConfig &c) { c.hostL1Bytes *= 2; }},
-        {"hostL1Assoc",
-         [](SystemConfig &c) { c.hostL1Assoc *= 2; }},
-        {"datapathWidth",
-         [](SystemConfig &c) { c.datapathWidth += 1; }},
-        {"accelStoreBuffer",
-         [](SystemConfig &c) { c.accelStoreBuffer += 1; }},
         {"overlapInvocations",
          [](SystemConfig &c) {
              c.overlapInvocations = !c.overlapInvocations;

@@ -71,6 +71,23 @@ TEST(Recorder, ComputeOpsCoalesceUntilNextMemOp)
     EXPECT_EQ(ops[2].intOps(), 1u);
 }
 
+TEST(Recorder, ComputeCountsPastUint32MaxSplitTheOp)
+{
+    Recorder rec("t");
+    FuncId f = rec.addFunction({"f", 0, 2, 500});
+    rec.beginInvocation(f);
+    rec.intOps(std::numeric_limits<std::uint32_t>::max());
+    rec.intOps(2);
+    rec.load(0x100, 4);
+    rec.end();
+
+    Program p = rec.take();
+    std::uint64_t int_ops = 0;
+    for (const TraceOp &op : p.invocations[0].ops)
+        int_ops += op.intOps();
+    EXPECT_EQ(int_ops, (std::uint64_t{1} << 32) + 1);
+}
+
 TEST(Recorder, MemoryOpsReportNoComputeCounts)
 {
     constexpr std::uint32_t kMax =
