@@ -16,7 +16,11 @@
 #   - table1_characteristics --no-cache stdout at --small and at
 #     paper scale (the one harness that runs core::hostProfile);
 #   - table2_system_params stdout at --small and at paper scale (it
-#     prints the host side's Table 2 constants).
+#     prints the host side's Table 2 constants);
+#   - fault_campaign --small --trials 96 --no-cache stdout for seeds
+#     1, 5 and 11 (the guarded link path: dropped, reordered and
+#     duplicated flits).
+# That is 177 files per side.
 # Compares every file: names each one that differs, with the head of
 # its diff, on stderr. Prints "M/N identical" and, when any file
 # differs, "K/N differ" and exits 1.
@@ -43,7 +47,7 @@ quiet() {
     fi
 }
 
-# build CHECKOUT: configure once, then build the four binaries.
+# build CHECKOUT: configure once, then build the five binaries.
 build() {
     dir="$1/.bench_build/compare"
     echo "compare_outputs.sh: building $1" >&2
@@ -51,7 +55,8 @@ build() {
         quiet cmake -S "$1" -B "$dir" -DCMAKE_BUILD_TYPE=Release
     fi
     quiet cmake --build "$dir" -j 4 --target example_simulate \
-        ablation_auto_mode table1_characteristics table2_system_params
+        ablation_auto_mode table1_characteristics table2_system_params \
+        fault_campaign
 }
 
 # run CHECKOUT SIDE: every simulation, outputs under $TMP/SIDE. The
@@ -88,6 +93,10 @@ run() {
             > table1.paper.out
         "$bin/bench/table2_system_params" --small > table2.small.out
         "$bin/bench/table2_system_params" > table2.paper.out
+        for seed in 1 5 11; do
+            "$bin/bench/fault_campaign" --small --trials 96 \
+                --no-cache --seed "$seed" > "campaign.seed$seed.out"
+        done
     )
 }
 

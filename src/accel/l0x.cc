@@ -140,24 +140,9 @@ L0x::access(Addr va, std::uint32_t size, bool is_write,
     Tick start = _ctx.now();
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::Access, vline, start);
-    // Both wrappers below already exceed SmallFn's inline buffer (they
-    // carry a moved-in SmallFn), so the extra captures ride in the
-    // same recycled slab block — no new allocation class.
-    PortDone timed = [this, start, vline,
-                      done = std::move(done)]() mutable {
-        _stAccessLatency->sample(
-            static_cast<double>(_ctx.now() - start));
-        if (_tracer)
-            _tracer->end(_track, obs::SpanKind::Access, vline,
-                         _ctx.now());
-        done();
-    };
-    _ctx.eq.scheduleIn(_fig.latency,
-                       [this, vline, is_write, start,
-                        done = std::move(timed)]() mutable {
-                           lookup(vline, is_write, start,
-                                  std::move(done));
-                       });
+    _ctx.eq.scheduleIn(_fig.latency, [this, vline, is_write, start, done] {
+        lookup(vline, is_write, start, done);
+    });
 }
 
 void
@@ -169,9 +154,14 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
     bool lease_valid =
         line && (line->ltime >= now || line->wepochEnd >= now);
 
-    auto sampleDone = [&] {
+    // The access commits: sample its latencies, end its span.
+    auto finish = [&] {
+        _stAccessLatency->sample(static_cast<double>(now - start));
         (is_retry ? _stMissLatency : _stHitLatency)
             ->sample(static_cast<double>(now - start));
+        if (_tracer)
+            _tracer->end(_track, obs::SpanKind::Access, vline, now);
+        done();
     };
 
     if (!is_write) {
@@ -179,8 +169,7 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
             if (!is_retry)
                 ++_hits;
             _tags.touch(*line);
-            sampleDone();
-            done();
+            finish();
             return;
         }
     } else {
@@ -194,8 +183,7 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
                             [this, wt_line] {
                 _l1x.writeThroughStore(_p.accel, wt_line, _pid);
             });
-            sampleDone();
-            done();
+            finish();
             return;
         }
         if (line && line->wepochEnd >= now) {
@@ -205,8 +193,7 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
             _tags.touch(*line);
             line->dirty = true;
             noteWriteEpoch(vline, line->wepochEnd);
-            sampleDone();
-            done();
+            finish();
             return;
         }
     }
@@ -216,10 +203,8 @@ L0x::lookup(Addr vline, bool is_write, Tick start, PortDone done,
         ++(is_write ? _storeMisses : _loadMisses);
     bool need_data = !lease_valid;
     bool primary = _mshrs.allocate(
-        vline,
-        [this, vline, is_write, start,
-         done = std::move(done)]() mutable {
-            lookup(vline, is_write, start, std::move(done), true);
+        vline, [this, vline, is_write, start, done] {
+            lookup(vline, is_write, start, done, true);
         });
     if (primary) {
         if (_tracer)

@@ -9,15 +9,16 @@
 #ifndef FUSION_ACCEL_MEM_PORT_HH
 #define FUSION_ACCEL_MEM_PORT_HH
 
-#include "sim/small_fn.hh"
+#include "sim/completion.hh"
 #include "sim/types.hh"
 
 namespace fusion::accel
 {
 
-/** Completion callback for one memory operation (allocation-free
- *  move-only closure; see sim/small_fn.hh). */
-using PortDone = sim::SmallFn<void()>;
+/** Completion of one memory operation: a 24-byte trivially copyable
+ *  value (sim/completion.hh), so every closure that carries it along
+ *  the hit path fits SmallFn's inline buffer. */
+using PortDone = sim::Completion;
 
 /** Non-blocking memory port (Section 4: "aggressive non-blocking
  *  interface to memory"). */

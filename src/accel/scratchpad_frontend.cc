@@ -27,8 +27,7 @@ ScratchpadFrontend::access(Addr va, std::uint32_t size,
                   "scratchpad access outside resident window: va=",
                   va);
     Cycles lat = _spm.access(is_write);
-    _ctx.eq.scheduleIn(lat,
-                       [done = std::move(done)]() mutable { done(); });
+    _ctx.eq.scheduleIn(lat, done);
 }
 
 } // namespace fusion::accel

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "accel/dma_engine.hh"
 #include "accel/scratchpad_frontend.hh"
@@ -218,40 +219,57 @@ class SharedFrontend final : public TileFrontend
         {
             (void)size;
             Addr pa = _pt.translate(_pid, va);
+            // The L1X's completion has room for {this, is_write} and
+            // an index, not for @p done too: park it in a slot.
+            std::uint32_t slot = park(done);
             // Request: 1 flit (+ the store's word payload).
             _link.book(is_write ? interconnect::MsgClass::Word
                                 : interconnect::MsgClass::Control);
             _ctx.eq.scheduleIn(
-                _link.latency(),
-                [this, pa, is_write,
-                 done = std::move(done)]() mutable {
-                    _l1x.access(
-                        pa, is_write,
-                        [this, is_write,
-                         done = std::move(done)]() mutable {
-                            // Response: word payload for loads,
-                            // ack for stores.
-                            _link.book(
-                                is_write
-                                    ? interconnect::MsgClass::
-                                          Control
-                                    : interconnect::MsgClass::Word);
-                            _ctx.eq.scheduleIn(
-                                _link.latency(),
-                                [done = std::move(
-                                     done)]() mutable {
-                                    done();
-                                });
-                        });
+                _link.latency(), [this, pa, is_write, slot] {
+                    _l1x.access(pa, is_write, [this, is_write, slot] {
+                        // Response: word payload for loads, ack for
+                        // stores.
+                        _link.book(
+                            is_write ? interconnect::MsgClass::Control
+                                     : interconnect::MsgClass::Word);
+                        _ctx.eq.scheduleIn(_link.latency(),
+                                           unpark(slot));
+                    });
                 });
         }
 
       private:
+        std::uint32_t
+        park(PortDone done)
+        {
+            if (_freeSlots.empty()) {
+                _inFlight.push_back(done);
+                return static_cast<std::uint32_t>(_inFlight.size() - 1);
+            }
+            std::uint32_t slot = _freeSlots.back();
+            _freeSlots.pop_back();
+            _inFlight[slot] = done;
+            return slot;
+        }
+
+        PortDone
+        unpark(std::uint32_t slot)
+        {
+            _freeSlots.push_back(slot);
+            return _inFlight[slot];
+        }
+
         SimContext &_ctx;
         host::HostL1 &_l1x;
         interconnect::Link &_link;
         const vm::PageTable &_pt;
         Pid _pid;
+        /// Completions of the accesses in flight, by slot (at most
+        /// the cores' MLP plus their store buffers), and the free
+        /// slots.
+        std::vector<PortDone> _inFlight;
+        std::vector<std::uint32_t> _freeSlots;
     };
 
     SimContext &_ctx;

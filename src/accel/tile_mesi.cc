@@ -91,12 +91,9 @@ L0xMesi::access(Addr va, std::uint32_t size, bool is_write,
     Tick start = _ctx.now();
     if (_tracer)
         _tracer->begin(_track, obs::SpanKind::Access, vline, start);
-    _ctx.eq.scheduleIn(_fig.latency,
-                       [this, vline, is_write, start,
-                        done = std::move(done)]() mutable {
-                           lookup(vline, is_write, start,
-                                  std::move(done), false);
-                       });
+    _ctx.eq.scheduleIn(_fig.latency, [this, vline, is_write, start, done] {
+        lookup(vline, is_write, start, done, false);
+    });
 }
 
 void
@@ -131,10 +128,8 @@ L0xMesi::lookup(Addr vline, bool is_write, Tick start, PortDone done,
     if (!is_retry)
         ++(is_write ? _storeMisses : _loadMisses);
     bool primary = _mshrs.allocate(
-        vline,
-        [this, vline, is_write, start,
-         done = std::move(done)]() mutable {
-            lookup(vline, is_write, start, std::move(done), true);
+        vline, [this, vline, is_write, start, done] {
+            lookup(vline, is_write, start, done, true);
         });
     if (primary) {
         if (_tracer)

@@ -40,7 +40,7 @@ class HostPort final : public accel::MemPort
     access(Addr va, std::uint32_t, bool is_write,
            accel::PortDone done) override
     {
-        _l1.access(_pt.translate(_pid, va), is_write, std::move(done));
+        _l1.access(_pt.translate(_pid, va), is_write, done);
     }
 
   private:

@@ -121,7 +121,7 @@ SystemConfig::validate() const
     };
 
     // A cache must be a power-of-two number of whole lines so set
-    // indexing works, and hold at least one full set.
+    // indexing works, and split into whole sets, at least one.
     auto checkCache = [&](const char *name, std::uint64_t bytes,
                           std::uint32_t assoc, std::uint32_t banks) {
         if (!isPow2(bytes))
@@ -134,10 +134,15 @@ SystemConfig::validate() const
         if (banks != 0 && !isPow2(banks))
             err(name, " bank count must be a power of two, got ",
                 banks);
-        if (assoc != 0 &&
-            bytes < static_cast<std::uint64_t>(assoc) * kLineBytes)
+        const std::uint64_t set_bytes =
+            static_cast<std::uint64_t>(assoc) * kLineBytes;
+        if (assoc != 0 && bytes < set_bytes)
             err(name, " capacity ", bytes, " B cannot hold one ",
                 assoc, "-way set of ", kLineBytes, " B lines");
+        else if (assoc != 0 && isPow2(bytes) && bytes % set_bytes != 0)
+            err(name, " capacity ", bytes, " B does not split into ",
+                "whole ", assoc, "-way sets of ", kLineBytes,
+                " B lines");
     };
     checkCache("L0X", l0xBytes, l0xAssoc, 1);
     checkCache("L1X", l1xBytes, l1xAssoc, l1xBanks);

@@ -101,10 +101,8 @@ HostL1::access(Addr pa, bool is_write, AccessDone done)
     if (bank_delay > 0)
         ++_bankConflicts;
     _ctx.eq.scheduleIn(_fig.latency + bank_delay,
-                       [this, line_addr, is_write,
-                        done = std::move(done)]() mutable {
-                           lookup(line_addr, is_write,
-                                  std::move(done));
+                       [this, line_addr, is_write, done] {
+                           lookup(line_addr, is_write, done);
                        });
 }
 
@@ -133,9 +131,8 @@ HostL1::lookup(Addr line_addr, bool is_write, AccessDone done,
     if (!is_retry)
         ++(line ? _upgrades : _misses);
     bool primary = _mshrs.allocate(
-        line_addr, [this, line_addr, is_write,
-                    done = std::move(done)]() mutable {
-            lookup(line_addr, is_write, std::move(done), true);
+        line_addr, [this, line_addr, is_write, done] {
+            lookup(line_addr, is_write, done, true);
         });
     if (primary) {
         CoherenceReq kind = !is_write ? CoherenceReq::GetS

@@ -21,6 +21,7 @@
 #include "mem/cache_array.hh"
 #include "mem/bank_scheduler.hh"
 #include "mem/mshr.hh"
+#include "sim/completion.hh"
 #include "sim/sim_context.hh"
 
 namespace fusion::host
@@ -47,7 +48,10 @@ struct HostL1Params
 class HostL1 : public coherence::CoherentAgent
 {
   public:
-    using AccessDone = sim::SmallFn<void()>;
+    /** Completion of one access: the same 24-byte value as an
+     *  accelerator port's (sim/completion.hh), so the bank-latency
+     *  event and the MSHR target that carry it stay inline. */
+    using AccessDone = sim::Completion;
 
     HostL1(SimContext &ctx, const HostL1Params &p, Llc &llc,
            interconnect::Link *llc_link);

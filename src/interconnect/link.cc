@@ -67,23 +67,17 @@ Link::Link(SimContext &ctx, const LinkParams &p)
         });
 }
 
-void
-Link::sendTracked(Cycles latency, sim::SmallFn<void()> deliver)
+bool
+Link::admit(Cycles &latency)
 {
     ++_sentDeliveries;
     if (_ctx.guard.fireFault(guard::FaultKind::DropFlit))
-        return; // booked, counted as sent, never delivered
+        return false; // booked, counted as sent, never delivered
     if (_ctx.guard.fireFault(guard::FaultKind::ReorderFlit))
         latency += _ctx.guard.faultDelay();
     if (_live)
         ++_inFlight;
-    auto wrapped = [this, deliver = std::move(deliver)]() mutable {
-        if (_live)
-            --_inFlight;
-        ++_delivered;
-        deliver();
-    };
-    _ctx.eq.scheduleIn(latency, std::move(wrapped));
+    return true;
 }
 
 void

@@ -17,7 +17,6 @@
 #include "interconnect/message.hh"
 #include "obs/span_tracer.hh"
 #include "sim/sim_context.hh"
-#include "sim/small_fn.hh"
 
 namespace fusion::interconnect
 {
@@ -47,7 +46,8 @@ class Link
      * caller's closure constructed in place; with the guard layer
      * armed the delivery is counted against the conservation
      * invariant and subject to the link fault hooks
-     * (DropFlit / ReorderFlit).
+     * (DropFlit / ReorderFlit), and the event wraps the caller's
+     * closure in place with that bookkeeping.
      */
     template <typename F>
     void
@@ -58,8 +58,16 @@ class Link
             _ctx.eq.scheduleIn(latency, std::forward<F>(deliver));
             return;
         }
-        sendTracked(latency,
-                    sim::SmallFn<void()>(std::forward<F>(deliver)));
+        if (!admit(latency))
+            return;
+        _ctx.eq.scheduleIn(
+            latency,
+            [this, deliver = std::forward<F>(deliver)]() mutable {
+                if (_live)
+                    --_inFlight;
+                ++_delivered;
+                deliver();
+            });
     }
 
     /** Book traffic without scheduling (bulk accounting paths). */
@@ -73,8 +81,12 @@ class Link
     std::uint64_t totalBytes() const { return _bytes; }
 
   private:
-    /** Guarded/traced delivery path behind the template fast path. */
-    void sendTracked(Cycles latency, sim::SmallFn<void()> deliver);
+    /**
+     * Guarded/traced send: count the delivery and run the link fault
+     * hooks. @return false when the message is dropped; a reorder
+     * adds to @p latency.
+     */
+    bool admit(Cycles &latency);
 
     SimContext &_ctx;
     LinkParams _p;

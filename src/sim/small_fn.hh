@@ -4,22 +4,24 @@
  * transaction path in the simulator.
  *
  * std::function pays a heap allocation for any capture set past its
- * tiny SSO buffer (16 bytes on the common ABIs), and every
- * continuation in this simulator captures at least a component
- * pointer plus a moved-in downstream continuation — so the old
- * std::function callback types put one allocator round-trip on the
- * hot path of every cache transaction (lease grants, MSHR targets,
- * forwarded-request completions, DMA line callbacks).
+ * tiny SSO buffer (16 bytes on the common ABIs), and most
+ * continuations in this simulator capture a component pointer plus a
+ * downstream continuation — so the old std::function callback types
+ * put one allocator round-trip on the hot path of every cache
+ * transaction (lease grants, MSHR targets, forwarded-request
+ * completions, DMA line callbacks).
  *
- * SmallFn<R(Args...)> is the simulator's one closure type, for
+ * SmallFn<R(Args...)> is the simulator's one owning closure type, for
  * every signature (the event queue's EventFn is SmallFn<void()>):
  * kInlineBytes of in-object storage sized for the common capture sets
- * (component pointer + address + flags + a moved-in continuation).
- * Closures that fit are constructed directly in the buffer and never
- * touch the allocator. Oversized closures fall back to a per-thread
- * slab freelist of fixed-size blocks, so even a fat capture (a
- * continuation chaining two other SmallFns) costs a pointer pop
- * instead of a malloc once the simulation reaches steady state.
+ * (component pointer + address + flags + a tick + a memory-op
+ * completion, which is a 24-byte sim::Completion value, not a
+ * SmallFn). Closures that fit are constructed directly in the buffer
+ * and never touch the allocator. Oversized closures — one that
+ * carries a moved-in SmallFn is wider than the buffer, as on the miss
+ * paths — fall back to a per-thread slab freelist of fixed-size
+ * blocks, so even a fat capture costs a pointer pop instead of a
+ * malloc once the simulation reaches steady state.
  *
  * The type is deliberately *not* a general std::function
  * replacement: no copy, no target(), no allocators — exactly what a
@@ -133,8 +135,9 @@ class SmallFn<R(Args...)>
 {
   public:
     /** In-object closure storage. 64 bytes holds a this-pointer,
-     *  a couple of scalars and one moved-in continuation, which
-     *  covers the transaction hot paths in l0x/l1x/llc/host_l1. */
+     *  a few scalars and one sim::Completion, which covers the hit
+     *  paths in l0x/host_l1 and the ports; a closure carrying a
+     *  whole SmallFn takes the slab. */
     static constexpr std::size_t kInlineBytes = 64;
 
     SmallFn() noexcept = default;

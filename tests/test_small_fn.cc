@@ -113,12 +113,12 @@ TEST(SmallFn, DestructorReleasesOversizedCapture)
 
 TEST(SmallFn, ChainedContinuationRunsViaSlab)
 {
-    // The canonical transaction shape: a closure that carries a
-    // moved-in downstream continuation. A whole SmallFn is wider
-    // than the inline buffer, so the chain takes the slab path —
-    // the point of the freelist is that this still costs no heap
-    // allocation in steady state (asserted end-to-end by the
-    // TxnBenchSmoke counting-allocator harness).
+    // The miss-path shape (lease grants, LLC responses): a closure
+    // that carries a moved-in downstream continuation. A whole
+    // SmallFn is wider than the inline buffer, so the chain takes
+    // the slab path — the point of the freelist is that this still
+    // costs no heap allocation in steady state (asserted end-to-end
+    // by the TxnBenchSmoke counting-allocator harness).
     int order = 0;
     SmallFn<void()> inner = [&order] { order = order * 10 + 2; };
     SmallFn<void()> outer = [&order,

@@ -238,6 +238,36 @@ TEST(SystemConfig, ValidateCatchesTinyCapacity)
               std::string::npos);
 }
 
+TEST(SystemConfig, ValidateCatchesPartialSets)
+{
+    // 3 ways of 64 B lines never divide a power-of-two capacity;
+    // CacheArray would abort at construction.
+    core::SystemConfig cfg = core::SystemConfig::preset(
+        core::SystemConfig::Preset::Paper, core::SystemKind::Fusion);
+    cfg.l0xAssoc = 3;
+    cfg.l1xAssoc = 3;
+    auto errs = cfg.validate();
+    ASSERT_EQ(errs.size(), 2u);
+    EXPECT_EQ(errs[0].rfind("L0X capacity ", 0), 0u);
+    EXPECT_EQ(errs[1].rfind("L1X capacity ", 0), 0u);
+    for (const auto &e : errs)
+        EXPECT_NE(e.find("does not split into whole 3-way sets"),
+                  std::string::npos)
+            << e;
+}
+
+TEST(Sweep, PartialSetJobIsRefusedBeforeSimulating)
+{
+    core::SweepJob j;
+    j.cfg = core::SystemConfig::preset(
+        core::SystemConfig::Preset::Paper, core::SystemKind::Fusion);
+    j.cfg.l0xAssoc = 3;
+    j.workload = "adpcm";
+    j.scale = workloads::Scale::Small;
+    EXPECT_EXIT(core::runSweep({j}), ::testing::ExitedWithCode(1),
+                "invalid sweep job list");
+}
+
 TEST(Runner, BuildProgramReturnsNulloptForUnknownNames)
 {
     EXPECT_FALSE(
