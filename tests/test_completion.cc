@@ -1,14 +1,21 @@
 /**
  * @file
  * sim::Completion, the 24-byte value a memory operation's completion
- * travels as (DESIGN.md section 8): what it may hold, and that the
- * hit paths that carry it take no block from SmallFn's slab.
+ * travels as (DESIGN.md section 8): what it may hold, that the hit
+ * paths that carry it take no block from SmallFn's slab, and that the
+ * steady-state transaction paths make no heap allocation at all.
+ *
+ * Built as its own binary (fusion_test_alloc), because it replaces
+ * the global operator new with a counter.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <thread>
 #include <type_traits>
 
@@ -16,6 +23,62 @@
 #include "sim/completion.hh"
 #include "sim/small_fn.hh"
 #include "test_util.hh"
+
+namespace
+{
+
+// Heap allocations, counted while gCounting is set. Relaxed atomics:
+// HitPathsTakeNoSlabBlock allocates on a second thread.
+std::atomic<std::uint64_t> gAllocs{0};
+std::atomic<bool> gCounting{false};
+
+void *
+countedAlloc(std::size_t n, std::size_t align = 0)
+{
+    if (gCounting.load(std::memory_order_relaxed))
+        gAllocs.fetch_add(1, std::memory_order_relaxed);
+    void *p = align ? std::aligned_alloc(align,
+                                         (n + align - 1) / align * align)
+                    : std::malloc(n ? n : 1);
+    if (!p)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace fusion
 {
@@ -126,6 +189,95 @@ TEST(Completion, HitPathsTakeNoSlabBlock)
     }));
     EXPECT_EQ(r.tile->l0x(0).hits() - l0x_hits, 4u);
     EXPECT_EQ(r.l1.hits() - l1_hits, 4u);
+}
+
+/**
+ * Heap allocations made by a serial chain of 4,000 accesses over
+ * @p lines cyclic lines, each issued by the previous one's
+ * completion. Four warm-up passes run first, so the lines are filled
+ * and every pool and container has reached its steady-state size
+ * (after two, the host-L1 row still makes ten one-time allocations).
+ * @p issue(i, done) starts the access to line i.
+ */
+template <typename Issue>
+std::uint64_t
+steadyStateAllocs(HitRig &r, int lines, Issue issue)
+{
+    struct Chain
+    {
+        HitRig &r;
+        Issue &issue;
+        int lines;
+        int line = 0;
+        int left = 0;
+
+        void
+        next()
+        {
+            int i = line;
+            line = (line + 1) % lines;
+            issue(i, Completion([this] {
+                if (--left > 0)
+                    next();
+            }));
+        }
+
+        void
+        run(int ops)
+        {
+            left = ops;
+            next();
+            while (left > 0 && r.ctx.eq.step()) {
+            }
+            EXPECT_EQ(left, 0);
+        }
+    } chain{r, issue, lines};
+    chain.run(4 * lines);
+    gAllocs.store(0, std::memory_order_relaxed);
+    gCounting.store(true, std::memory_order_relaxed);
+    chain.run(4'000);
+    gCounting.store(false, std::memory_order_relaxed);
+    return gAllocs.load(std::memory_order_relaxed);
+}
+
+TEST(Completion, TransactionPathsMakeNoHeapAllocation)
+{
+    auto l0xAccess = [](HitRig &r, bool is_write) {
+        return [&r, is_write](int i, Completion done) {
+            r.tile->l0x(0).access(r.accelLine(i), 4, is_write, done);
+        };
+    };
+
+    // L0X load hits under HitRig's long lease.
+    HitRig hit;
+    EXPECT_EQ(steadyStateAllocs(hit, 16, l0xAccess(hit, false)), 0u);
+    EXPECT_EQ(hit.tile->l0x(0).misses(), 16u);
+
+    // 4x the 4 KB L0X: every load misses the L0X and hits the 64 KB
+    // L1X, through the MSHR and the lease grant.
+    HitRig lease;
+    EXPECT_EQ(steadyStateAllocs(lease, 256, l0xAccess(lease, false)),
+              0u);
+    EXPECT_EQ(lease.tile->l0x(0).hits(), 0u);
+    EXPECT_EQ(lease.tile->l1x().misses(), 256u);
+
+    // Stores under a 64-cycle lease: write epochs keep expiring, so a
+    // self-downgrade sweep (writeback plus a fresh write lease) runs
+    // about once per store.
+    HitRig store;
+    store.tile->l0x(0).setFunction(64, 1);
+    EXPECT_EQ(steadyStateAllocs(store, 16, l0xAccess(store, true)), 0u);
+    EXPECT_GT(store.tile->l0x(0).writebacksSent(), 4'000u);
+
+    // SHARED's host L1 hit path.
+    HitRig host;
+    EXPECT_EQ(steadyStateAllocs(host, 16,
+                                [&host](int i, Completion done) {
+                                    host.l1.access(host.hostLine(i),
+                                                   false, done);
+                                }),
+              0u);
+    EXPECT_EQ(host.l1.misses(), 16u);
 }
 
 } // namespace

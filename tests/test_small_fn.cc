@@ -117,8 +117,8 @@ TEST(SmallFn, ChainedContinuationRunsViaSlab)
     // that carries a moved-in downstream continuation. A whole
     // SmallFn is wider than the inline buffer, so the chain takes
     // the slab path — the point of the freelist is that this still
-    // costs no heap allocation in steady state (asserted end-to-end
-    // by the TxnBenchSmoke counting-allocator harness).
+    // costs no heap allocation in steady state (asserted on a real
+    // tile by Completion.TransactionPathsMakeNoHeapAllocation).
     int order = 0;
     SmallFn<void()> inner = [&order] { order = order * 10 + 2; };
     SmallFn<void()> outer = [&order,
