@@ -487,12 +487,11 @@ runSweep(const char *sweepName,
                           cold == rewarmed;
         std::fprintf(stderr,
                      "cache smoke: cold misses=%llu warm hits=%llu "
-                     "misses=%llu deduped=%llu programsBuilt=%llu "
+                     "misses=%llu programsBuilt=%llu "
                      "report %s => %s\n",
                      static_cast<unsigned long long>(cstats.misses),
                      static_cast<unsigned long long>(warm.hits),
                      static_cast<unsigned long long>(warm.misses),
-                     static_cast<unsigned long long>(warm.deduped),
                      static_cast<unsigned long long>(
                          warm.programsBuilt),
                      cold == rewarmed ? "identical" : "DIFFERS",

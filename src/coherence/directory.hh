@@ -25,12 +25,11 @@
 #include <functional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "coherence/protocol.hh"
-#include "mem/mshr.hh"
+#include "mem/line_table.hh"
 #include "sim/logging.hh"
 #include "sim/small_fn.hh"
 
@@ -84,19 +83,16 @@ class Directory
     State
     state(Key key) const
     {
-        auto it = _entries.find(key);
-        return it == _entries.end() ? State{}
-                                    : State{it->second.owner,
-                                            it->second.sharers,
-                                            it->second.busy};
+        const Entry *e = _entries.find(key.line, key.pid);
+        return e ? State{e->owner, e->sharers, e->busy} : State{};
     }
 
     /** True when no transaction runs on @p key and nobody holds it. */
     bool
     idle(Key key) const
     {
-        auto it = _entries.find(key);
-        return it == _entries.end() || isIdle(it->second);
+        const Entry *e = _entries.find(key.line, key.pid);
+        return !e || isIdle(*e);
     }
 
     std::size_t size() const { return _entries.size(); }
@@ -108,9 +104,10 @@ class Directory
     busyKeys() const
     {
         std::vector<Key> keys;
-        for (const auto &[key, e] : _entries)
+        _entries.forEach([&keys](Addr line, Pid pid, const Entry &e) {
             if (e.busy)
-                keys.push_back(key);
+                keys.emplace_back(line, pid);
+        });
         std::sort(keys.begin(), keys.end());
         return keys;
     }
@@ -122,7 +119,7 @@ class Directory
     bool
     begin(Key key)
     {
-        Entry &e = _entries[key];
+        Entry &e = _entries.insert(key.line, key.pid);
         if (e.busy)
             return false;
         e.busy = true;
@@ -145,18 +142,17 @@ class Directory
     void
     finish(Key key)
     {
-        auto it = _entries.find(key);
-        fusion_assert(it != _entries.end() && it->second.busy,
+        Entry *e = _entries.find(key.line, key.pid);
+        fusion_assert(e != nullptr && e->busy,
                       "finishing an idle directory transaction");
-        Entry &e = it->second;
-        e.busy = false;
+        e->busy = false;
         --_busy;
-        if (e.parked.empty()) {
-            eraseIfIdle(it);
+        if (e->parked.empty()) {
+            eraseIfIdle(key, *e);
             return;
         }
-        Parked next = std::move(e.parked.front());
-        e.parked.erase(e.parked.begin());
+        Parked next = std::move(e->parked.front());
+        e->parked.erase(e->parked.begin());
         --_parkedCount;
         next();
     }
@@ -166,10 +162,9 @@ class Directory
     void
     drop(Key key, int id)
     {
-        auto it = _entries.find(key);
-        if (it != _entries.end()) {
-            forget(it->second, id);
-            eraseIfIdle(it);
+        if (Entry *e = _entries.find(key.line, key.pid)) {
+            forget(*e, id);
+            eraseIfIdle(key, *e);
         }
     }
 
@@ -285,9 +280,10 @@ class Directory
           std::vector<std::string> &out) const
     {
         std::vector<std::pair<Key, std::string>> bad;
-        for (const auto &[key, e] : _entries) {
+        _entries.forEach([&](Addr line, Pid pid, const Entry &e) {
             if (e.busy)
-                continue;
+                return;
+            Key key{line, pid};
             if (e.owner >= 0 && e.sharers != 0)
                 bad.emplace_back(key, "owner and sharers coexist");
             if ((e.owner >= 0 || e.sharers != 0) && !has_frame(key)) {
@@ -295,7 +291,7 @@ class Directory
                                           std::string(cache) +
                                           " frame");
             }
-        }
+        });
         std::stable_sort(bad.begin(), bad.end(),
                          [](const auto &a, const auto &b) {
                              return a.first < b.first;
@@ -320,25 +316,13 @@ class Directory
         std::vector<Parked> parked;
     };
 
-    struct KeyHash
-    {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            return static_cast<std::size_t>(
-                mem::mixLinePid(k.line, k.pid));
-        }
-    };
-
-    using Map = std::unordered_map<Key, Entry, KeyHash>;
-
     Entry &
     at(Key key)
     {
-        auto it = _entries.find(key);
-        fusion_assert(it != _entries.end(),
-                      "no directory entry for line ", key.line);
-        return it->second;
+        Entry *e = _entries.find(key.line, key.pid);
+        fusion_assert(e != nullptr, "no directory entry for line ",
+                      key.line);
+        return *e;
     }
 
     static void
@@ -357,14 +341,14 @@ class Directory
     }
 
     void
-    eraseIfIdle(Map::iterator it)
+    eraseIfIdle(Key key, const Entry &e)
     {
-        if (isIdle(it->second))
-            _entries.erase(it);
+        if (isIdle(e))
+            _entries.erase(key.line, key.pid);
     }
 
     Probe _probe;
-    Map _entries;
+    mem::LineTable<Entry> _entries;
     std::size_t _busy = 0;
     std::size_t _parkedCount = 0;
 };

@@ -66,14 +66,6 @@ struct CacheKey
         return a.configHash == b.configHash &&
                a.traceHash == b.traceHash;
     }
-
-    friend bool
-    operator<(const CacheKey &a, const CacheKey &b)
-    {
-        return a.configHash != b.configHash
-                   ? a.configHash < b.configHash
-                   : a.traceHash < b.traceHash;
-    }
 };
 
 /** Thread-safe content-addressed result store rooted at one dir. */

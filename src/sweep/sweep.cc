@@ -305,22 +305,10 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
     // Result-cache plumbing; all of it is inert when opt.cache is
     // null, keeping the engine byte-identical to its pre-cache form.
     SweepCacheStats cstats;
-    std::mutex cacheMu; // counters, hash memo, dedupe map
+    std::mutex cacheMu; // counters, hash memo
     // Content hashes of attached SweepJob::prog programs, memoized
     // per instance (jobs sharing one program hash it once).
     std::map<const trace::Program *, std::uint64_t> progHashes;
-    // In-flight dedupe: identical (config, trace) jobs in the same
-    // sweep share one simulation via a builder/waiter slot, same
-    // discipline as ProgramCache.
-    struct DedupSlot
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        bool claimed = false; ///< guarded by cacheMu
-        bool done = false;    ///< guarded by mu
-        core::RunResult result;
-    };
-    std::map<CacheKey, std::shared_ptr<DedupSlot>> dedup;
 
     auto hashOf =
         [&](const std::shared_ptr<const trace::Program> &p) {
@@ -386,8 +374,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
     };
 
     // Every failure mode becomes a failed result, so a poisoned job
-    // never takes down sibling jobs and a dedupe builder always
-    // publishes (its waiters never hang).
+    // never takes down sibling jobs.
     auto contained = [](const SweepJob &j, auto &&fn) {
         try {
             return core::RunResult(fn());
@@ -399,9 +386,16 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         }
     };
 
-    // Serve a cacheable job from the cache, or simulate it and store
-    // the result. Only a miss materializes the job's program.
-    auto probe = [&](const SweepJob &j, CacheKey key) {
+    // Simulate a job, or, when it is cacheable, serve it from the
+    // cache or simulate it and store the result. Only a miss
+    // materializes the job's program.
+    auto runOne = [&](const SweepJob &j) {
+        if (!opt.cache || !ResultCache::cacheable(j.cfg))
+            return runJob(j, *baseOf(j));
+        CacheKey key{j.cfg.canonicalHash(),
+                     traceHashOf(j, j.prog ? hashOf(j.prog)
+                                           : programs.identity(
+                                                 j.workload, j.scale))};
         std::optional<core::RunResult> hit = opt.cache->lookup(key);
         if (!hit && !j.prog) {
             // The key names the identity of the stored trace. If that
@@ -425,52 +419,6 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &opt)
         core::RunResult res = runJob(j, *baseOf(j));
         // Failed results are rejected by store().
         opt.cache->store(key, res);
-        return res;
-    };
-
-    auto runOne = [&](const SweepJob &j) {
-        if (!opt.cache || !ResultCache::cacheable(j.cfg))
-            return runJob(j, *baseOf(j));
-        const CacheKey key{
-            j.cfg.canonicalHash(),
-            traceHashOf(j, j.prog ? hashOf(j.prog)
-                                  : programs.identity(j.workload,
-                                                      j.scale))};
-        std::shared_ptr<DedupSlot> slot;
-        bool builder = false;
-        {
-            std::lock_guard<std::mutex> lk(cacheMu);
-            auto [it, inserted] = dedup.try_emplace(key, nullptr);
-            if (inserted)
-                it->second = std::make_shared<DedupSlot>();
-            slot = it->second;
-            if (!slot->claimed) {
-                slot->claimed = true;
-                builder = true;
-            }
-        }
-        if (builder) {
-            core::RunResult res =
-                contained(j, [&] { return probe(j, key); });
-            {
-                std::lock_guard<std::mutex> lk(slot->mu);
-                slot->result = res;
-                slot->done = true;
-            }
-            slot->cv.notify_all();
-            return res;
-        }
-        // An identical job is already in flight: share its
-        // (deterministic) result instead of simulating the same
-        // point twice.
-        core::RunResult res;
-        {
-            std::unique_lock<std::mutex> lk(slot->mu);
-            slot->cv.wait(lk, [&] { return slot->done; });
-            res = slot->result;
-        }
-        std::lock_guard<std::mutex> lk(cacheMu);
-        ++cstats.deduped;
         return res;
     };
 
@@ -610,8 +558,7 @@ reportJson(const std::string &sweepName,
     // whether a point was simulated or replayed from cache.
     if (cacheStats) {
         os << ",\"cache\":{\"hits\":" << cacheStats->hits
-           << ",\"misses\":" << cacheStats->misses
-           << ",\"deduped\":" << cacheStats->deduped << '}';
+           << ",\"misses\":" << cacheStats->misses << '}';
     }
     os << "}\n";
     return os.str();

@@ -62,8 +62,8 @@ struct SweepJob
      * should name the base workload and express the per-point
      * mutation here instead of materializing N mutated copies up
      * front: the copy is made lazily inside the worker, so jobs
-     * served from the result cache (or deduplicated in flight)
-     * never pay the base build, the deep copy or its content hash.
+     * served from the result cache never pay the base build, the
+     * deep copy or its content hash.
      */
     std::function<void(trace::Program &)> transform;
     /**
@@ -92,15 +92,12 @@ using ProgressFn = std::function<void(const SweepProgress &)>;
 
 /**
  * How the result cache fared over one sweep. Hit + miss counts cover
- * only *cacheable* jobs (ResultCache::cacheable); a deduped job is
- * one that neither hit disk nor simulated because an identical job
- * was already in flight in this very sweep and its result was shared.
+ * only *cacheable* jobs (ResultCache::cacheable).
  */
 struct SweepCacheStats
 {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t deduped = 0;
     /**
      * Programs the sweep decoded or generated for jobs that name a
      * workload (attached SweepJob::prog programs are not counted).
@@ -121,8 +118,7 @@ struct SweepOptions
     /**
      * Content-addressed result cache (result_cache.hh). When set,
      * every cacheable job is looked up by (config hash, trace hash)
-     * before dispatch, identical in-flight jobs are deduplicated
-     * behind one simulation, and completed results are stored.
+     * before it runs, and completed results are stored.
      * nullptr (default) = caching off, byte-identical to the
      * pre-cache engine.
      */
@@ -157,7 +153,7 @@ runSweep(const std::vector<SweepJob> &jobs,
  *        host timing varies run to run, and the determinism tests
  *        compare reports byte for byte.
  * @param cacheStats when non-null, append a top-level "cache"
- *        object with the sweep's hit/miss/dedupe counters. Kept out
+ *        object with the sweep's hit/miss counters. Kept out
  *        of the default report (and out of the per-job entries) so
  *        the results array is byte-identical whether a job was
  *        simulated or served from cache.

@@ -18,7 +18,7 @@ AxRmap::AxRmap(SimContext &ctx, const AxRmapParams &p)
 void
 AxRmap::insert(Addr pline, Addr vline, Pid pid)
 {
-    _map[lineAlign(pline)] = RmapEntry{lineAlign(vline), pid};
+    _map.insert(lineAlign(pline)) = RmapEntry{lineAlign(vline), pid};
     ++_inserts;
 }
 
@@ -33,10 +33,8 @@ AxRmap::lookup(Addr pline)
 {
     ++_lookups;
     _ctx.energy.add(_ecRmap, _p.lookupPj);
-    auto it = _map.find(lineAlign(pline));
-    if (it == _map.end())
-        return std::nullopt;
-    return it->second;
+    const RmapEntry *e = _map.find(lineAlign(pline));
+    return e ? std::optional(*e) : std::nullopt;
 }
 
 std::optional<RmapEntry>
@@ -44,10 +42,8 @@ AxRmap::probeForSynonym(Addr pline)
 {
     ++_synonymProbes;
     _ctx.energy.add(_ecRmap, _p.lookupPj);
-    auto it = _map.find(lineAlign(pline));
-    if (it == _map.end())
-        return std::nullopt;
-    return it->second;
+    const RmapEntry *e = _map.find(lineAlign(pline));
+    return e ? std::optional(*e) : std::nullopt;
 }
 
 } // namespace fusion::vm

@@ -21,8 +21,8 @@
 #define FUSION_VM_AX_RMAP_HH
 
 #include <optional>
-#include <unordered_map>
 
+#include "mem/line_table.hh"
 #include "sim/sim_context.hh"
 #include "sim/types.hh"
 
@@ -74,7 +74,7 @@ class AxRmap
   private:
     SimContext &_ctx;
     AxRmapParams _p;
-    std::unordered_map<Addr, RmapEntry> _map;
+    mem::LineTable<RmapEntry> _map; ///< keyed by (pline, 0)
     // Counters, bound into ctx.stats under "ax_rmap.<stat>".
     std::uint64_t _inserts = 0;
     std::uint64_t _lookups = 0;

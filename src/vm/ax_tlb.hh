@@ -12,9 +12,7 @@
 #ifndef FUSION_VM_AX_TLB_HH
 #define FUSION_VM_AX_TLB_HH
 
-#include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/sim_context.hh"
 #include "sim/small_fn.hh"
@@ -51,34 +49,20 @@ class AxTlb
     std::uint64_t misses() const { return _misses; }
 
   private:
-    struct Key
+    /** One translation, stamped with the lookup that last used it:
+     *  the smallest stamp is the LRU victim. */
+    struct Slot
     {
         Pid pid;
         Addr vpage;
-        bool operator==(const Key &o) const
-        {
-            return pid == o.pid && vpage == o.vpage;
-        }
+        Addr ppageBase;
+        std::uint64_t lastUse;
     };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const
-        {
-            return std::hash<Addr>()(k.vpage * 1000003ull +
-                                     static_cast<Addr>(k.pid));
-        }
-    };
-
-    void insert(const Key &k, Addr ppage_base);
 
     SimContext &_ctx;
     AxTlbParams _p;
     const PageTable &_pt;
-    /// LRU list of keys; map holds (ppage base, list iterator).
-    std::list<Key> _lru;
-    std::unordered_map<Key, std::pair<Addr, std::list<Key>::iterator>,
-                       KeyHash>
-        _entries;
+    std::vector<Slot> _slots; ///< scanned per lookup; at most p.entries
     // Counters, bound into ctx.stats under "ax_tlb.<stat>".
     std::uint64_t _lookups = 0;
     std::uint64_t _misses = 0;

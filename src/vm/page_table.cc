@@ -8,11 +8,10 @@ namespace fusion::vm
 Addr
 PageTable::ensureMapped(Pid pid, Addr va)
 {
-    Key k{pid, pageNumber(va)};
-    auto it = _map.find(k);
-    if (it == _map.end())
-        it = _map.emplace(k, _nextPpage++).first;
-    return it->second << kPageShift;
+    Addr &ppage = _map.insert(pageNumber(va), pid);
+    if (ppage == 0)
+        ppage = _nextPpage++;
+    return ppage << kPageShift;
 }
 
 void
@@ -29,25 +28,26 @@ PageTable::ensureMappedRange(Pid pid, Addr va, std::uint64_t bytes)
 void
 PageTable::alias(Pid pid, Addr synonym_va, Addr canonical_va)
 {
-    Key canon{pid, pageNumber(canonical_va)};
-    auto it = _map.find(canon);
-    fusion_assert(it != _map.end(),
+    const Addr *canon = _map.find(pageNumber(canonical_va), pid);
+    fusion_assert(canon != nullptr,
                   "alias target not mapped: va=", canonical_va);
-    _map[Key{pid, pageNumber(synonym_va)}] = it->second;
+    // Copy the frame first: the insert may move every entry.
+    Addr ppage = *canon;
+    _map.insert(pageNumber(synonym_va), pid) = ppage;
 }
 
 Addr
 PageTable::translate(Pid pid, Addr va) const
 {
-    auto it = _map.find(Key{pid, pageNumber(va)});
-    fusion_assert(it != _map.end(), "unmapped va=", va, " pid=", pid);
-    return (it->second << kPageShift) | pageOffset(va);
+    const Addr *ppage = _map.find(pageNumber(va), pid);
+    fusion_assert(ppage != nullptr, "unmapped va=", va, " pid=", pid);
+    return (*ppage << kPageShift) | pageOffset(va);
 }
 
 bool
 PageTable::mapped(Pid pid, Addr va) const
 {
-    return _map.count(Key{pid, pageNumber(va)}) != 0;
+    return _map.find(pageNumber(va), pid) != nullptr;
 }
 
 } // namespace fusion::vm

@@ -18,8 +18,8 @@
 #define FUSION_VM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "mem/line_table.hh"
 #include "sim/types.hh"
 
 namespace fusion::vm
@@ -75,25 +75,9 @@ class PageTable
     std::size_t pageCount() const { return _map.size(); }
 
   private:
-    struct Key
-    {
-        Pid pid;
-        Addr vpage;
-        bool operator==(const Key &o) const
-        {
-            return pid == o.pid && vpage == o.vpage;
-        }
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const
-        {
-            return std::hash<Addr>()(k.vpage * 1000003ull +
-                                     static_cast<Addr>(k.pid));
-        }
-    };
-
-    std::unordered_map<Key, Addr, KeyHash> _map; ///< vpage -> ppage
+    /// (vpage, pid) -> ppage. Frames start at _nextPpage's first
+    /// value, so a ppage of 0 is an entry insert() just added.
+    mem::LineTable<Addr> _map;
     Addr _nextPpage = 0x10; ///< first pages reserved
 };
 

@@ -82,6 +82,27 @@ TEST(AxTlb, LruEvictionAtCapacity)
     EXPECT_EQ(r.tlb.misses(), 6u);
 }
 
+TEST(AxTlb, HitRefreshesLruOrder)
+{
+    AxTlbParams p;
+    p.entries = 4;
+    TlbRig r(p);
+    for (Addr page = 0; page < 5; ++page)
+        r.pt.ensureMapped(1, 0x10000000 + page * kPageBytes);
+    // Fill 4 entries and hit the first: the second is now the least
+    // recently used, so a 5th page evicts it, not the first.
+    for (Addr page = 0; page < 4; ++page)
+        r.translateSync(1, 0x10000000 + page * kPageBytes);
+    r.translateSync(1, 0x10000000);
+    EXPECT_EQ(r.tlb.misses(), 4u);
+    r.translateSync(1, 0x10004000);
+    EXPECT_EQ(r.tlb.misses(), 5u);
+    r.translateSync(1, 0x10000000); // page 0 still resident
+    EXPECT_EQ(r.tlb.misses(), 5u);
+    r.translateSync(1, 0x10001000); // page 1 was evicted
+    EXPECT_EQ(r.tlb.misses(), 6u);
+}
+
 TEST(AxTlb, PidsDoNotAlias)
 {
     TlbRig r;

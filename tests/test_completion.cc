@@ -102,8 +102,8 @@ struct HitRig : test::L1Rig
         accel::TileParams p;
         p.numAccels = 1;
         tile = std::make_unique<accel::FusionTile>(ctx, p, llc, pt);
-        pt.ensureMappedRange(1, kAccelBase, 1 << 16);
-        pt.ensureMappedRange(1, kHostBase, 1 << 16);
+        pt.ensureMappedRange(1, kAccelBase, 1 << 17);
+        pt.ensureMappedRange(1, kHostBase, 1 << 17);
         tile->l0x(0).setFunction(1'000'000, 1);
     }
 
@@ -278,6 +278,27 @@ TEST(Completion, TransactionPathsMakeNoHeapAllocation)
                                 }),
               0u);
     EXPECT_EQ(host.l1.misses(), 16u);
+
+    // Host-L1 loads over 2,048 lines, twice the 64 KB L1: every load
+    // misses and hits in the LLC, through its directory.
+    HitRig hostMiss;
+    EXPECT_EQ(steadyStateAllocs(hostMiss, 2048,
+                                [&hostMiss](int i, Completion done) {
+                                    hostMiss.l1.access(
+                                        hostMiss.hostLine(i), false,
+                                        done);
+                                }),
+              0u);
+    EXPECT_EQ(hostMiss.l1.hits(), 0u);
+
+    // L0X loads over the same span under a 64-cycle lease: every
+    // load also misses the 64 KB L1X, through the AX-TLB, the
+    // AX-RMAP and the LLC.
+    HitRig l1xMiss;
+    l1xMiss.tile->l0x(0).setFunction(64, 1);
+    EXPECT_EQ(steadyStateAllocs(l1xMiss, 2048, l0xAccess(l1xMiss, false)),
+              0u);
+    EXPECT_EQ(l1xMiss.tile->l1x().hits(), 0u);
 }
 
 } // namespace

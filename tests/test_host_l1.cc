@@ -101,71 +101,88 @@ TEST(HostL1, FlushAllReturnsEverything)
     EXPECT_EQ(r.l1.misses(), before + 1);
 }
 
+/** Two MESI L1s on one LLC: agents 0 (a) and 1 (b). */
+struct TwoL1Rig : test::HostRig
+{
+    interconnect::Link la{ctx, {"la", energy::LinkClass::HostL1ToL2, 2,
+                                "t.a", "t.a"}};
+    interconnect::Link lb{ctx, {"lb", energy::LinkClass::HostL1ToL2, 2,
+                                "t.b", "t.b"}};
+    host::HostL1 a{ctx, params("l1a"), llc, &la};
+    host::HostL1 b{ctx, params("l1b"), llc, &lb};
+
+    static host::HostL1Params
+    params(const char *name)
+    {
+        host::HostL1Params p;
+        p.name = name;
+        return p;
+    }
+
+    void
+    sync(host::HostL1 &c, Addr addr, bool w)
+    {
+        bool done = false;
+        c.access(addr, w, [&] { done = true; });
+        ctx.eq.run();
+        EXPECT_TRUE(done);
+    }
+};
+
 TEST(HostL1, TwoL1sPingPongALine)
 {
     // Two MESI L1s exchanging a dirty line through the directory.
-    test::HostRig base;
-    interconnect::Link la(base.ctx,
-                          interconnect::LinkParams{
-                              "la", energy::LinkClass::HostL1ToL2,
-                              2, "t.a", "t.a"});
-    interconnect::Link lb(base.ctx,
-                          interconnect::LinkParams{
-                              "lb", energy::LinkClass::HostL1ToL2,
-                              2, "t.b", "t.b"});
-    host::HostL1Params pa, pb;
-    pa.name = "l1a";
-    pb.name = "l1b";
-    host::HostL1 a(base.ctx, pa, base.llc, &la);
-    host::HostL1 b(base.ctx, pb, base.llc, &lb);
-
-    auto sync = [&](host::HostL1 &c, Addr addr, bool w) {
-        bool done = false;
-        c.access(addr, w, [&] { done = true; });
-        base.ctx.eq.run();
-        EXPECT_TRUE(done);
-    };
+    TwoL1Rig r;
     for (int round = 0; round < 4; ++round) {
-        sync(a, 0x4000, true);
-        sync(b, 0x4000, true);
+        r.sync(r.a, 0x4000, true);
+        r.sync(r.b, 0x4000, true);
     }
     // Ownership ends at b; a was invalidated each round.
-    EXPECT_TRUE(base.llc.isOwner(1, 0x4000));
-    EXPECT_FALSE(base.llc.isOwner(0, 0x4000));
-    EXPECT_GE(base.llc.fwdsToAgent(0), 4u);
+    EXPECT_TRUE(r.llc.isOwner(1, 0x4000));
+    EXPECT_FALSE(r.llc.isOwner(0, 0x4000));
+    EXPECT_GE(r.llc.fwdsToAgent(0), 4u);
+}
+
+TEST(HostL1, ConcurrentColdReadsBothRecorded)
+{
+    // The LLC's twin of TileMesi.ConcurrentColdReadsBothRecorded:
+    // both L1s load one cold line at once, so b parks behind a's
+    // miss. Llc::respond finishes a's transaction before it sends
+    // a's grant, but b's parked request re-enters through arrive()
+    // and pays the bank access first, so its downgrade probe of a
+    // leaves after a's grant.
+    TwoL1Rig r;
+    int done = 0;
+    r.a.access(0x6000, false, [&] { ++done; });
+    r.b.access(0x6000, false, [&] { ++done; });
+    r.ctx.eq.run();
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(r.ctx.stats.value("llc.deferred"), 1u);
+    EXPECT_TRUE(r.llc.isSharer(0, 0x6000));
+    EXPECT_TRUE(r.llc.isSharer(1, 0x6000));
+    EXPECT_TRUE(r.ctx.guard.runInvariants(r.ctx.now(), true).empty());
+    // Both copies are recorded, so b's store still invalidates a.
+    r.sync(r.b, 0x6000, true);
+    EXPECT_TRUE(r.llc.isOwner(1, 0x6000));
+    EXPECT_FALSE(r.llc.isSharer(0, 0x6000));
+    auto before = r.a.misses();
+    r.sync(r.a, 0x6000, false);
+    EXPECT_EQ(r.a.misses(), before + 1);
+    EXPECT_TRUE(r.ctx.guard.runInvariants(r.ctx.now(), true).empty());
 }
 
 TEST(HostL1, SharedLoadThenUpgradeInvalidatesPeer)
 {
-    test::HostRig base;
-    interconnect::Link la(base.ctx,
-                          interconnect::LinkParams{
-                              "la", energy::LinkClass::HostL1ToL2,
-                              2, "t.a", "t.a"});
-    interconnect::Link lb(base.ctx,
-                          interconnect::LinkParams{
-                              "lb", energy::LinkClass::HostL1ToL2,
-                              2, "t.b", "t.b"});
-    host::HostL1Params pa, pb;
-    pa.name = "l1a";
-    pb.name = "l1b";
-    host::HostL1 a(base.ctx, pa, base.llc, &la);
-    host::HostL1 b(base.ctx, pb, base.llc, &lb);
-    auto sync = [&](host::HostL1 &c, Addr addr, bool w) {
-        bool done = false;
-        c.access(addr, w, [&] { done = true; });
-        base.ctx.eq.run();
-        EXPECT_TRUE(done);
-    };
-    sync(a, 0x5000, false);
-    sync(b, 0x5000, false); // both sharers
-    sync(a, 0x5000, true);  // upgrade
-    EXPECT_TRUE(base.llc.isOwner(0, 0x5000));
-    EXPECT_FALSE(base.llc.isSharer(1, 0x5000));
+    TwoL1Rig r;
+    r.sync(r.a, 0x5000, false);
+    r.sync(r.b, 0x5000, false); // both sharers
+    r.sync(r.a, 0x5000, true);  // upgrade
+    EXPECT_TRUE(r.llc.isOwner(0, 0x5000));
+    EXPECT_FALSE(r.llc.isSharer(1, 0x5000));
     // b's next load misses (its copy was invalidated).
-    auto before = b.misses();
-    sync(b, 0x5000, false);
-    EXPECT_EQ(b.misses(), before + 1);
+    auto before = r.b.misses();
+    r.sync(r.b, 0x5000, false);
+    EXPECT_EQ(r.b.misses(), before + 1);
 }
 
 } // namespace
