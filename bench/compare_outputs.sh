@@ -11,6 +11,10 @@
 # Compared, byte for byte:
 #   - example_simulate stdout and its --stats dump for 7 workloads x
 #     {the 5 static kinds, auto} x {small, --paper};
+#   - the same at small scale with an 8 KiB L0X and scratchpad
+#     (--l0x 8192 --spm 8192), for every kind with either (all but
+#     shared): their first hop takes 2 cycles, the path on which the
+#     replay core does not fold its next issue into the hop;
 #   - ablation_auto_mode --no-cache stdout at --small and at paper
 #     scale;
 #   - table1_characteristics --no-cache stdout at --small and at
@@ -20,7 +24,7 @@
 #   - fault_campaign --small --trials 96 --no-cache stdout for seeds
 #     1, 5 and 11 (the guarded link path: dropped, reordered and
 #     duplicated flits).
-# That is 177 files per side.
+# That is 247 files per side.
 # Compares every file: names each one that differs, with the head of
 # its diff, on stderr. Prints "M/N identical" and, when any file
 # differs, "K/N differ" and exits 1.
@@ -35,6 +39,7 @@ OTHER=$(cd "$1" && pwd)
 
 WORKLOADS="adpcm fft disparity tracking susan filter histogram"
 KINDS="scratch shared fusion fusion-dx fusion-mesi auto"
+KINDS_8K="scratch fusion fusion-dx fusion-mesi auto"
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -81,6 +86,17 @@ run() {
                         exit 1
                     fi
                 done
+            done
+        done
+        for w in $WORKLOADS; do
+            for k in $KINDS_8K; do
+                name="$w.$k.small-8k"
+                if ! "$bin/examples/example_simulate" -w "$w" \
+                    -s "$k" --l0x 8192 --spm 8192 \
+                    --stats "$name.stats" > "$name.out"; then
+                    echo "compare_outputs.sh: $2: $name failed" >&2
+                    exit 1
+                fi
             done
         done
         "$bin/bench/ablation_auto_mode" --small --no-cache \

@@ -31,8 +31,8 @@ hexLines(const std::vector<Addr> &lines)
 
 L0x::L0x(SimContext &ctx, const L0xParams &p, L1xAcc &l1x,
          interconnect::Link *tile_link, interconnect::Link *fwd_link)
-    : _ctx(ctx), _p(p), _l1x(l1x), _tileLink(tile_link),
-      _fwdLink(fwd_link),
+    : SplitPort(ctx.eq), _ctx(ctx), _p(p), _l1x(l1x),
+      _tileLink(tile_link), _fwdLink(fwd_link),
       _tags(mem::CacheGeometry{p.capacityBytes, p.assoc, kLineBytes,
                                p.repl})
 {
@@ -131,18 +131,25 @@ L0x::bookAccess(bool is_write, bool line_granular)
 }
 
 void
-L0x::access(Addr va, std::uint32_t size, bool is_write,
-            PortDone done)
+L0x::begin(Addr va, bool is_write)
 {
-    (void)size; // sub-line accesses never straddle lines in traces
-    Addr vline = lineAlign(va);
     bookAccess(is_write, false);
-    Tick start = _ctx.now();
     if (_tracer)
-        _tracer->begin(_track, obs::SpanKind::Access, vline, start);
-    _ctx.eq.scheduleIn(_fig.latency, [this, vline, is_write, start, done] {
-        lookup(vline, is_write, start, done);
-    });
+        _tracer->begin(_track, obs::SpanKind::Access, lineAlign(va),
+                       _ctx.now());
+}
+
+void
+L0x::hop(Addr va, bool is_write, PortDone done)
+{
+    lookup(lineAlign(va), is_write, _ctx.now() - _fig.latency, done);
+    // ReplayCore::pump runs its next issue in this event, which is
+    // exact only if the lookup scheduled nothing into this tick that
+    // runs before Default events. A store hit under a write epoch
+    // ending on this very tick would (a Maintenance sweep); but this
+    // tick's sweep ran first and already cleaned such a line.
+    fusion_assert(_nextDowngrade != _ctx.now(),
+                  "L0X lookup scheduled a same-tick downgrade: va=", va);
 }
 
 void

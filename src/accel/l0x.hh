@@ -52,7 +52,7 @@ struct L0xParams
 };
 
 /** The private L0X cache controller. */
-class L0x : public MemPort
+class L0x : public SplitPort
 {
   public:
     /**
@@ -100,8 +100,8 @@ class L0x : public MemPort
     void drainDirty();
 
     // MemPort interface (called by the accelerator core).
-    void access(Addr va, std::uint32_t size, bool is_write,
-                PortDone done) override;
+    /** The lookup, one array access after the issue. */
+    void hop(Addr va, bool is_write, PortDone done) override;
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _loadMisses + _storeMisses; }
@@ -120,6 +120,8 @@ class L0x : public MemPort
     }
 
   private:
+    void begin(Addr va, bool is_write) override;
+    Cycles hopLatency() const override { return _fig.latency; }
     void lookup(Addr vline, bool is_write, Tick start, PortDone done,
                 bool is_retry = false);
     void requestMiss(Addr vline, bool is_write, bool need_data);

@@ -28,8 +28,8 @@
 #ifndef FUSION_ACCEL_L1X_HH
 #define FUSION_ACCEL_L1X_HH
 
-#include <list>
 #include <string>
+#include <vector>
 
 #include "accel/l1x_host.hh"
 #include "mem/bank_scheduler.hh"
@@ -140,7 +140,10 @@ class L1xAcc : public coherence::CoherentAgent
     /** Write-epoch stall queues — the same pooled (vline, pid)
      *  structure as the MSHR file; wakeStalled() drains one key. */
     mem::MshrFile _stalled;
-    std::list<WbBufEntry> _wbBuffer;
+    /// Host demands parked in the tile, in arrival order; erase
+    /// keeps that order, since writeback() takes the first
+    /// (vline, pid) match.
+    std::vector<WbBufEntry> _wbBuffer;
     std::uint64_t _nextWbId = 1;
     // Counters, bound into ctx.stats under "<name>.<stat>".
     std::uint64_t _hits = 0;

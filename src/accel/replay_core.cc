@@ -86,7 +86,7 @@ ReplayCore::pump()
             ++_outstandingStores;
         else
             ++_outstandingLoads;
-        _port->access(op.addr, op.size, is_store, [this, is_store] {
+        const PortDone done = [this, is_store] {
             if (is_store)
                 --_outstandingStores;
             else
@@ -96,7 +96,20 @@ ReplayCore::pump()
                 _pumpScheduled = true;
                 _ctx.eq.scheduleIn(0, [this] { pump(); });
             }
-        });
+        };
+        if (_pos < _end && _port->issue(op.addr, is_store)) {
+            // The port's first hop falls on the next issue's cycle.
+            // As two events they would run back to back, the hop
+            // first (DESIGN.md section 8): one event runs both, in
+            // that order.
+            _pumpScheduled = true;
+            _ctx.eq.scheduleIn(1, [this, addr = op.addr, is_store, done] {
+                _port->hop(addr, is_store, done);
+                pump();
+            });
+            return;
+        }
+        _port->access(op.addr, op.size, is_store, done);
         // At most one memory issue per cycle.
         if (_pos < _end) {
             _pumpScheduled = true;

@@ -9,9 +9,11 @@
  * program order, at most one per cycle, through a non-blocking port
  * with a cap on outstanding loads (an accelerator's per-function
  * memory-level parallelism from Table 1; the host's load queue) and
- * on outstanding stores (the store buffer). This is deliberately
- * simpler than a full OOO pipeline for the host (Table 2: 4-way OOO,
- * 96-entry ROB, 32-entry load/store queues): the paper's conclusions
+ * on outstanding stores (the store buffer). When the port reaches
+ * its first hop one cycle after issue (MemPort::issue), that hop and
+ * the next issue share one event. This is deliberately simpler than
+ * a full OOO pipeline for the host (Table 2: 4-way OOO, 96-entry
+ * ROB, 32-entry load/store queues): the paper's conclusions
  * all live in the memory system, and the host model only has to
  * (a) produce the host phases that exercise MESI against the
  * accelerator tile and (b) rank function weights for Table 1's %Time

@@ -9,15 +9,13 @@ namespace fusion::accel
 
 ScratchpadFrontend::ScratchpadFrontend(SimContext &ctx,
                                        mem::Scratchpad &spm)
-    : _ctx(ctx), _spm(spm)
+    : SplitPort(ctx.eq), _spm(spm)
 {
 }
 
 void
-ScratchpadFrontend::access(Addr va, std::uint32_t size,
-                           bool is_write, PortDone done)
+ScratchpadFrontend::begin(Addr va, bool is_write)
 {
-    (void)size;
     // The window's line lists are sorted.
     auto holds = [line = lineAlign(va)](const std::vector<Addr> &v) {
         return std::binary_search(v.begin(), v.end(), line);
@@ -26,8 +24,7 @@ ScratchpadFrontend::access(Addr va, std::uint32_t size,
                               holds(_window->dirtyLines)),
                   "scratchpad access outside resident window: va=",
                   va);
-    Cycles lat = _spm.access(is_write);
-    _ctx.eq.scheduleIn(lat, done);
+    _spm.access(is_write);
 }
 
 } // namespace fusion::accel

@@ -17,8 +17,9 @@
 namespace fusion::accel
 {
 
-/** Scratchpad-backed memory port. */
-class ScratchpadFrontend : public MemPort
+/** Scratchpad-backed memory port: the array access books at issue,
+ *  and the data returns one access latency later. */
+class ScratchpadFrontend : public SplitPort
 {
   public:
     ScratchpadFrontend(SimContext &ctx, mem::Scratchpad &spm);
@@ -27,11 +28,17 @@ class ScratchpadFrontend : public MemPort
      *  are the resident ones. */
     void setWindow(const trace::DmaWindow &w) { _window = &w; }
 
-    void access(Addr va, std::uint32_t size, bool is_write,
-                PortDone done) override;
+    /** The data returns: the access commits. */
+    void
+    hop(Addr, bool, PortDone done) override
+    {
+        done();
+    }
 
   private:
-    SimContext &_ctx;
+    void begin(Addr va, bool is_write) override;
+    Cycles hopLatency() const override { return _spm.latency(); }
+
     mem::Scratchpad &_spm;
     const trace::DmaWindow *_window = nullptr;
 };

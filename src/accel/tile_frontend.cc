@@ -203,43 +203,50 @@ class SharedFrontend final : public TileFrontend
     }
 
   private:
-    class Port : public MemPort
+    /** The request crosses the 1-cycle AXC-L1X link (the hop), the
+     *  L1X serves it, and the response crosses back. */
+    class Port : public SplitPort
     {
       public:
         Port(SimContext &ctx, host::HostL1 &l1x,
              interconnect::Link &link, const vm::PageTable &pt,
              Pid pid)
-            : _ctx(ctx), _l1x(l1x), _link(link), _pt(pt), _pid(pid)
+            : SplitPort(ctx.eq), _ctx(ctx), _l1x(l1x), _link(link),
+              _pt(pt), _pid(pid)
         {
         }
 
+        /** The request reaches the L1X. */
         void
-        access(Addr va, std::uint32_t size, bool is_write,
-               PortDone done) override
+        hop(Addr va, bool is_write, PortDone done) override
         {
-            (void)size;
-            Addr pa = _pt.translate(_pid, va);
             // The L1X's completion has room for {this, is_write} and
             // an index, not for @p done too: park it in a slot.
             std::uint32_t slot = park(done);
-            // Request: 1 flit (+ the store's word payload).
-            _link.book(is_write ? interconnect::MsgClass::Word
-                                : interconnect::MsgClass::Control);
-            _ctx.eq.scheduleIn(
-                _link.latency(), [this, pa, is_write, slot] {
-                    _l1x.access(pa, is_write, [this, is_write, slot] {
-                        // Response: word payload for loads, ack for
-                        // stores.
-                        _link.book(
-                            is_write ? interconnect::MsgClass::Control
-                                     : interconnect::MsgClass::Word);
-                        _ctx.eq.scheduleIn(_link.latency(),
-                                           unpark(slot));
-                    });
-                });
+            _l1x.access(_pt.translate(_pid, va), is_write,
+                        [this, is_write, slot] {
+                            // Response: word payload for loads, ack
+                            // for stores.
+                            _link.book(
+                                is_write
+                                    ? interconnect::MsgClass::Control
+                                    : interconnect::MsgClass::Word);
+                            _ctx.eq.scheduleIn(_link.latency(),
+                                               unpark(slot));
+                        });
         }
 
       private:
+        void
+        begin(Addr, bool is_write) override
+        {
+            // Request: 1 flit (+ the store's word payload).
+            _link.book(is_write ? interconnect::MsgClass::Word
+                                : interconnect::MsgClass::Control);
+        }
+
+        Cycles hopLatency() const override { return _link.latency(); }
+
         std::uint32_t
         park(PortDone done)
         {

@@ -26,8 +26,8 @@ L0xMesi::L0xMesi(SimContext &ctx, std::string name,
                  std::uint64_t bytes, std::uint32_t assoc,
                  AccelId id, L1xMesi &l1x,
                  interconnect::Link *tile_link)
-    : _ctx(ctx), _name(std::move(name)), _id(id), _l1x(l1x),
-      _tileLink(tile_link),
+    : SplitPort(ctx.eq), _ctx(ctx), _name(std::move(name)), _id(id),
+      _l1x(l1x), _tileLink(tile_link),
       _tags(mem::CacheGeometry{bytes, assoc, kLineBytes})
 {
     energy::SramParams sp;
@@ -82,18 +82,19 @@ L0xMesi::bookAccess(bool is_write, bool line_granular)
 }
 
 void
-L0xMesi::access(Addr va, std::uint32_t size, bool is_write,
-                PortDone done)
+L0xMesi::begin(Addr va, bool is_write)
 {
-    (void)size;
-    Addr vline = lineAlign(va);
     bookAccess(is_write, false);
-    Tick start = _ctx.now();
     if (_tracer)
-        _tracer->begin(_track, obs::SpanKind::Access, vline, start);
-    _ctx.eq.scheduleIn(_fig.latency, [this, vline, is_write, start, done] {
-        lookup(vline, is_write, start, done, false);
-    });
+        _tracer->begin(_track, obs::SpanKind::Access, lineAlign(va),
+                       _ctx.now());
+}
+
+void
+L0xMesi::hop(Addr va, bool is_write, PortDone done)
+{
+    lookup(lineAlign(va), is_write, _ctx.now() - _fig.latency, done,
+           false);
 }
 
 void

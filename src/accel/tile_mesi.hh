@@ -46,7 +46,7 @@ namespace fusion::accel
 class L1xMesi;
 
 /** A private MESI L0X cache (the conventional design point). */
-class L0xMesi : public MemPort
+class L0xMesi : public SplitPort
 {
   public:
     L0xMesi(SimContext &ctx, std::string name, std::uint64_t bytes,
@@ -56,8 +56,8 @@ class L0xMesi : public MemPort
     void setPid(Pid pid) { _pid = pid; }
 
     // MemPort.
-    void access(Addr va, std::uint32_t size, bool is_write,
-                PortDone done) override;
+    /** The lookup, one array access after the issue. */
+    void hop(Addr va, bool is_write, PortDone done) override;
 
     /** Directory probe from the L1X, kind as in MESI; @p done reports
      *  dirty data and whether a copy stays (S). */
@@ -74,6 +74,8 @@ class L0xMesi : public MemPort
     const mem::CacheArray &tags() const { return _tags; }
 
   private:
+    void begin(Addr va, bool is_write) override;
+    Cycles hopLatency() const override { return _fig.latency; }
     void lookup(Addr vline, bool is_write, Tick start, PortDone done,
                 bool is_retry);
     void fillDone(Addr vline, bool is_write, bool exclusive);

@@ -25,7 +25,7 @@ Dram::Dram(SimContext &ctx, const DramParams &p)
     ctx.obs.registerGauge("dram.queued", [this] {
         std::size_t queued = 0;
         for (const Channel &c : _channels)
-            queued += c.queue.size();
+            queued += c.queued;
         return static_cast<double>(queued);
     });
     ctx.obs.registerCounter("dram.accesses", [this] {
@@ -36,7 +36,7 @@ Dram::Dram(SimContext &ctx, const DramParams &p)
         guard::ComponentState s;
         std::uint64_t queued = 0, busy = 0;
         for (const Channel &c : _channels) {
-            queued += c.queue.size();
+            queued += c.queued;
             if (c.busy)
                 ++busy;
         }
@@ -58,7 +58,7 @@ Dram::access(Addr pa, bool is_write, DramCallback done)
     // model that by simply queueing (the queue in a trace-driven
     // replay is naturally bounded by requester MLP).
     (void)is_write;
-    c.queue.emplace_back(pa, std::move(done));
+    c.push(pa, std::move(done));
     ++_queued;
     if (!c.busy)
         serviceNext(ch);
@@ -68,13 +68,12 @@ void
 Dram::serviceNext(std::uint32_t ch)
 {
     Channel &c = _channels[ch];
-    if (c.queue.empty()) {
+    if (c.queued == 0) {
         c.busy = false;
         return;
     }
     c.busy = true;
-    auto [pa, done] = std::move(c.queue.front());
-    c.queue.pop_front();
+    auto [pa, done] = c.pop();
 
     Addr row = pa / _p.rowBytes;
     bool hit = (row == c.openRow);
@@ -90,6 +89,31 @@ Dram::serviceNext(std::uint32_t ch)
     _ctx.eq.scheduleIn(lat, std::move(done));
     _ctx.eq.scheduleIn(_p.burstCycles,
                        [this, ch] { serviceNext(ch); });
+}
+
+void
+Dram::Channel::push(Addr pa, DramCallback done)
+{
+    if (queued == ring.size()) {
+        std::vector<Command> grown(ring.empty() ? 4 : 2 * ring.size());
+        for (std::size_t i = 0; i < queued; ++i)
+            grown[i] = std::move(ring[(head + i) & (ring.size() - 1)]);
+        ring = std::move(grown);
+        head = 0;
+    }
+    Command &slot = ring[(head + queued) & (ring.size() - 1)];
+    slot.pa = pa;
+    slot.done = std::move(done);
+    ++queued;
+}
+
+Dram::Command
+Dram::Channel::pop()
+{
+    Command c = std::move(ring[head]);
+    head = (head + 1) & (ring.size() - 1);
+    --queued;
+    return c;
 }
 
 } // namespace fusion::mem

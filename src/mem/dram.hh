@@ -13,7 +13,6 @@
 #define FUSION_MEM_DRAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/sim_context.hh"
@@ -57,11 +56,26 @@ class Dram
     std::uint64_t rowHits() const { return _rowHits; }
 
   private:
+    struct Command
+    {
+        Addr pa = 0;
+        DramCallback done;
+    };
+
     struct Channel
     {
-        std::deque<std::pair<Addr, DramCallback>> queue;
+        /// FIFO of waiting commands: a ring whose capacity is a power
+        /// of two and doubles only when full, so a steady stream of
+        /// commands allocates nothing, and a channel that never
+        /// idles grows it no further than its deepest backlog.
+        std::vector<Command> ring;
+        std::size_t head = 0; ///< oldest command
+        std::size_t queued = 0;
         bool busy = false;
         Addr openRow = ~0ull;
+
+        void push(Addr pa, DramCallback done);
+        Command pop();
     };
 
     void serviceNext(std::uint32_t ch);

@@ -24,12 +24,11 @@ Scratchpad::Scratchpad(SimContext &ctx, std::uint64_t capacity_bytes,
                               {"dma_line_xfers", _dmaLineXfers}});
 }
 
-Cycles
+void
 Scratchpad::access(bool is_write)
 {
     ++(is_write ? _writes : _reads);
     _ctx.energy.add(_ecSpm, _wordAccessPj);
-    return _fig.latency;
 }
 
 void

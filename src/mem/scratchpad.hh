@@ -42,11 +42,9 @@ class Scratchpad
     /** Access latency (cycles). */
     Cycles latency() const { return _fig.latency; }
 
-    /**
-     * Book one accelerator-side access (word granularity).
-     * @return the access latency in cycles.
-     */
-    Cycles access(bool is_write);
+    /** Book one accelerator-side access (word granularity); its
+     *  data returns latency() cycles later. */
+    void access(bool is_write);
 
     /**
      * Book one DMA-side line transfer into/out of the scratchpad.

@@ -19,6 +19,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "accel/replay_core.hh"
 #include "accel/tile.hh"
 #include "sim/completion.hh"
 #include "sim/small_fn.hh"
@@ -166,28 +167,44 @@ TEST(Completion, HitPathsTakeNoSlabBlock)
 
     // A fresh thread's slab freelist is empty, and stays empty unless
     // a closure spills to the slab and is released. Each path runs
-    // its hits on its own fresh thread.
-    auto slabUntouchedAfter = [&r](auto issue) {
+    // its hits on its own fresh thread: @p issue(done) starts them,
+    // and they call done @p n times in all.
+    auto slabUntouchedAfter = [&r](int n, auto issue) {
         bool untouched = false;
         std::thread t([&] {
             int completed = 0;
-            for (int i = 0; i < HitRig::kLines; ++i)
-                issue(i, Completion([&completed] { ++completed; }));
-            while (completed < HitRig::kLines && r.ctx.eq.step()) {
+            issue(Completion([&completed] { ++completed; }));
+            while (completed < n && r.ctx.eq.step()) {
             }
-            EXPECT_EQ(completed, HitRig::kLines);
+            EXPECT_EQ(completed, n);
             untouched = detail::eventSlabFree == nullptr;
         });
         t.join();
         return untouched;
     };
-    EXPECT_TRUE(slabUntouchedAfter([&r](int i, Completion done) {
-        r.tile->l0x(0).access(r.accelLine(i), 8, false, done);
+    EXPECT_TRUE(slabUntouchedAfter(HitRig::kLines, [&r](Completion done) {
+        for (int i = 0; i < HitRig::kLines; ++i)
+            r.tile->l0x(0).access(r.accelLine(i), 8, false, done);
     }));
-    EXPECT_TRUE(slabUntouchedAfter([&r](int i, Completion done) {
-        r.l1.access(r.hostLine(i), false, done);
+    EXPECT_TRUE(slabUntouchedAfter(HitRig::kLines, [&r](Completion done) {
+        for (int i = 0; i < HitRig::kLines; ++i)
+            r.l1.access(r.hostLine(i), false, done);
     }));
-    EXPECT_EQ(r.tile->l0x(0).hits() - l0x_hits, 4u);
+    // A replay core over the same L0X hits: the 1-cycle L0X splits,
+    // so each load but the last runs its lookup in one event with
+    // the next issue, and that closure must stay inline too.
+    accel::ReplayCoreParams cp;
+    cp.name = "axc0.core";
+    accel::ReplayCore core(r.ctx, cp);
+    std::vector<trace::TraceOp> ops;
+    for (int pass = 0; pass < 2; ++pass)
+        for (int i = 0; i < HitRig::kLines; ++i)
+            ops.push_back(trace::TraceOp::load(r.accelLine(i), 8));
+    ASSERT_EQ(r.tile->l0x(0).latency(), 1u);
+    EXPECT_TRUE(slabUntouchedAfter(1, [&](Completion done) {
+        core.run(ops, 0, ops.size(), 2, r.tile->l0x(0), done);
+    }));
+    EXPECT_EQ(r.tile->l0x(0).hits() - l0x_hits, 4u + ops.size());
     EXPECT_EQ(r.l1.hits() - l1_hits, 4u);
 }
 
@@ -299,6 +316,17 @@ TEST(Completion, TransactionPathsMakeNoHeapAllocation)
     EXPECT_EQ(steadyStateAllocs(l1xMiss, 2048, l0xAccess(l1xMiss, false)),
               0u);
     EXPECT_EQ(l1xMiss.tile->l1x().hits(), 0u);
+
+    // DRAM reads straight from the rig's DRAM: each channel's command
+    // FIFO, a ring, reached its size in the warm-up.
+    HitRig dram;
+    EXPECT_EQ(steadyStateAllocs(dram, 16,
+                                [&dram](int i, Completion done) {
+                                    dram.dram.access(i * kLineBytes,
+                                                     false, done);
+                                }),
+              0u);
+    EXPECT_EQ(dram.dram.accesses(), 4u * 16 + 4'000);
 }
 
 } // namespace

@@ -17,42 +17,108 @@ namespace fusion::accel
 namespace
 {
 
-/** Port with a fixed per-access latency; records issue times. */
-class FixedLatencyPort : public MemPort
+/**
+ * Port whose first hop is a fixed @p lat cycles after issue. An
+ * access completes in its hop, except that one to an odd line with
+ * @p miss set completes @p miss cycles later. Records every issue,
+ * hop and completion in one log, in the order they happen. At one
+ * cycle it splits, so ReplayCore folds its hops (Unsplit hides that).
+ */
+class FixedLatencyPort : public SplitPort
 {
   public:
-    FixedLatencyPort(SimContext &ctx, Cycles lat)
-        : _ctx(ctx), _lat(lat)
+    FixedLatencyPort(SimContext &ctx, Cycles lat, Cycles miss = 0)
+        : SplitPort(ctx.eq), _ctx(ctx), _lat(lat), _miss(miss)
     {
     }
 
     void
-    access(Addr va, std::uint32_t, bool is_write,
-           PortDone done) override
+    hop(Addr va, bool is_write, PortDone done) override
     {
-        issues.push_back({_ctx.now(), va, is_write});
-        ++inflight;
-        maxInflight = std::max(maxInflight, inflight);
-        _ctx.eq.scheduleIn(_lat,
-                           [this, done = std::move(done)]() mutable {
-                               --inflight;
-                               done();
-                           });
+        note('h', va, is_write);
+        if (_miss == 0 || lineNumber(va) % 2 == 0) {
+            complete(va, is_write, done);
+            return;
+        }
+        _ctx.eq.scheduleIn(_miss, [this, va, is_write, done] {
+            complete(va, is_write, done);
+        });
     }
 
-    struct Issue
+    struct Event
     {
         Tick when;
+        char what; ///< 'i'ssue, 'h'op or 'c'ompletion
         Addr va;
         bool write;
+        bool operator==(const Event &) const = default;
+        /// A differing log prints as "tick what va r|w" per entry.
+        friend void
+        PrintTo(const Event &e, std::ostream *os)
+        {
+            *os << e.when << ' ' << e.what << ' ' << std::hex << e.va
+                << std::dec << ' ' << (e.write ? 'w' : 'r');
+        }
     };
-    std::vector<Issue> issues;
+    std::vector<Event> log;
     std::uint32_t inflight = 0;
     std::uint32_t maxInflight = 0;
 
+    std::vector<Event>
+    issues() const
+    {
+        std::vector<Event> out;
+        for (const Event &e : log)
+            if (e.what == 'i')
+                out.push_back(e);
+        return out;
+    }
+
   private:
+    void
+    begin(Addr va, bool is_write) override
+    {
+        note('i', va, is_write);
+        ++inflight;
+        maxInflight = std::max(maxInflight, inflight);
+    }
+
+    Cycles hopLatency() const override { return _lat; }
+
+    void
+    complete(Addr va, bool is_write, PortDone done)
+    {
+        note('c', va, is_write);
+        --inflight;
+        done();
+    }
+
+    void
+    note(char what, Addr va, bool is_write)
+    {
+        log.push_back({_ctx.now(), what, va, is_write});
+    }
+
     SimContext &_ctx;
     Cycles _lat;
+    Cycles _miss;
+};
+
+/** @p port seen through access() alone: it never splits. */
+class Unsplit : public MemPort
+{
+  public:
+    explicit Unsplit(MemPort &port) : _port(port) {}
+
+    void
+    access(Addr va, std::uint32_t size, bool is_write,
+           PortDone done) override
+    {
+        _port.access(va, size, is_write, done);
+    }
+
+  private:
+    MemPort &_port;
 };
 
 /** @p p as accelerator 0's core: its name, booking compute energy. */
@@ -128,8 +194,8 @@ TEST(AccelCore, ComputeGapsStallIssue)
     inv.ops.push_back(trace::TraceOp::compute(40, 0)); // 10 cycles
     inv.ops.push_back(trace::TraceOp::load(0x1040, 8));
     r.runSync(inv, 4, port);
-    ASSERT_EQ(port.issues.size(), 2u);
-    EXPECT_GE(port.issues[1].when - port.issues[0].when, 10u);
+    ASSERT_EQ(port.issues().size(), 2u);
+    EXPECT_GE(port.issues()[1].when - port.issues()[0].when, 10u);
 }
 
 TEST(AccelCore, ComputeEnergyFollowsActivityCounts)
@@ -173,9 +239,9 @@ TEST(AccelCore, SubRangeReplaysOnlyTheWindow)
     r.core.run(inv.ops, 3, 7, 2, port, [&] { done = true; });
     r.ctx.eq.run();
     EXPECT_TRUE(done);
-    ASSERT_EQ(port.issues.size(), 4u);
-    EXPECT_EQ(port.issues[0].va, 0x1000u + 64 * 3);
-    EXPECT_EQ(port.issues[3].va, 0x1000u + 64 * 6);
+    ASSERT_EQ(port.issues().size(), 4u);
+    EXPECT_EQ(port.issues()[0].va, 0x1000u + 64 * 3);
+    EXPECT_EQ(port.issues()[3].va, 0x1000u + 64 * 6);
 }
 
 TEST(AccelCore, CompletionWaitsForAllOutstanding)
@@ -188,6 +254,74 @@ TEST(AccelCore, CompletionWaitsForAllOutstanding)
     Tick t = r.runSync(inv, 1, port);
     EXPECT_GE(t, 200u);
     EXPECT_FALSE(r.core.busy());
+}
+
+TEST(AccelCore, OneCycleHopSharesTheIssueEvent)
+{
+    // Hits and misses at MLP 2, stores through a 2-entry store
+    // buffer that fills, and a compute burst.
+    auto line = [](int i) { return 0x1000 + Addr{kLineBytes} * i; };
+    trace::Invocation inv;
+    inv.func = 0;
+    inv.ops = {
+        trace::TraceOp::load(line(1), 8),  // miss
+        trace::TraceOp::load(line(2), 8),  // hit with MLP 2 full
+        trace::TraceOp::load(line(4), 8),
+        trace::TraceOp::store(line(3), 8), // miss
+        trace::TraceOp::store(line(5), 8), // the store buffer fills
+        trace::TraceOp::store(line(6), 8), // waits for line 3's store
+        trace::TraceOp::compute(12, 4),    // 4 cycles
+        trace::TraceOp::load(line(7), 8),
+        trace::TraceOp::load(line(9), 8),
+        trace::TraceOp::load(line(8), 8),  // waits for line 7's load
+        trace::TraceOp::store(line(10), 8),
+        trace::TraceOp::load(line(11), 8), // the last op
+    };
+    ReplayCoreParams p;
+    p.storeBuffer = 2;
+
+    struct Replay
+    {
+        std::vector<FixedLatencyPort::Event> log;
+        Tick cycles;
+        std::uint64_t events;
+    };
+    auto replay = [&](Cycles lat, bool split) {
+        CoreRig r(p);
+        FixedLatencyPort port(r.ctx, lat, /*miss=*/20);
+        Unsplit whole(port);
+        Tick cycles = r.runSync(inv, 2, split ? static_cast<MemPort &>(port)
+                                              : whole);
+        return Replay{port.log, cycles, r.ctx.eq.executed()};
+    };
+    auto tickOf = [](const Replay &r, char what, Addr va) {
+        for (const auto &e : r.log)
+            if (e.what == what && e.va == va)
+                return e.when;
+        ADD_FAILURE() << what << " of " << va << " not logged";
+        return kTickNever;
+    };
+
+    // Every memory op but the last runs its hop in the event of the
+    // next issue: one event fewer each, and nothing else moves.
+    std::uint64_t folded = 0;
+    for (std::size_t i = 0; i + 1 < inv.ops.size(); ++i)
+        folded += inv.ops[i].kind != trace::OpKind::Compute ? 1 : 0;
+    const Replay split = replay(1, true);
+    const Replay whole = replay(1, false);
+    EXPECT_EQ(split.log, whole.log);
+    EXPECT_EQ(split.cycles, whole.cycles);
+    EXPECT_EQ(whole.events - split.events, folded);
+    // The stalls the input sets up did happen.
+    EXPECT_EQ(tickOf(split, 'i', line(6)), tickOf(split, 'c', line(3)));
+    EXPECT_EQ(tickOf(split, 'i', line(8)), tickOf(split, 'c', line(7)));
+
+    // A 2-cycle first hop does not split.
+    const Replay split2 = replay(2, true);
+    const Replay whole2 = replay(2, false);
+    EXPECT_EQ(split2.log, whole2.log);
+    EXPECT_EQ(split2.cycles, whole2.cycles);
+    EXPECT_EQ(split2.events, whole2.events);
 }
 
 TEST(AccelCoreDeathTest, ZeroMlpPanics)
